@@ -158,7 +158,7 @@ def preflight() -> None:
             "(set REPRO_BENCH_PREFLIGHT=0 to skip)"
         )
     for figure in FIGURE_SETTINGS:
-        for backend in (None, "reference", "fast", "numba"):
+        for backend in (None, "reference", "fast"):
             check_specs_picklable(figure_specs(figure, matching_backend=backend))
 
 
@@ -250,16 +250,13 @@ def _algorithm_spec(name: str, matching_backend: Optional[str] = None) -> Experi
     )
 
 
-def _algorithm_rows(rounds: int, numba_active: bool) -> Dict[str, Dict[str, object]]:
-    """Per-algorithm reference/fast/numba timings with bit-identity gates.
+def _algorithm_rows(rounds: int) -> Dict[str, Dict[str, object]]:
+    """Per-algorithm reference/fast timings with bit-identity gates.
 
     Same honest-recording contract as the figure arms: every arm must
     reproduce the reference arm's totals exactly before any timing is
-    written (randomized draws are mode-consistent across backends by the
-    rng tier's differential tests, so totals agree bit-for-bit), and the
-    numba arm is timed only where the compiled backend is genuinely
-    active.  Each row records the effective ``rng_kernel`` the run drew
-    under, read back from the run's own provenance.
+    written (counter-RNG draws are identical across backends by the rng
+    tier's differential tests, so totals agree bit-for-bit).
     """
     from repro.simulation.runner import execute_experiment_spec
 
@@ -267,10 +264,7 @@ def _algorithm_rows(rounds: int, numba_active: bool) -> Dict[str, Dict[str, obje
     for name in ALGORITHM_BENCH_SETTINGS:
         timings: Dict[str, float] = {}
         totals: Dict[str, tuple] = {}
-        rng_kernel: Optional[str] = None
         arms = [("reference", "reference"), ("fast", "fast")]
-        if numba_active:
-            arms.append(("numba", "numba"))
         for _round in range(max(1, rounds)):
             for arm, backend in arms:
                 spec = _algorithm_spec(name, matching_backend=backend)
@@ -284,7 +278,6 @@ def _algorithm_rows(rounds: int, numba_active: bool) -> Dict[str, Dict[str, obje
                     result.matched_fraction,
                     tuple(result.series.routing_cost.tolist()),
                 )
-                rng_kernel = result.extra.get("rng_kernel", rng_kernel)
         for arm, _backend in arms[1:]:
             if totals[arm] != totals["reference"]:
                 raise RuntimeError(
@@ -292,17 +285,11 @@ def _algorithm_rows(rounds: int, numba_active: bool) -> Dict[str, Dict[str, obje
                     "costs; run tests/test_rng_counter.py and the differential "
                     "test suite"
                 )
-        row: Dict[str, object] = {
+        rows[name] = {
             "reference_seconds": round(timings["reference"], 4),
             "fast_seconds": round(timings["fast"], 4),
             "speedup": round(timings["reference"] / timings["fast"], 3),
-            "numba_active": numba_active,
-            "rng_kernel": rng_kernel,
         }
-        if numba_active:
-            row["numba_seconds"] = round(timings["numba"], 4)
-            row["numba_speedup"] = round(timings["fast"] / timings["numba"], 3)
-        rows[name] = row
     return rows
 
 
@@ -312,36 +299,24 @@ def kernel_benchmark(
     rounds: int = 3,
     n_workers: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Time each figure panel: reference vs fast vs numba vs sharded fast.
+    """Time each figure panel: reference vs fast vs sharded fast.
 
     Every panel is run on ``matching_backend="reference"`` (the original
     per-request replay over the set-of-tuples kernel), on
     ``matching_backend="fast"`` (the array-backed kernel plus the batched
-    engine path), on ``matching_backend="numba"`` when the compiled backend
-    is genuinely active (numba installed and not masked — the uncompiled
-    pure-Python test mode is excluded: it would measure the wrong thing),
-    and on the fast backend sharded over ``n_workers`` processes (default
+    engine path), and on the fast backend sharded over ``n_workers``
+    processes (default
     :func:`bench_workers`), with identical specs and seeds; arms are
     interleaved for ``rounds`` rounds and the per-arm minimum wall-clock is
     recorded (best-of-N suppresses scheduler noise), then written with the
     speedup ratios to ``BENCH_kernel.json`` at the repo root.  All arms
     produce bit-identical costs (asserted here), so the timing deltas are
     attributable to the kernel, the replay path, and the sharding alone.
-    ``speedup``/``numba_speedup`` are against the reference and fast arms
-    respectively; ``parallel_efficiency`` is the parallel speedup over the
-    sequential fast arm divided by the worker count (1.0 = perfect scaling;
-    on a single-CPU host the pool is skipped and the column records the
-    degenerate 1-worker run).  On hosts without an active numba backend the
-    numba columns record ``numba_active: false`` so downstream readers can
-    tell "not measured" from "measured slow".
+    ``speedup`` is against the reference arm; ``parallel_efficiency`` is
+    the parallel speedup over the sequential fast arm divided by the worker
+    count (1.0 = perfect scaling; on a single-CPU host the pool is skipped
+    and the column records the degenerate 1-worker run).
     """
-    from repro.matching import NUMBA_AVAILABLE, numba_backend_active
-    from repro.matching.numba_bmatching import warmup_kernels
-
-    numba_active = NUMBA_AVAILABLE and numba_backend_active()
-    if numba_active:
-        # JIT compilation must happen outside the measured region.
-        warmup_kernels()
     workers = bench_workers() if n_workers is None else max(1, n_workers)
     report: Dict[str, Dict[str, float]] = {}
     for figure in figures:
@@ -354,8 +329,6 @@ def kernel_benchmark(
         totals: Dict[str, Dict[str, float]] = {}
         arms = [("reference", "reference", 1), ("fast", "fast", 1),
                 ("parallel", "fast", workers)]
-        if numba_active:
-            arms.insert(2, ("numba", "numba", 1))
         for _round in range(max(1, rounds)):
             for arm, backend, arm_workers in arms:
                 # store=False: timing arms must measure computation, never
@@ -382,45 +355,31 @@ def kernel_benchmark(
             "reference_seconds": round(timings["reference"], 4),
             "fast_seconds": round(timings["fast"], 4),
             "speedup": round(timings["reference"] / timings["fast"], 3),
-            "numba_active": numba_active,
             "parallel_seconds": round(timings["parallel"], 4),
             "parallel_workers": workers,
             "parallel_speedup": round(parallel_speedup, 3),
             "parallel_efficiency": round(parallel_speedup / workers, 3),
             "total_speedup": round(timings["reference"] / timings["parallel"], 3),
         }
-        if numba_active:
-            row["numba_seconds"] = round(timings["numba"], 4)
-            row["numba_speedup"] = round(timings["fast"] / timings["numba"], 3)
-            row["numba_total_speedup"] = round(
-                timings["reference"] / timings["numba"], 3
-            )
         report[figure] = row
-
-    from repro.core.rng import resolve_rng_mode
 
     payload = {
         "description": "Wall-clock seconds per figure panel: reference kernel "
         "(per-request replay over BMatching) vs fast kernel (FastBMatching + "
-        "batched engine path) vs the compiled numba kernel (when active) vs "
-        "the fast kernel sharded over worker processes, identical "
-        "specs/seeds and bit-identical costs. numba_speedup = fast_seconds "
-        "/ numba_seconds; numba_active=false means the host had no compiled "
-        "backend, not that it measured slow. parallel_efficiency = "
+        "batched engine path) vs the fast kernel sharded over worker "
+        "processes, identical specs/seeds and bit-identical costs. "
+        "parallel_efficiency = "
         "(fast_seconds / parallel_seconds) / parallel_workers. The "
         "'algorithms' section times the randomized/expert algorithms "
         "(uniform paging, hybrid expert combiner) per backend on the fig1 "
         "workload — the rows whose batched drive paths the figure panels "
-        "do not reach; rng_mode is the effective randomness kernel every "
-        "randomized arm drew under.",
+        "do not reach.",
         "scale": bench_scale(),
         "repetitions": bench_repetitions(),
         "workers": workers,
-        "numba_active": numba_active,
-        "rng_mode": resolve_rng_mode(None),
         "store": _store_provenance(),
         "figures": report,
-        "algorithms": _algorithm_rows(rounds, numba_active),
+        "algorithms": _algorithm_rows(rounds),
     }
     path = KERNEL_BENCH_PATH if output_path is None else Path(output_path)
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -464,8 +423,6 @@ def solver_benchmark(
 
     from repro.experiments.specs import spawn_seeds
     from repro.matching import iterated_max_weight_b_matching, solver_cache_clear
-    from repro.matching.blossom import max_weight_matching_arrays
-    from repro.matching.numba_bmatching import numba_backend_active
     from repro.simulation.runner import execute_experiment_spec
 
     report: Dict[str, Dict[str, object]] = {}
@@ -529,20 +486,6 @@ def solver_benchmark(
                         "backends; refusing to record timings"
                     )
 
-            # --- blossom-substage arm: the single-round solve with the
-            # compiled delta-scan/dual-update substage vs the pure loop,
-            # gated on bit-identity of the returned matchings.  On hosts
-            # without numba the "compiled" leg runs the same staged code as
-            # plain Python (numba_solver_active below records which one was
-            # measured).
-            blossom_edges = [(u, v, w) for (u, v), w in weights.items()]
-            if max_weight_matching_arrays(n, blossom_edges) != \
-                    max_weight_matching_arrays(n, blossom_edges, compiled=True):
-                raise RuntimeError(
-                    f"{figure}: compiled blossom substage disagrees with the "
-                    "pure solver; run tests/test_solver_backends.py"
-                )
-
             # --- timing arms, interleaved, best-of-N.
             timings: Dict[str, float] = {}
             for _round in range(max(1, rounds)):
@@ -560,12 +503,6 @@ def solver_benchmark(
                     iterated_max_weight_b_matching(weights, n, b, backend="array")
                 elapsed = time.perf_counter() - started
                 timings["array"] = min(elapsed, timings.get("array", elapsed))
-                for arm, compiled in (("blossom_pure", False),
-                                      ("blossom_substage", True)):
-                    started = time.perf_counter()
-                    max_weight_matching_arrays(n, blossom_edges, compiled=compiled)
-                    elapsed = time.perf_counter() - started
-                    timings[arm] = min(elapsed, timings.get(arm, elapsed))
 
             report[figure] = {
                 "b_values": list(b_values),
@@ -578,11 +515,6 @@ def solver_benchmark(
                 "speedup": round(timings["nx"] / timings["array"], 3),
                 "blossom_rounds_nx": int(_np.sum(b_values)),
                 "blossom_rounds_array": int(max(b_values)),
-                "blossom_pure_seconds": round(timings["blossom_pure"], 4),
-                "blossom_substage_seconds": round(timings["blossom_substage"], 4),
-                "substage_speedup": round(
-                    timings["blossom_pure"] / timings["blossom_substage"], 3
-                ),
                 "so_bma_routing_cost": run_costs["array"],
             }
     finally:
@@ -602,18 +534,12 @@ def solver_benchmark(
         "array_seconds = the default tier with demand-fingerprint "
         "memoisation and prefix-shared rounds, started cold (max(b_values) "
         "rounds).  speedup = nx_seconds / array_seconds; kernel_speedup = "
-        "nx_seconds / array_kernel_seconds.  blossom_pure_seconds / "
-        "blossom_substage_seconds time one single-round max-weight solve on "
-        "the panel demand without and with the compiled delta-scan/"
-        "dual-update substage (numba_solver_active says whether the "
-        "substage genuinely compiled or ran its pure-Python staging).  "
-        "Timings are recorded only after asserting that both backends "
-        "return identical matchings for every b, that the substage leg "
-        "reproduces the pure solve exactly, and bit-identical SO-BMA "
-        "figure costs end-to-end (so_bma_routing_cost).",
+        "nx_seconds / array_kernel_seconds.  Timings are recorded only "
+        "after asserting that both backends return identical matchings for "
+        "every b and bit-identical SO-BMA figure costs end-to-end "
+        "(so_bma_routing_cost).",
         "scale": bench_scale(),
         "rounds": rounds,
-        "numba_solver_active": numba_backend_active(),
         "store": _store_provenance(),
         "figures": report,
     }

@@ -1,10 +1,10 @@
-"""Kernel A/B/C benchmark — reference vs fast vs numba backend per figure.
+"""Kernel A/B benchmark — reference vs fast backend per figure.
 
 Runs every figure panel on identical specs and seeds, once per
 ``matching_backend`` (``"reference"`` = original per-request replay over the
 set-of-tuples kernel; ``"fast"`` = array-backed kernel plus the batched
-engine path; ``"numba"`` = compiled scan kernels, timed only where numba is
-genuinely installed), asserts the costs are bit-identical, and records the
+engine path) and once sharded over worker processes, asserts the costs are
+bit-identical, and records the
 wall-clock seconds and speedup ratios in ``BENCH_kernel.json`` at the repo
 root.
 
@@ -22,30 +22,20 @@ import sys
 import _harness as harness
 
 
-def _numba_col(row) -> str:
-    if row.get("numba_active"):
-        return (
-            f"numba {row['numba_seconds']:7.3f}s "
-            f"({row['numba_speedup']:5.2f}x vs fast)   "
-        )
-    return "numba     n/a (backend inactive)   "
-
-
 def _report(figures) -> dict:
     report = harness.kernel_benchmark(figures=tuple(figures))
     width = max(len(f) for f in report)
-    print(f"\nkernel A/B/C (written to {harness.KERNEL_BENCH_PATH}):")
+    print(f"\nkernel A/B (written to {harness.KERNEL_BENCH_PATH}):")
     for figure, row in report.items():
         print(
             f"  {figure:<{width}}  reference {row['reference_seconds']:7.3f}s   "
             f"fast {row['fast_seconds']:7.3f}s ({row['speedup']:5.2f}x)   "
-            f"{_numba_col(row)}"
             f"parallel[{row['parallel_workers']}w] {row['parallel_seconds']:7.3f}s "
             f"({row['parallel_speedup']:5.2f}x more, eff {row['parallel_efficiency']:.2f}, "
             f"{row['total_speedup']:5.2f}x total)"
         )
-    # The per-algorithm rows (uniform paging scan, hybrid expert-stepping
-    # scan) live in the same JSON payload, next to the figure panels.
+    # The per-algorithm rows (uniform paging, hybrid expert combiner) live
+    # in the same JSON payload, next to the figure panels.
     import json
 
     algorithms = json.loads(harness.KERNEL_BENCH_PATH.read_text())["algorithms"]
@@ -54,9 +44,7 @@ def _report(figures) -> dict:
     for name, row in algorithms.items():
         print(
             f"  {name:<{awidth}}  reference {row['reference_seconds']:7.3f}s   "
-            f"fast {row['fast_seconds']:7.3f}s ({row['speedup']:5.2f}x)   "
-            f"{_numba_col(row)}"
-            f"rng {row['rng_kernel']}"
+            f"fast {row['fast_seconds']:7.3f}s ({row['speedup']:5.2f}x)"
         )
     return report
 

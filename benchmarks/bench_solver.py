@@ -36,9 +36,7 @@ def _report(figures) -> dict:
             f"({row['kernel_speedup']:5.2f}x)   "
             f"array+memo+prefix {row['array_seconds']:7.3f}s "
             f"({row['speedup']:5.2f}x, "
-            f"{row['blossom_rounds_nx']}->{row['blossom_rounds_array']} rounds)   "
-            f"substage {row['blossom_substage_seconds']:7.3f}s "
-            f"({row['substage_speedup']:5.2f}x vs pure)"
+            f"{row['blossom_rounds_nx']}->{row['blossom_rounds_array']} rounds)"
         )
     return report
 

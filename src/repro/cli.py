@@ -87,12 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repetitions", type=int, default=1, help="repetitions to average")
         p.add_argument("--checkpoints", type=int, default=10, help="checkpoints to record")
         p.add_argument("--solver-backend", default=None,
-                       help="static blossom kernel for SO-BMA: array (default), "
-                            "nx, or numba")
-        p.add_argument("--rng-mode", default=None,
-                       help="randomness kernel for randomized algorithms: "
-                            "counter (default; keyed Philox draws) or "
-                            "stateful (legacy sequential generator)")
+                       help="static blossom kernel for SO-BMA: array (default) "
+                            "or nx")
         add_stream_flags(p)
         add_store_flags(p)
         add_exec_flags(p)
@@ -255,8 +251,7 @@ def _build_specs(args: argparse.Namespace, algorithms: Sequence[str]):
     return [
         ExperimentSpec(
             algorithm={"name": algorithm, "b": args.b, "alpha": args.alpha,
-                       "solver_backend": args.solver_backend,
-                       "rng_mode": args.rng_mode},
+                       "solver_backend": args.solver_backend},
             traffic={"name": args.workload,
                      "params": {"n_nodes": args.nodes, "n_requests": args.requests},
                      "streaming": streaming, "chunk_size": chunk_size},
@@ -404,7 +399,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoints=args.checkpoints,
         n_workers=args.workers,
         solver_backend=args.solver_backend,
-        rng_mode=args.rng_mode,
         store=_store_arg(args),
         streaming=streaming,
         chunk_size=chunk_size,

@@ -37,29 +37,16 @@ class MatchingConfig:
     solver_backend:
         Which static blossom kernel SO-BMA's iterated maximum-weight solve
         uses: ``"array"`` (the flat-array Galil kernel, the library
-        default), ``"nx"`` (the original NetworkX path, kept as reference),
-        or ``"numba"`` (the array kernel's compiled slack scan;
-        import-optional — it falls back to ``"array"`` with a one-time
-        warning when numba is missing or masked).  All backends produce
-        identical matchings; ``None`` means the library default.  Only
-        algorithms that run a static solve (SO-BMA) read this.
-    rng_mode:
-        How randomized algorithms (R-BMA's marking pager, the ``uniform``
-        and ``hybrid`` paging layers) draw their randomness: ``"counter"``
-        (the default — a counter-based Philox draw that is a pure function
-        of ``(root_seed, stream_id, request_index, draw_counter)``, so
-        replay is RNG-stateless and the batch loops can compile) or
-        ``"stateful"`` (the legacy carried-state ``numpy.random.Generator``,
-        kept as the reference; golden pins are recorded in this mode).
-        ``None`` means the library default (overridable per process via
-        ``REPRO_RNG_MODE``).  Deterministic algorithms ignore this.
+        default) or ``"nx"`` (the original NetworkX path, kept as
+        reference).  Both produce identical matchings; ``None`` means the
+        library default.  Only algorithms that run a static solve (SO-BMA)
+        read this.
     """
 
     b: int
     alpha: float = 1.0
     a: Optional[int] = None
     solver_backend: Optional[str] = None
-    rng_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.b < 1:
@@ -74,10 +61,6 @@ class MatchingConfig:
 
             # Raises ConfigurationError with "did you mean ...?" suggestions.
             SOLVER_BACKENDS.resolve(self.solver_backend)
-        if self.rng_mode is not None:
-            from .core.rng import RNG_MODES  # local import: config loads first
-
-            RNG_MODES.resolve(self.rng_mode)
 
     @property
     def effective_a(self) -> int:
@@ -92,10 +75,6 @@ class MatchingConfig:
         """Plain-dict form suitable for JSON serialisation."""
         d = asdict(self)
         d["a"] = self.effective_a
-        # Emitted only when pinned, so pre-rng_mode serialisations (and any
-        # byte-identity expectations on them) are unchanged.
-        if d.get("rng_mode") is None:
-            del d["rng_mode"]
         return d
 
 
@@ -127,16 +106,12 @@ class SimulationConfig:
     matching_backend:
         Which dynamic b-matching kernel the run uses: ``"fast"`` (the
         default array-backed kernel, served through the engine's batched
-        replay path), ``"reference"`` (the original set-of-tuples kernel,
+        replay path) or ``"reference"`` (the original set-of-tuples kernel,
         replayed request by request — the pre-optimization code path kept
-        for differential testing and kernel benchmarks), or ``"numba"``
-        (the compiled kernel: the fast kernel plus ``@njit`` batch-scan
-        loops for rbma/bma/hybrid).  ``"numba"`` is import-optional — on
-        hosts without numba (or with ``REPRO_NO_NUMBA`` set) it falls back
-        to ``"fast"`` with a one-time warning, so pinned specs stay
-        runnable everywhere.  The engine rebinds a freshly constructed
-        algorithm onto the requested backend before the first request; all
-        backends produce bit-identical results.
+        for differential testing and kernel benchmarks).  The engine
+        rebinds a freshly constructed algorithm onto the requested backend
+        before the first request; both backends produce bit-identical
+        results.
     seed:
         Seed for the algorithm's internal randomness.  Trace generation has
         its own seed so that algorithm randomness and workload randomness

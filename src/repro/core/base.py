@@ -28,6 +28,7 @@ from ..matching import DEFAULT_MATCHING_BACKEND, convert_matching, make_matching
 from ..topology import Topology
 from ..traffic.base import Trace
 from ..types import NodePair, Request
+from .rng import CounterRNG
 
 __all__ = ["ServeOutcome", "OnlineBMatchingAlgorithm"]
 
@@ -76,13 +77,10 @@ class OnlineBMatchingAlgorithm(ABC):
         The matching problem parameters (``b``, ``α``, optionally ``a``).
     rng:
         Seed or generator for the algorithm's internal randomness.
-        Deterministic algorithms ignore it.  How randomized algorithms
-        *draw* from it is governed by ``config.rng_mode``: in ``"counter"``
-        mode (the default) an integer seed keys a stateless
-        :class:`~repro.core.rng.CounterRNG` and a passed generator
-        contributes one draw that pins the counter key; in ``"stateful"``
-        mode the generator itself is threaded through (the legacy
-        reference behaviour).
+        Deterministic algorithms ignore it.  Randomized algorithms draw
+        from a stateless :class:`~repro.core.rng.CounterRNG`
+        (:attr:`counter_rng`): an integer seed keys it directly and a passed
+        generator contributes one draw that pins its key.
     """
 
     #: Short machine-readable algorithm name; overridden by subclasses.
@@ -93,9 +91,8 @@ class OnlineBMatchingAlgorithm(ABC):
     requires_full_trace: bool = False
 
     #: Whether the policy consumes randomness (R-BMA's marking pager, the
-    #: uniform/hybrid paging layers).  Deterministic algorithms leave this
-    #: False, which keeps ``rng_mode`` out of their provenance and their
-    #: run-store fingerprints.
+    #: uniform/hybrid paging layers).  Only these algorithms build a
+    #: :attr:`counter_rng`.
     uses_rng: bool = False
 
     #: Whether :meth:`serve_batch` is a hand-tuned fast path rather than the
@@ -116,14 +113,10 @@ class OnlineBMatchingAlgorithm(ABC):
         self.topology = topology
         self.config = config
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        # Resolve the rng_mode axis once (config pin > REPRO_RNG_MODE > the
-        # library default) and, in counter mode, derive the stateless
-        # CounterRNG that randomized policies draw from via _paging_rng().
-        from .rng import CounterRNG, resolve_rng_mode
-
-        self.rng_mode = resolve_rng_mode(config.rng_mode)
+        # Randomized policies draw from a stateless CounterRNG keyed by the
+        # seed, so replay needs no generator state at chunk boundaries.
         self.counter_rng: Optional[CounterRNG] = None
-        if self.uses_rng and self.rng_mode == "counter":
+        if self.uses_rng:
             if isinstance(rng, (int, np.integer)):
                 root_seed: Optional[int] = int(rng)
             elif isinstance(rng, np.random.Generator):
@@ -143,28 +136,6 @@ class OnlineBMatchingAlgorithm(ABC):
         self.total_reconfiguration_cost = 0.0
         self.requests_served = 0
         self.matched_requests = 0
-
-    def _paging_rng(self):
-        """The randomness source for paging layers under the resolved mode.
-
-        Counter mode hands out the stateless :class:`CounterRNG` (policies
-        derive per-pager streams from it); stateful mode hands out the
-        carried-state generator, preserving the legacy draw sequence bit for
-        bit.
-        """
-        return self.counter_rng if self.counter_rng is not None else self.rng
-
-    @property
-    def rng_provenance(self) -> Optional[dict]:
-        """Requested-vs-effective RNG mode, for ``RunResult.extra``.
-
-        ``rng_mode`` is the configured request (``None`` when the library
-        default applied); ``rng_kernel`` is the mode the run actually used.
-        ``None`` for deterministic algorithms, which consume no randomness.
-        """
-        if not self.uses_rng:
-            return None
-        return {"rng_mode": self.config.rng_mode, "rng_kernel": self.rng_mode}
 
     # ------------------------------------------------------------------ #
     # Cost accessors

@@ -27,15 +27,6 @@ BMA noticeably slower than R-BMA (whose per-node caches are plain Python
 sets) and more sensitive to the cache size ``b``, reproducing the runtime
 comparison in the paper.  The algorithmic decisions themselves are
 independent of this storage choice.
-
-On the opt-in ``"numba"`` matching backend the same bookkeeping moves into
-dense per-pair arrays (:class:`_DenseDemand`) so the accumulation loop can
-run inside the compiled :func:`~repro.matching.numba_bmatching.bma_scan`
-kernel; the dense store is then the single source of truth for both
-``serve`` and ``serve_batch`` and is bit-identical to the NetworkX walk
-(victim keys are unique, so scan order is immaterial).  The default
-``"fast"`` and ``"reference"`` backends keep the NetworkX storage — and the
-paper's runtime character — untouched.
 """
 
 from __future__ import annotations
@@ -47,37 +38,11 @@ import numpy as np
 
 from ..config import MatchingConfig
 from ..errors import SimulationError
-from ..matching.numba_bmatching import (
-    bma_reset_counters,
-    bma_scan,
-    bma_select_victim,
-)
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
 
 __all__ = ["BMA"]
-
-
-class _DenseDemand:
-    """BMA's demand-graph bookkeeping as flat per-pair arrays (numba backend).
-
-    Indexed by the int-encoded canonical pair ``u * n + v``; the matched
-    flag lives in the numba kernel's membership LUT (demand "matched" and
-    matching membership are the same set by construction).  ``exists``
-    mirrors which pairs the NetworkX demand graph would hold an edge for —
-    observationally it only matters for faithfulness of the counter-reset
-    sweep, which is a no-op on never-seen pairs either way.
-    """
-
-    __slots__ = ("counter", "usefulness", "inserted", "exists")
-
-    def __init__(self, n_nodes: int):
-        size = n_nodes * n_nodes
-        self.counter = np.zeros(size, dtype=np.float64)
-        self.usefulness = np.zeros(size, dtype=np.int64)
-        self.inserted = np.zeros(size, dtype=np.int64)
-        self.exists = np.zeros(size, dtype=np.uint8)
 
 
 class BMA(OnlineBMatchingAlgorithm):
@@ -94,50 +59,21 @@ class BMA(OnlineBMatchingAlgorithm):
     ):
         super().__init__(topology, config, rng)
         # Demand graph holding BMA's bookkeeping as NetworkX edge attributes,
-        # mirroring the original implementation (see module docstring).  On
-        # the numba matching backend the same bookkeeping lives in dense
-        # per-pair arrays instead (:class:`_DenseDemand`), the single store
-        # for both serve() and serve_batch() in that mode.
+        # mirroring the original implementation (see module docstring).
         self._demand = nx.Graph()
         self._demand.add_nodes_from(range(topology.n_racks))
         self._insertion_clock = 0
-        self._dense: Optional[_DenseDemand] = None
-
-    def _configure_demand_store(self) -> None:
-        """Pick the demand representation matching the current kernel backend.
-
-        Called only while no requests have been served (rebind/reset), so
-        both representations are empty and the swap is purely structural.
-        """
-        if getattr(self.matching, "member_lut", None) is not None:
-            self._dense = _DenseDemand(self.topology.n_racks)
-        else:
-            self._dense = None
-
-    def _pair_key(self, pair: NodePair) -> Optional[int]:
-        """Int-encoded canonical key of ``pair``, or None when out of range."""
-        u, v = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
-        n = self.topology.n_racks
-        if not (0 <= u < v < n):
-            return None
-        return u * n + v
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def counter(self, pair: NodePair) -> float:
         """Accumulated fixed-network cost of ``pair`` since its last reset."""
-        if self._dense is not None:
-            key = self._pair_key(pair)
-            return float(self._dense.counter[key]) if key is not None else 0.0
         data = self._demand.get_edge_data(*pair)
         return float(data["counter"]) if data else 0.0
 
     def usefulness(self, pair: NodePair) -> int:
         """Requests served by matched edge ``pair`` since it was added."""
-        if self._dense is not None:
-            key = self._pair_key(pair)
-            return int(self._dense.usefulness[key]) if key is not None else 0
         data = self._demand.get_edge_data(*pair)
         return int(data["usefulness"]) if data else 0
 
@@ -151,8 +87,6 @@ class BMA(OnlineBMatchingAlgorithm):
         served_by_matching: bool,
         request: Request,
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
-        if self._dense is not None:
-            return self._reconfigure_dense(pair, length, served_by_matching, request)
         u, v = pair
         demand = self._demand
         if served_by_matching:
@@ -170,60 +104,6 @@ class BMA(OnlineBMatchingAlgorithm):
         if data["counter"] < self.config.alpha:
             return (), ()
         return self._saturate(pair, data)
-
-    def _reconfigure_dense(
-        self,
-        pair: NodePair,
-        length: float,
-        served_by_matching: bool,
-        request: Request,
-    ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
-        """Per-request policy on the dense demand store (numba backend)."""
-        dense = self._dense
-        key = pair[0] * self.topology.n_racks + pair[1]
-        if served_by_matching:
-            dense.usefulness[key] += 1
-            return (), ()
-        dense.exists[key] = 1
-        dense.counter[key] += length * request.size
-        if dense.counter[key] < self.config.alpha:
-            return (), ()
-        return self._saturate_dense(pair)
-
-    def _saturate_dense(self, pair: NodePair) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
-        """Dense-store twin of :meth:`_saturate`.
-
-        Victim selection and incident-counter resets run as compiled row
-        scans over the membership LUT; the (usefulness, insertion-clock)
-        victim key is unique among matched edges, so the scan order cannot
-        change which edge is evicted relative to the NetworkX walk.
-        """
-        dense = self._dense
-        matching = self.matching
-        member = matching.member_lut
-        n = self.topology.n_racks
-        added: list[NodePair] = []
-        removed: list[NodePair] = []
-        for endpoint in pair:
-            if matching.degree(endpoint) >= self.config.b:
-                other = int(bma_select_victim(
-                    endpoint, n, member, dense.usefulness, dense.inserted
-                ))
-                assert other >= 0, "degree bound reached with no matched incident edge"
-                victim = (endpoint, other) if endpoint < other else (other, endpoint)
-                matching.remove(*victim)  # clears the LUT's matched flag
-                dense.usefulness[victim[0] * n + victim[1]] = 0
-                removed.append(victim)
-                bma_reset_counters(endpoint, n, member, dense.counter)
-        matching.add(*pair)
-        self._insertion_clock += 1
-        key = pair[0] * n + pair[1]
-        dense.exists[key] = 1
-        dense.usefulness[key] = 0
-        dense.counter[key] = 0.0
-        dense.inserted[key] = self._insertion_clock
-        added.append(pair)
-        return tuple(added), tuple(removed)
 
     def _saturate(self, pair: NodePair, data: dict) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         """Bring a saturated pair into the matching, evicting where needed."""
@@ -262,9 +142,6 @@ class BMA(OnlineBMatchingAlgorithm):
         decoded = self._batch_arrays(requests)
         if edge_keys is None or decoded is None:
             super().serve_batch(requests)
-            return
-        if self._dense is not None:
-            self._serve_batch_compiled(decoded)
             return
         lo, hi, keys_arr, lengths_arr = decoded
         keys = keys_arr.tolist()
@@ -316,59 +193,6 @@ class BMA(OnlineBMatchingAlgorithm):
             self.requests_served = served
             self.matched_requests = matched
 
-    def _serve_batch_compiled(self, decoded) -> None:
-        """Numba-backend segment driver around :func:`bma_scan`.
-
-        Hits and sub-threshold accumulation run compiled; the scan returns
-        only at saturation events, which mutate the matching through
-        :meth:`_saturate_dense` in Python (deriving reconfiguration cost
-        from the kernel counters exactly as every other path does).
-        """
-        matching = self.matching
-        dense = self._dense
-        member = matching.member_lut
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        keys = np.ascontiguousarray(keys_arr, dtype=np.int64)
-        lengths = np.ascontiguousarray(lengths_arr, dtype=np.float64)
-
-        alpha = float(self.config.alpha)
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        n_requests = len(keys)
-        i = 0
-        try:
-            while i < n_requests:
-                i, routing, served, matched = bma_scan(
-                    keys, lengths, member, dense.counter, dense.usefulness,
-                    dense.exists, alpha, i, routing, served, matched,
-                )
-                if i >= n_requests:
-                    break
-                # Saturation event at i: the pair's counter already crossed
-                # alpha inside the scan; bring it into the matching.
-                key = int(keys[i])
-                u, v = key // n, key % n
-                before = matching.additions + matching.removals
-                self._saturate_dense((u, v))
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(u) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {u}"
-                    )
-                routing += float(lengths[i])
-                reconf += n_changes * alpha
-                served += 1
-                i += 1
-        finally:
-            self.total_routing_cost = float(routing)
-            self.total_reconfiguration_cost = float(reconf)
-            self.requests_served = int(served)
-            self.matched_requests = int(matched)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -400,7 +224,3 @@ class BMA(OnlineBMatchingAlgorithm):
         self._demand = nx.Graph()
         self._demand.add_nodes_from(range(self.topology.n_racks))
         self._insertion_clock = 0
-        self._configure_demand_store()
-
-    def _on_matching_rebound(self, backend: str) -> None:
-        self._configure_demand_store()

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..config import MatchingConfig
 from ..errors import ConfigurationError, SimulationError
-from ..matching.numba_bmatching import hybrid_scan, lut_diff
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
@@ -165,13 +164,6 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         if edge_keys is None or decoded is None:
             super().serve_batch(requests)
             return
-        if (
-            getattr(matching, "member_lut", None) is not None
-            and getattr(self._robust.matching, "member_lut", None) is not None
-            and getattr(self._predictive.matching, "member_lut", None) is not None
-        ):
-            self._serve_batch_compiled(decoded)
-            return
         n = self.topology.n_racks
         lo, hi, keys_arr, lengths_arr = decoded
         keys = keys_arr.tolist()
@@ -201,28 +193,15 @@ class HybridBMA(OnlineBMatchingAlgorithm):
                 if following.total_cost > factor * max(other.total_cost, 1.0):
                     self._following = other
                     self._switches += 1
-                    # Full edge-set diff on switch steps.  On the numba
-                    # backend both matchings expose membership LUTs and the
-                    # diff runs compiled (ascending key order == sorted
-                    # canonical pairs); otherwise diff the int key sets.
-                    member = getattr(matching, "member_lut", None)
-                    target_member = getattr(other.matching, "member_lut", None)
-                    if member is not None and target_member is not None:
-                        removed_keys, added_keys = lut_diff(member, target_member)
-                        for k in removed_keys:
-                            matching.remove(k // n, k % n)
-                        for k in added_keys:
-                            matching.add(k // n, k % n)
-                    else:
-                        target_keys = getattr(other.matching, "edge_keys", None)
-                        if target_keys is None:
-                            target_keys = {
-                                a * n + c for a, c in other.matching.edges
-                            }
-                        for k in sorted(edge_keys - target_keys):
-                            matching.remove(k // n, k % n)
-                        for k in sorted(target_keys - edge_keys):
-                            matching.add(k // n, k % n)
+                    # Full edge-set diff on switch steps (sorted int keys
+                    # order exactly like sorted canonical pairs).
+                    target_keys = getattr(other.matching, "edge_keys", None)
+                    if target_keys is None:
+                        target_keys = {a * n + c for a, c in other.matching.edges}
+                    for k in sorted(edge_keys - target_keys):
+                        matching.remove(k // n, k % n)
+                    for k in sorted(target_keys - edge_keys):
+                        matching.add(k // n, k % n)
                 else:
                     outcome = (
                         robust_outcome if following is robust else predictive_outcome
@@ -247,138 +226,6 @@ class HybridBMA(OnlineBMatchingAlgorithm):
             self.total_reconfiguration_cost = reconf
             self.requests_served = served
             self.matched_requests = matched
-
-    def _serve_batch_compiled(self, decoded) -> None:
-        """Numba-backend segment driver around :func:`hybrid_scan`.
-
-        The kernel advances both virtual experts through requests that
-        provably change no matching — robust non-special (dense counter
-        bump), predictive non-reconfiguring (period position bump), no
-        switch — accumulating all three cost streams in the pure loop's
-        exact per-request order.  *Event* requests (special / reconfigure /
-        switch) return to Python and run the pure loop's full body through
-        the experts' own ``serve``, after the predictor has been fed the
-        kernel-committed observations via ``observe_batch`` (bit-exact to
-        sequential ``observe`` calls by that method's contract).  No draws
-        happen inside the kernel: robust eviction randomness only fires on
-        special requests, which are always handled in Python.
-        """
-        matching = self.matching
-        robust = self._robust
-        predictive = self._predictive
-        predictor = predictive.predictor
-        n = self.topology.n_racks
-        lo, hi, keys_arr, lengths_arr = decoded
-        keys = np.ascontiguousarray(keys_arr, dtype=np.int64)
-        lengths = np.ascontiguousarray(lengths_arr, dtype=np.float64)
-        # Robust's Theorem 1 thresholds, exactly as RBMA computes them.
-        rthresh = np.maximum(
-            1, np.ceil(self.config.alpha / np.maximum(lengths, 1.0)).astype(np.int64)
-        )
-        if robust._counters_arr is None:
-            robust._configure_counter_store()
-        rcounters = robust._counters_arr
-        rmember = robust.matching.member_lut
-        pmember = predictive.matching.member_lut
-        member = matching.member_lut
-        edge_keys = matching.edge_keys
-        keys_list = keys.tolist()
-        lengths_list = lengths.tolist()
-        los = lo.tolist()
-        his = hi.tolist()
-        # Predictor savings max(l - 1, 0) * size, unit sizes in batch replay.
-        savings = np.maximum(lengths - 1.0, 0.0).tolist()
-
-        factor = self.switch_factor
-        period = predictive.period
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        n_requests = len(keys_list)
-        i = 0
-        flushed = 0
-        try:
-            while i < n_requests:
-                (
-                    i, r_routing, r_served, r_matched,
-                    p_routing, p_served, p_matched, p_since,
-                    routing, served, matched,
-                ) = hybrid_scan(
-                    keys, lengths, rthresh, rcounters, rmember, pmember, member,
-                    1 if self._following is robust else 0,
-                    factor, period, predictive._since_reconfig,
-                    robust.total_routing_cost, robust.total_reconfiguration_cost,
-                    robust.requests_served, robust.matched_requests,
-                    predictive.total_routing_cost, predictive.total_reconfiguration_cost,
-                    predictive.requests_served, predictive.matched_requests,
-                    routing, served, matched, i,
-                )
-                # Commit the experts' kernel-advanced state before anything
-                # can observe it (the event body calls their serve()).
-                robust.total_routing_cost = float(r_routing)
-                robust.requests_served = int(r_served)
-                robust.matched_requests = int(r_matched)
-                predictive.total_routing_cost = float(p_routing)
-                predictive.requests_served = int(p_served)
-                predictive.matched_requests = int(p_matched)
-                predictive._since_reconfig = int(p_since)
-                if i > flushed:
-                    predictor.observe_batch(
-                        [(los[j], his[j]) for j in range(flushed, i)],
-                        savings[flushed:i],
-                    )
-                flushed = i + 1  # the event request observes inside serve()
-                if i >= n_requests:
-                    break
-                # Event request: the pure loop's full per-request body.
-                key = keys_list[i]
-                u = los[i]
-                v = his[i]
-                hit = key in edge_keys
-                request = Request(u, v)
-                robust_outcome = robust.serve(request)
-                predictive_outcome = predictive.serve(request)
-                following = self._following
-                other = predictive if following is robust else robust
-                before = matching.additions + matching.removals
-                if following.total_cost > factor * max(other.total_cost, 1.0):
-                    self._following = other
-                    self._switches += 1
-                    removed_keys, added_keys = lut_diff(
-                        member, other.matching.member_lut
-                    )
-                    for k in removed_keys:
-                        matching.remove(k // n, k % n)
-                    for k in added_keys:
-                        matching.add(k // n, k % n)
-                else:
-                    outcome = (
-                        robust_outcome if following is robust else predictive_outcome
-                    )
-                    for edge in outcome.edges_removed:
-                        matching.remove(*edge)
-                    for edge in outcome.edges_added:
-                        matching.add(*edge)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(u) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {u}"
-                    )
-                routing += 1.0 if hit else lengths_list[i]
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-                i += 1
-        finally:
-            self.total_routing_cost = float(routing)
-            self.total_reconfiguration_cost = float(reconf)
-            self.requests_served = int(served)
-            self.matched_requests = int(matched)
 
     def _reset_policy_state(self) -> None:
         self._make_experts()

@@ -67,30 +67,14 @@ class RBMA(OnlineBMatchingAlgorithm):
         super().__init__(topology, config, rng)
         self._paging_policy = paging_policy
         self._factory = paging_factory or make_paging_factory(paging_policy)
-        self._matcher = PerNodePagingMatcher(self.matching, self._factory, self._paging_rng())
+        self._matcher = PerNodePagingMatcher(self.matching, self._factory, self.counter_rng)
         # Per-pair request counters driving the Theorem 1 filter, keyed by the
         # int-encoded canonical pair (u * n + v) so the batched replay loop
-        # never builds tuples for filtered requests.  On the numba backend
-        # the counters live in a persistent dense int64 array instead (the
-        # store the compiled scan kernel indexes); exactly one of the two
-        # stores is in use at a time.  Thresholds k_e depend only on the
-        # pair's fixed-network length and alpha, so they are computed lazily
-        # and memoised per distinct length.
+        # never builds tuples for filtered requests.  Thresholds k_e depend
+        # only on the pair's fixed-network length and alpha, so they are
+        # computed lazily and memoised per distinct length.
         self._counters: Dict[int, int] = {}
-        self._counters_arr: Optional[np.ndarray] = None
         self._threshold_by_length: Dict[float, int] = {}
-
-    def _configure_counter_store(self) -> None:
-        """Dense counters on the numba kernel, the dict elsewhere.
-
-        Called only while no requests have been served (rebind/reset), so
-        both stores are empty and the swap is purely structural.
-        """
-        if getattr(self.matching, "member_lut", None) is not None:
-            n = self.topology.n_racks
-            self._counters_arr = np.zeros(n * n, dtype=np.int64)
-        else:
-            self._counters_arr = None
 
     # ------------------------------------------------------------------ #
     # Theorem 1 filter
@@ -106,8 +90,6 @@ class RBMA(OnlineBMatchingAlgorithm):
     def pending_count(self, pair: NodePair) -> int:
         """Requests to ``pair`` seen since its last special request."""
         key = pair[0] * self.topology.n_racks + pair[1]
-        if self._counters_arr is not None:
-            return int(self._counters_arr[key])
         return self._counters.get(key, 0)
 
     # ------------------------------------------------------------------ #
@@ -121,14 +103,6 @@ class RBMA(OnlineBMatchingAlgorithm):
         request: Request,
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         key = pair[0] * self.topology.n_racks + pair[1]
-        counters_arr = self._counters_arr
-        if counters_arr is not None:
-            count = int(counters_arr[key]) + 1
-            if count < self.threshold(length):
-                counters_arr[key] = count
-                return (), ()
-            counters_arr[key] = 0
-            return self._matcher.process(pair)
         count = self._counters.get(key, 0) + 1
         if count < self.threshold(length):
             self._counters[key] = count
@@ -143,22 +117,15 @@ class RBMA(OnlineBMatchingAlgorithm):
 
         Reads the trace arrays directly and tests matching membership on
         int-encoded pairs; only *special* requests (those passing the
-        Theorem 1 filter) touch the paging machinery.  On the numba backend
-        the filtered-request loop runs inside the compiled
-        :func:`~repro.matching.numba_bmatching.rbma_scan` kernel and only
-        special requests return to Python.  Cost accounting, randomness
-        consumption, and raised errors are exactly those of
-        request-by-request :meth:`serve` calls on every backend.
+        Theorem 1 filter) touch the paging machinery.  Cost accounting,
+        randomness consumption, and raised errors are exactly those of
+        request-by-request :meth:`serve` calls.
         """
         matching = self.matching
         edge_keys = getattr(matching, "edge_keys", None)
         decoded = self._batch_arrays(requests)
         if edge_keys is None or decoded is None:
             super().serve_batch(requests)
-            return
-        member = getattr(matching, "member_lut", None)
-        if member is not None:
-            self._serve_batch_compiled(member, decoded)
             return
         n = self.topology.n_racks
         _lo, _hi, keys_arr, lengths_arr = decoded
@@ -208,80 +175,12 @@ class RBMA(OnlineBMatchingAlgorithm):
             self.requests_served = served
             self.matched_requests = matched
 
-    def _serve_batch_compiled(self, member, decoded) -> None:
-        """Numba-backend segment driver around :func:`rbma_scan`.
-
-        The per-pair request counters live in the persistent dense array
-        configured at rebind (:meth:`_configure_counter_store`) — the same
-        store :meth:`serve` and :meth:`pending_count` use in numba mode, so
-        no per-segment sync or O(n^2) allocation is needed.  Special
-        requests — the only ones that touch the paging machinery and its
-        randomness — are handled in Python exactly as the pure loop does.
-        """
-        from ..matching.numba_bmatching import rbma_scan
-
-        matching = self.matching
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        keys = np.ascontiguousarray(keys_arr, dtype=np.int64)
-        lengths = np.ascontiguousarray(lengths_arr, dtype=np.float64)
-        thresholds = np.maximum(
-            1, np.ceil(self.config.alpha / np.maximum(lengths, 1.0)).astype(np.int64)
-        )
-        if self._counters_arr is None:
-            self._configure_counter_store()
-        counters = self._counters_arr
-
-        process = self._matcher.process
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        n_requests = len(keys)
-        i = 0
-        try:
-            while i < n_requests:
-                i, routing, served, matched = rbma_scan(
-                    keys, lengths, thresholds, member, counters,
-                    i, routing, served, matched,
-                )
-                if i >= n_requests:
-                    break
-                # Special request at i (its counter was reset by the scan):
-                # membership must be read before process() mutates it.
-                key = int(keys[i])
-                hit = bool(member[key])
-                pair = (key // n, key % n)
-                before = matching.additions + matching.removals
-                process(pair)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(pair[0]) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {pair[0]}"
-                    )
-                routing += 1.0 if hit else float(lengths[i])
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-                i += 1
-        finally:
-            self.total_routing_cost = float(routing)
-            self.total_reconfiguration_cost = float(reconf)
-            self.requests_served = int(served)
-            self.matched_requests = int(matched)
-
     def _reset_policy_state(self) -> None:
-        self._matcher = PerNodePagingMatcher(self.matching, self._factory, self._paging_rng())
+        self._matcher = PerNodePagingMatcher(self.matching, self._factory, self.counter_rng)
         self._counters.clear()
-        self._configure_counter_store()
 
     def _on_matching_rebound(self, backend: str) -> None:
         self._matcher.matching = self.matching
-        self._configure_counter_store()
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by analysis / tests)

@@ -47,9 +47,8 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
         ``config.solver_backend`` (see
         :data:`repro.matching.SOLVER_BACKENDS`); all kernels produce
         identical matchings.  After :meth:`fit`, :attr:`solver_provenance`
-        records the requested backend and the kernel that actually ran
-        (they differ exactly when the numba solver fell back to the array
-        kernel), and the simulation engine copies that record into
+        records the requested backend and the kernel that actually ran,
+        and the simulation engine copies that record into
         ``RunResult.extra``.
     """
 

@@ -31,7 +31,6 @@ import numpy as np
 from ..config import MatchingConfig
 from ..errors import SimulationError
 from ..matching import BMatching
-from ..matching.numba_bmatching import paging_steady_scan
 from ..paging.base import PagingAlgorithm
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
@@ -40,15 +39,6 @@ from .base import OnlineBMatchingAlgorithm
 from .rng import CounterRNG
 
 __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
-
-#: Paging policies whose cache *hits* are observationally pure (requesting a
-#: cached-and-marked page changes nothing a later request can see), which is
-#: what lets the steady-state scan kernel skip them wholesale.  Marking's hit
-#: re-marks an already-marked page; random eviction's hit does nothing.  LRU/
-#: LFU-style policies mutate recency/frequency state on hits and are not
-#: eligible.
-_STEADY_SAFE_POLICIES = frozenset({"marking", "random"})
-
 
 class PerNodePagingMatcher:
     """Maintains per-node paging instances and the matching they induce.
@@ -61,53 +51,30 @@ class PerNodePagingMatcher:
         Callable ``(capacity, rng) -> PagingAlgorithm`` constructing the
         per-node caches; defaults to the randomized marking algorithm.
     rng:
-        Source of the per-node paging randomness.  A stateful generator (or
-        seed) gives each node an independent child generator, seeded lazily
-        in first-use order — the legacy behaviour.  A
-        :class:`~repro.core.rng.CounterRNG` gives each node the stream
-        keyed by its node id (``rng.stream(node)``), which consumes nothing
-        from any shared state: pager construction order no longer matters
-        and replay needs no generator forking.
-    steady_n:
-        When set (to the rack count), maintain a dense ``n*n`` uint8 LUT of
-        *steady* pair keys: ``steady[u*n+v] == 1`` certifies that
-        re-requesting ``(u, v)`` right now would change nothing — cached and
-        marked at both endpoints, matched and unmarked — so a batched replay
-        may serve it as a pure cost update without touching the pagers.
-        Only meaningful for hit-pure policies (see
-        ``_STEADY_SAFE_POLICIES``); the owner decides.
+        Source of the per-node paging randomness: a
+        :class:`~repro.core.rng.CounterRNG`, or a seed keying one.  Each
+        node draws from the stream keyed by its node id
+        (``rng.stream(node)``), which consumes nothing from any shared
+        state: pager construction order does not matter and replay needs
+        no generator forking.
     """
 
     def __init__(
         self,
         matching: BMatching,
         paging_factory: Optional[PagingFactory] = None,
-        rng: Optional[np.random.Generator | int] = None,
-        steady_n: Optional[int] = None,
+        rng: Optional[CounterRNG | int] = None,
     ):
         self.matching = matching
         self._factory = paging_factory or make_paging_factory("marking")
-        if isinstance(rng, CounterRNG):
-            self._rng: Optional[np.random.Generator] = None
-            self._crng: Optional[CounterRNG] = rng
-        else:
-            self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-            self._crng = None
+        self._rng = rng if isinstance(rng, CounterRNG) else CounterRNG(rng)
         self._pagers: Dict[int, PagingAlgorithm] = {}
-        self._steady_n = steady_n
-        self.steady_lut: Optional[np.ndarray] = (
-            np.zeros(steady_n * steady_n, dtype=np.uint8) if steady_n else None
-        )
 
     def pager(self, node: int) -> PagingAlgorithm:
         """The paging instance of ``node``, created lazily on first use."""
         pager = self._pagers.get(node)
         if pager is None:
-            if self._crng is not None:
-                child = self._crng.stream(node)
-            else:
-                child = np.random.default_rng(self._rng.integers(2**63 - 1))
-            pager = self._factory(self.matching.b, child)
+            pager = self._factory(self.matching.b, self._rng.stream(node))
             self._pagers[node] = pager
         return pager
 
@@ -122,12 +89,9 @@ class PerNodePagingMatcher:
         Returns the matching edges added and removed during this step.
         """
         u, v = pair
-        dirty = False
         # 1. Request the pair at both endpoints; collect evicted pages.
         for endpoint in (u, v):
             result = self.pager(endpoint).request(pair)
-            if not result.hit:
-                dirty = True
             for evicted in result.evicted:
                 # A page evicted from an endpoint's cache corresponds to a
                 # matching edge that may no longer be matched: mark it.
@@ -140,36 +104,16 @@ class PerNodePagingMatcher:
             # Requested and cached at both endpoints again: clear any stale mark.
             self.matching.unmark(u, v)
         else:
-            dirty = True
             for endpoint in (u, v):
                 removed.extend(self.matching.prune_to_capacity(endpoint))
             self.matching.add(u, v)
             added.append(pair)
 
-        steady = self.steady_lut
-        if steady is not None:
-            if dirty:
-                # Every state change above — evictions, marks at a phase
-                # boundary, mark-for-removal, pruning, adding — touches only
-                # pages/edges incident to u or v, so invalidating both
-                # endpoints' rows and columns restores the LUT invariant.
-                # (Hits change nothing a later request can see for the
-                # steady-safe policies; see _STEADY_SAFE_POLICIES.)
-                n = self._steady_n
-                steady[u * n : (u + 1) * n] = 0
-                steady[u::n] = 0
-                steady[v * n : (v + 1) * n] = 0
-                steady[v::n] = 0
-            # Post-process the pair is cached and marked at both endpoints,
-            # matched and unmarked — steady by construction.
-            steady[u * self._steady_n + v] = 1
         return tuple(added), tuple(removed)
 
     def reset(self) -> None:
         """Drop all per-node paging state (the matching is reset by its owner)."""
         self._pagers.clear()
-        if self.steady_lut is not None:
-            self.steady_lut[:] = 0
 
 
 class UniformBMatching(OnlineBMatchingAlgorithm):
@@ -197,16 +141,8 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
         self._matcher = self._make_matcher()
 
     def _make_matcher(self) -> PerNodePagingMatcher:
-        steady_n = (
-            self.topology.n_racks
-            if self._paging_policy in _STEADY_SAFE_POLICIES
-            else None
-        )
         return PerNodePagingMatcher(
-            self.matching,
-            make_paging_factory(self._paging_policy),
-            self._paging_rng(),
-            steady_n=steady_n,
+            self.matching, make_paging_factory(self._paging_policy), self.counter_rng
         )
 
     def _reconfigure(
@@ -224,29 +160,14 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
         Unlike R-BMA there is no Theorem 1 filter — each request reaches the
         per-node pagers — so the win over :meth:`serve` is skipping the
         Request/ServeOutcome wrappers and testing matching membership on
-        int-encoded pairs.  On the ``"numba"`` backend the matcher's
-        steady-pair LUT additionally lets an ``@njit`` scan
-        (:func:`~repro.matching.numba_bmatching.paging_steady_scan`) serve
-        runs of requests whose pair is certified steady — cached and marked
-        at both endpoints, matched — as pure cost updates, entering Python
-        only at requests that can change paging or matching state.  Steady
-        requests consume no randomness in either rng mode, so the scan is
-        exact for both; only the per-pager hit counters (which no consumer
-        reads through the matcher) are skipped.  Cost accounting, randomness
-        consumption, and raised errors match request-by-request serving
-        exactly on every backend.
+        int-encoded pairs.  Cost accounting, randomness consumption, and
+        raised errors match request-by-request serving exactly.
         """
         matching = self.matching
         edge_keys = getattr(matching, "edge_keys", None)
         decoded = self._batch_arrays(requests)
         if edge_keys is None or decoded is None:
             super().serve_batch(requests)
-            return
-        if (
-            getattr(matching, "member_lut", None) is not None
-            and self._matcher.steady_lut is not None
-        ):
-            self._serve_batch_compiled(decoded)
             return
         n = self.topology.n_racks
         _lo, _hi, keys_arr, lengths_arr = decoded
@@ -282,62 +203,6 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
             self.total_reconfiguration_cost = reconf
             self.requests_served = served
             self.matched_requests = matched
-
-    def _serve_batch_compiled(self, decoded) -> None:
-        """The batched loop with steady runs served by the ``@njit`` scan.
-
-        Bit-identical to the pure loop: a steady request's step is exactly
-        ``routing += 1.0; served += 1; matched += 1`` (it is a matched hit
-        with no reconfiguration and no draws), and every request that could
-        change any state reaches :meth:`PerNodePagingMatcher.process`
-        through the same Python body the pure loop uses.
-        """
-        matching = self.matching
-        edge_keys = matching.edge_keys
-        steady = self._matcher.steady_lut
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        n_requests = keys_arr.shape[0]
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-
-        process = self._matcher.process
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        i = 0
-        try:
-            while i < n_requests:
-                i, routing, served, matched = paging_steady_scan(
-                    keys_arr, steady, i, routing, served, matched
-                )
-                if i >= n_requests:
-                    break
-                key = keys[i]
-                hit = key in edge_keys
-                before = matching.additions + matching.removals
-                pair = (key // n, key % n)
-                process(pair)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(pair[0]) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {pair[0]}"
-                    )
-                routing += 1.0 if hit else lengths[i]
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-                i += 1
-        finally:
-            self.total_routing_cost = float(routing)
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = int(served)
-            self.matched_requests = int(matched)
 
     def _reset_policy_state(self) -> None:
         self._matcher = self._make_matcher()

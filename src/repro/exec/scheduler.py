@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: Environment variable consulted when no explicit worker count is given
-#: (mirrors ``REPRO_RUN_STORE``/``REPRO_RNG_MODE``; explicit argument wins).
+#: (mirrors ``REPRO_RUN_STORE``; explicit argument wins).
 ENV_WORKERS = parallel_mod.ENV_WORKERS
 
 #: Name -> plan-executor registry for scheduler backends.

@@ -303,12 +303,6 @@ class AlgorithmSpec:
     run an offline solve (SO-BMA); ``None`` means the library default.  It
     round-trips through spec JSON and is validated against
     :data:`repro.matching.SOLVER_BACKENDS` (typos get suggestions).
-
-    ``rng_mode`` pins how randomized algorithms draw (``"counter"`` /
-    ``"stateful"``); ``None`` means the library default.  It is validated
-    against :data:`repro.core.rng.RNG_MODES` and emitted into spec JSON only
-    when pinned, so pre-existing spec files (and the fingerprints of
-    deterministic algorithms) are unchanged.
     """
 
     name: str
@@ -316,7 +310,6 @@ class AlgorithmSpec:
     alpha: float = 1.0
     a: Optional[int] = None
     solver_backend: Optional[str] = None
-    rng_mode: Optional[str] = None
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -329,7 +322,6 @@ class AlgorithmSpec:
             alpha=self.alpha,
             a=self.a,
             solver_backend=self.solver_backend,
-            rng_mode=self.rng_mode,
         )
 
     def validate(self) -> "AlgorithmSpec":
@@ -345,7 +337,7 @@ class AlgorithmSpec:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "name": self.name,
             "b": self.b,
             "alpha": self.alpha,
@@ -353,18 +345,12 @@ class AlgorithmSpec:
             "solver_backend": self.solver_backend,
             "params": dict(self.params),
         }
-        # Emitted only when pinned (mirroring TrafficSpec.streaming) so
-        # existing spec JSON stays byte-for-byte unchanged and deterministic
-        # algorithms keep their pre-rng_mode fingerprints.
-        if self.rng_mode is not None:
-            data["rng_mode"] = self.rng_mode
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AlgorithmSpec":
         _check_keys(
             data,
-            frozenset({"name", "b", "alpha", "a", "solver_backend", "rng_mode", "params"}),
+            frozenset({"name", "b", "alpha", "a", "solver_backend", "params"}),
             "AlgorithmSpec",
         )
         if "name" not in data:
@@ -375,7 +361,6 @@ class AlgorithmSpec:
             alpha=float(data.get("alpha", 1.0)),
             a=None if data.get("a") is None else int(data["a"]),
             solver_backend=data.get("solver_backend"),
-            rng_mode=data.get("rng_mode"),
             params=dict(data.get("params", {})),
         )
 

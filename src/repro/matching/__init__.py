@@ -6,9 +6,9 @@ online algorithms in :mod:`repro.core` maintain a dynamic b-matching; the
 offline baseline SO-BMA uses the static maximum-weight solvers in
 :mod:`repro.matching.static_solver`.
 
-Three kernel backends
----------------------
-The dynamic structure exists in three observationally identical
+Two kernel backends
+-------------------
+The dynamic structure exists in two observationally identical
 implementations, selected by name through :data:`MATCHING_BACKENDS` /
 :func:`make_matching` and wired into experiments via
 ``SimulationConfig.matching_backend``:
@@ -26,17 +26,7 @@ implementations, selected by name through :data:`MATCHING_BACKENDS` /
     ``serve_batch`` loops in :mod:`repro.core` can test membership on machine
     ints.
 
-``"numba"`` — :class:`~repro.matching.numba_bmatching.NumbaBMatching`
-    The compiled kernel: a ``FastBMatching`` that additionally maintains a
-    dense membership LUT which the ``@njit`` batch-scan kernels in
-    :mod:`repro.matching.numba_bmatching` (R-BMA's Theorem 1 filter loop,
-    BMA's demand-graph accumulation, Hybrid's switch-step diff) read
-    directly.  Import-optional: when numba is unavailable (or masked via
-    ``REPRO_NO_NUMBA``), :func:`make_matching` falls back to the ``"fast"``
-    kernel with a one-time warning, so specs pinning the numba backend stay
-    runnable everywhere (see :func:`numba_backend_active`).
-
-All backends are guarded by a differential harness
+Both backends are guarded by a differential harness
 (``tests/test_differential_matching.py``) that replays randomized operation
 sequences and whole traces through them in lockstep and requires identical
 edges, marks, counters, exceptions, and bit-identical run costs, plus
@@ -47,21 +37,18 @@ Static solver backends
 ----------------------
 The *static* maximum-weight solvers behind SO-BMA follow the same tier
 pattern through :data:`SOLVER_BACKENDS` / ``MatchingConfig.solver_backend``:
-``"nx"`` (the original NetworkX blossom path, kept as reference),
+``"nx"`` (the original NetworkX blossom path, kept as reference) and
 ``"array"`` (default — the flat-array Galil kernel in
-:mod:`repro.matching.blossom`, behaviour-identical to NetworkX), and
-``"numba"`` (the array kernel's compiled slack scan, falling back to
-``"array"`` when inactive).  Iterated solves are memoised on a demand
-fingerprint and ``b``-sweeps share nested prefixes; see
-:mod:`repro.matching.static_solver` and ``tests/test_solver_backends.py``.
+:mod:`repro.matching.blossom`, behaviour-identical to NetworkX).  Iterated
+solves are memoised on a demand fingerprint and ``b``-sweeps share nested
+prefixes; see :mod:`repro.matching.static_solver` and
+``tests/test_solver_backends.py``.
 """
 
-import warnings
 from typing import Optional
 
 from .bmatching import BMatching
 from .fast_bmatching import FastBMatching
-from .numba_bmatching import NUMBA_AVAILABLE, NumbaBMatching, numba_backend_active
 from .static_solver import (
     DEFAULT_SOLVER_BACKEND,
     SOLVER_BACKENDS,
@@ -80,9 +67,6 @@ from ..errors import MatchingError
 __all__ = [
     "BMatching",
     "FastBMatching",
-    "NumbaBMatching",
-    "NUMBA_AVAILABLE",
-    "numba_backend_active",
     "MATCHING_BACKENDS",
     "DEFAULT_MATCHING_BACKEND",
     "make_matching",
@@ -101,52 +85,32 @@ __all__ = [
     "check_b_matching",
 ]
 
-#: Name -> class map of the dynamic b-matching kernels.  ``"numba"`` is
-#: always registered (so configs and specs naming it validate everywhere);
-#: :func:`make_matching` decides at construction time whether it resolves to
-#: the compiled kernel or falls back to ``"fast"``.
+#: Name -> class map of the dynamic b-matching kernels.
 MATCHING_BACKENDS = {
     BMatching.backend_name: BMatching,
     FastBMatching.backend_name: FastBMatching,
-    NumbaBMatching.backend_name: NumbaBMatching,
 }
 
 #: Backend used when nothing is specified.
 DEFAULT_MATCHING_BACKEND = FastBMatching.backend_name
 
-#: One-time-warning latch for the numba -> fast fallback (per process).
-_NUMBA_FALLBACK_WARNED = False
 
+def numba_backend_active() -> bool:
+    """Always ``False``: the library has no compiled kernels.
 
-def _resolve_backend(name: str) -> str:
-    """Apply the numba -> fast fallback (warning once) to a backend name."""
-    global _NUMBA_FALLBACK_WARNED
-    if name == NumbaBMatching.backend_name and not numba_backend_active():
-        if not _NUMBA_FALLBACK_WARNED:
-            _NUMBA_FALLBACK_WARNED = True
-            reason = (
-                "masked by REPRO_NO_NUMBA" if NUMBA_AVAILABLE else "numba is not installed"
-            )
-            warnings.warn(
-                f"matching backend 'numba' is unavailable ({reason}); "
-                "falling back to the pure-Python 'fast' kernel",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return FastBMatching.backend_name
-    return name
+    Kept only because the end-to-end benchmark (``perfbench/run.py``)
+    records it in its environment block; nothing in the library calls it.
+    """
+    return False
 
 
 def make_matching(n_nodes: int, b: int, backend: Optional[str] = None):
     """Construct a dynamic b-matching using the named kernel backend.
 
     ``backend`` is one of :data:`MATCHING_BACKENDS` (``None`` means
-    :data:`DEFAULT_MATCHING_BACKEND`).  Requesting ``"numba"`` on a host
-    where the compiled backend is inactive (numba missing, or masked via
-    ``REPRO_NO_NUMBA``) returns a ``"fast"`` kernel instead, warning once
-    per process, so pinned specs degrade gracefully rather than fail.
+    :data:`DEFAULT_MATCHING_BACKEND`).
     """
-    name = _resolve_backend(DEFAULT_MATCHING_BACKEND if backend is None else backend)
+    name = DEFAULT_MATCHING_BACKEND if backend is None else backend
     try:
         cls = MATCHING_BACKENDS[name]
     except KeyError:
@@ -162,11 +126,8 @@ def convert_matching(matching, backend: str):
 
     Edges, marks, and the addition/removal counters carry over exactly; the
     input structure is left untouched.  Returns the input unchanged when it
-    is already on the requested backend (after the numba -> fast fallback,
-    so converting to an unavailable ``"numba"`` backend is the identity on
-    an already-``"fast"`` matching).
+    is already on the requested backend.
     """
-    backend = _resolve_backend(backend)
     if matching.backend_name == backend:
         return matching
     clone = make_matching(matching.n_nodes, matching.b, backend)

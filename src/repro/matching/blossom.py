@@ -1,6 +1,6 @@
 """Array-native maximum-weight matching (Galil's O(n^3) blossom algorithm).
 
-This is the ``"array"`` / ``"numba"`` solver-backend kernel behind
+This is the ``"array"`` solver-backend kernel behind
 :func:`repro.matching.static_solver.iterated_max_weight_b_matching`: a port
 of the Galil (1986) primal-dual blossom method — the same algorithm NetworkX
 ships as ``max_weight_matching`` — onto flat, int-indexed structures:
@@ -31,25 +31,13 @@ SO-BMA figure costs bit-identical across solver backends.
 Like the NetworkX implementation, integer edge weights are processed in
 exact integer arithmetic and float weights in IEEE double arithmetic, so
 ties resolve identically.
-
-The optional compiled leg (``compiled=True``, used by the ``"numba"``
-solver backend when :func:`repro.matching.numba_bmatching.numba_backend_active`
-says so) batches the neighbour slack computation of each scanned S-vertex
-through an ``@njit`` kernel over CSR adjacency arrays.  Dual variables do
-not change while a vertex's neighbours are scanned, so the precomputed
-slacks equal the on-demand ones bit for bit; weights are staged as float64,
-which is exact for every weight the library produces (and for integers up
-to 2**53).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..types import NodePair
-from .numba_bmatching import njit
 
 __all__ = ["max_weight_matching_arrays"]
 
@@ -57,77 +45,10 @@ __all__ = ["max_weight_matching_arrays"]
 _NO_NODE = -1
 
 
-@njit(cache=True)
-def _scan_slacks(adj_edges, lo, hi, eu, ev, ew, dualvar, out):  # pragma: no cover
-    """Slack of every adjacency-list edge of one vertex, in list order.
-
-    ``out[i] = dualvar[u] + dualvar[v] - 2 * w`` for the ``i``-th incident
-    edge — the same expression the scalar ``slack`` closure evaluates, over
-    the same float64 values, so results are bit-identical.  Covered via the
-    compiled/PUREPY differential legs, not line coverage.
-    """
-    for idx in range(lo, hi):
-        k = adj_edges[idx]
-        out[idx - lo] = dualvar[eu[k]] + dualvar[ev[k]] - 2.0 * ew[k]
-
-
-@njit(cache=True)
-def _delta12_scan(vlab, bek, eu, ev, ew, dualvar, maxcardinality):  # pragma: no cover
-    """delta1 + delta2 of the dual-update substage, over staged arrays.
-
-    ``vlab[v]`` is the label of ``v``'s top-level blossom (0 when free) and
-    ``bek[v]`` the edge id of ``bestedge[v]`` (-1 when absent), staged by
-    the driver right before the scan; labels and best edges do not change
-    between the scan and the dual update, so one staging pass serves both
-    kernels.  delta1 keeps the *first* minimum vertex dual (strict ``<``,
-    like the builtin ``min``); delta2's slack is the same expression
-    :func:`_scan_slacks` evaluates, over the same float64 values, and also
-    keeps the first minimum — so the selected ``(deltatype, delta,
-    vertex)`` is bit-identical to the scalar loops.  Returns ``(deltatype,
-    delta, best_v)`` with ``best_v`` the delta2 vertex or -1.
-    """
-    n = dualvar.shape[0]
-    deltatype = -1
-    delta = 0.0
-    best_v = -1
-    if maxcardinality == 0:
-        deltatype = 1
-        delta = dualvar[0]
-        for v in range(1, n):
-            if dualvar[v] < delta:
-                delta = dualvar[v]
-    for v in range(n):
-        if vlab[v] == 0 and bek[v] >= 0:
-            k = bek[v]
-            d = dualvar[eu[k]] + dualvar[ev[k]] - 2.0 * ew[k]
-            if deltatype == -1 or d < delta:
-                delta = d
-                deltatype = 2
-                best_v = v
-    return deltatype, delta, best_v
-
-
-@njit(cache=True)
-def _apply_delta(vlab, dualvar, delta):  # pragma: no cover
-    """The substage's vertex dual update: S-vertices pay delta, T-vertices gain.
-
-    Same staged labels as :func:`_delta12_scan`; the arithmetic is the
-    scalar loop's ``dualvar[v] -= delta`` / ``+= delta`` on the same
-    float64 values, so the updated duals are bit-identical.
-    """
-    n = dualvar.shape[0]
-    for v in range(n):
-        if vlab[v] == 1:
-            dualvar[v] -= delta
-        elif vlab[v] == 2:
-            dualvar[v] += delta
-
-
 def max_weight_matching_arrays(
     n_nodes: int,
     edges: Sequence[Tuple[int, int, float]],
     maxcardinality: bool = False,
-    compiled: bool = False,
 ) -> Set[NodePair]:
     """Maximum-weight matching over vertices ``0..n_nodes-1``.
 
@@ -143,8 +64,6 @@ def max_weight_matching_arrays(
     maxcardinality:
         If true, restrict to maximum-cardinality matchings (kept for parity
         with NetworkX; the solver tier always uses ``False``).
-    compiled:
-        Use the ``@njit`` batched slack scan (the ``"numba"`` solver leg).
 
     Returns
     -------
@@ -188,30 +107,9 @@ def max_weight_matching_arrays(
             maxweight = wt
         allinteger = allinteger and type(wt).__name__ in ("int", "long")
 
-    if compiled:
-        # The compiled leg runs on float64 arrays; integer weights would be
-        # staged through float64 anyway, so drop to the float code path
-        # (identical values and branches for every weight < 2**53).
-        allinteger = False
-        eu_np = np.asarray(endpoint_u, dtype=np.int64)
-        ev_np = np.asarray(endpoint_v, dtype=np.int64)
-        ew_np = np.asarray(weight_of, dtype=np.float64)
-        adj_lens = np.asarray([len(a) for a in adjacency], dtype=np.int64)
-        adj_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(adj_lens, out=adj_start[1:])
-        adj_edges = np.empty(2 * nedge, dtype=np.int64)
-        for v in range(n):
-            ids = [k for k, _w in adjacency[v]]
-            adj_edges[adj_start[v] : adj_start[v] + len(ids)] = ids
-        slack_buffer = np.empty(int(adj_lens.max()) if nedge else 1, dtype=np.float64)
-        dualvar = np.full(n, float(maxweight), dtype=np.float64)
-        # Per-substage staging for the compiled delta scan / dual update.
-        vlab_buffer = np.zeros(n, dtype=np.int64)
-        bek_buffer = np.empty(n, dtype=np.int64)
-    else:
-        # dualvar[v] = 2 * u(v); starting at maxweight keeps integer weights
-        # in integer arithmetic throughout, exactly as NetworkX does.
-        dualvar = [maxweight] * n
+    # dualvar[v] = 2 * u(v); starting at maxweight keeps integer weights
+    # in integer arithmetic throughout, exactly as NetworkX does.
+    dualvar = [maxweight] * n
 
     # mate[v] = partner vertex of a matched vertex (absent when single);
     # matek[v] = the id of the matching edge at v (the port's substitute for
@@ -601,14 +499,7 @@ def max_weight_matching_arrays(
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
 
-                adj_v = adjacency[v]
-                if compiled and adj_v:
-                    lo = int(adj_start[v])
-                    _scan_slacks(
-                        adj_edges, lo, int(adj_start[v + 1]),
-                        eu_np, ev_np, ew_np, dualvar, slack_buffer,
-                    )
-                for idx, (k, w) in enumerate(adj_v):
+                for k, w in adjacency[v]:
                     bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
@@ -617,11 +508,7 @@ def max_weight_matching_arrays(
                     if not allowedge[k]:
                         # Inlined slack(k): addition is commutative, so
                         # summing from v's side is bit-identical.
-                        kslack = (
-                            slack_buffer[idx]
-                            if compiled
-                            else dualvar[v] + dualvar[w] - 2 * weight_of[k]
-                        )
+                        kslack = dualvar[v] + dualvar[w] - 2 * weight_of[k]
                         if kslack <= 0:
                             allowedge[k] = True
                     if allowedge[k]:
@@ -657,40 +544,20 @@ def max_weight_matching_arrays(
             deltatype = -1
             delta = deltaedge = deltablossom = None
 
-            if compiled:
-                # Stage per-vertex top-blossom labels and best-edge ids once;
-                # they do not change until after the dual update, so the same
-                # arrays also drive _apply_delta below.
-                for v in range(n):
-                    t = label.get(inblossom[v])
-                    vlab_buffer[v] = 0 if t is None else t
-                    be = bestedge.get(v)
-                    bek_buffer[v] = -1 if be is None else be[2]
-                # delta1 + delta2 in one compiled scan.
-                deltatype, delta_c, best_v = _delta12_scan(
-                    vlab_buffer, bek_buffer, eu_np, ev_np, ew_np, dualvar,
-                    1 if maxcardinality else 0,
-                )
-                deltatype = int(deltatype)
-                if deltatype != -1:
-                    delta = delta_c
-                if best_v >= 0:
-                    deltaedge = bestedge[int(best_v)]
-            else:
-                # delta1: the minimum value of any vertex dual.
-                if not maxcardinality:
-                    deltatype = 1
-                    delta = min(dualvar)
+            # delta1: the minimum value of any vertex dual.
+            if not maxcardinality:
+                deltatype = 1
+                delta = min(dualvar)
 
-                # delta2: minimum slack on any edge from an S-vertex to a
-                # free one.
-                for v in range(n):
-                    if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                        d = slack(bestedge[v][2])
-                        if deltatype == -1 or d < delta:
-                            delta = d
-                            deltatype = 2
-                            deltaedge = bestedge[v]
+            # delta2: minimum slack on any edge from an S-vertex to a
+            # free one.
+            for v in range(n):
+                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
+                    d = slack(bestedge[v][2])
+                    if deltatype == -1 or d < delta:
+                        delta = d
+                        deltatype = 2
+                        deltaedge = bestedge[v]
 
             # delta3: half the minimum slack between a pair of S-blossoms.
             for b in blossomparent:
@@ -728,17 +595,12 @@ def max_weight_matching_arrays(
                 delta = max(0, min(dualvar))
 
             # Update dual variables according to delta.
-            if compiled:
-                # Labels have not changed since staging; the scalar loop's
-                # -=/+= on the same float64 values, compiled.
-                _apply_delta(vlab_buffer, dualvar, float(delta))
-            else:
-                for v in range(n):
-                    vlabel = label.get(inblossom[v])
-                    if vlabel == 1:
-                        dualvar[v] -= delta
-                    elif vlabel == 2:
-                        dualvar[v] += delta
+            for v in range(n):
+                vlabel = label.get(inblossom[v])
+                if vlabel == 1:
+                    dualvar[v] -= delta
+                elif vlabel == 2:
+                    dualvar[v] += delta
             for b in blossomdual:
                 if blossomparent[b] is None:
                     if label.get(b) == 1:

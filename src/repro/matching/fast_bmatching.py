@@ -268,11 +268,7 @@ class FastBMatching:
         self._removals = 0
 
     def copy(self) -> "FastBMatching":
-        """Deep copy of the structure (used by tests and history collection).
-
-        Builds ``type(self)`` so subclasses (the numba kernel) clone onto
-        their own class, keeping any auxiliary state their ``add`` maintains.
-        """
+        """Deep copy of the structure (used by tests and history collection)."""
         clone = type(self)(self._n, self._b)
         for pair in self.edges:
             clone.add(*pair)

@@ -34,11 +34,6 @@ The per-round blossom solve is pluggable through :data:`SOLVER_BACKENDS`
     Galil algorithm on flat int-indexed arrays, behaviour-identical to the
     NetworkX implementation (same matchings, not merely equal weight), about
     2x faster per round before memoisation.
-``"numba"``
-    The array kernel with its ``@njit`` batched slack scan, active only when
-    :func:`~repro.matching.numba_bmatching.numba_backend_active` says so;
-    otherwise it falls back to ``"array"`` with a one-time warning, so specs
-    pinning the numba solver stay runnable everywhere.
 
 Demand-fingerprint memoisation
 ------------------------------
@@ -56,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -68,7 +62,6 @@ from ..errors import SolverError
 from ..experiments.registry import Registry
 from ..types import NodePair, canonical_pair
 from .blossom import max_weight_matching_arrays
-from .numba_bmatching import NUMBA_AVAILABLE, numba_backend_active
 from .validation import check_b_matching
 
 __all__ = [
@@ -170,10 +163,6 @@ SOLVER_BACKENDS: Registry = Registry("solver backend")
 #: left at ``None``).
 DEFAULT_SOLVER_BACKEND = "array"
 
-#: One-time-warning latch for the numba -> array fallback (per process).
-_NUMBA_FALLBACK_WARNED = False
-
-
 @SOLVER_BACKENDS.register("nx")
 def _solve_round_nx(remaining: Mapping[NodePair, float], n_nodes: int) -> Set[NodePair]:
     """One blossom round via NetworkX (the original SO-BMA code path)."""
@@ -193,43 +182,16 @@ def _solve_round_array(remaining: Mapping[NodePair, float], n_nodes: int) -> Set
     )
 
 
-@SOLVER_BACKENDS.register("numba")
-def _solve_round_numba(remaining: Mapping[NodePair, float], n_nodes: int) -> Set[NodePair]:
-    """The array kernel with the ``@njit`` batched slack scan."""
-    return max_weight_matching_arrays(
-        n_nodes, [(u, v, w) for (u, v), w in remaining.items()], compiled=True
-    )
-
-
 def resolve_solver_backend(backend: Optional[str]) -> str:
-    """Validated effective backend name for a requested solver backend.
+    """Validated canonical backend name for a requested solver backend.
 
-    ``None`` means :data:`DEFAULT_SOLVER_BACKEND`.  Requesting ``"numba"``
-    on a host where the compiled backend is inactive (numba missing, or
-    masked via ``REPRO_NO_NUMBA``) resolves to ``"array"`` with a one-time
-    warning — the same graceful-degradation contract as
-    :func:`repro.matching.make_matching`.  Unknown names raise
+    ``None`` means :data:`DEFAULT_SOLVER_BACKEND`.  Unknown names raise
     :class:`~repro.errors.ConfigurationError` with "did you mean ...?"
     suggestions.
     """
-    global _NUMBA_FALLBACK_WARNED
     name = DEFAULT_SOLVER_BACKEND if backend is None else backend
     SOLVER_BACKENDS.resolve(name)  # raises with suggestions on unknown names
-    name = SOLVER_BACKENDS.canonical(name)
-    if name == "numba" and not numba_backend_active():
-        if not _NUMBA_FALLBACK_WARNED:
-            _NUMBA_FALLBACK_WARNED = True
-            reason = (
-                "masked by REPRO_NO_NUMBA" if NUMBA_AVAILABLE else "numba is not installed"
-            )
-            warnings.warn(
-                f"solver backend 'numba' is unavailable ({reason}); "
-                "falling back to the pure-Python 'array' kernel",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "array"
-    return name
+    return SOLVER_BACKENDS.canonical(name)
 
 
 # --------------------------------------------------------------------------- #

@@ -20,13 +20,8 @@ Two replay paths share identical semantics:
   algorithm ships a hand-tuned ``serve_batch``; algorithms that do not
   override it inherit the base-class per-request loop inside the batched
   path, so there is no engine-level fallback to route around ``serve_batch``.
-  The ``"numba"`` backend rides this same path unchanged: the engine hands
-  out identical segments and the algorithms' drivers decide per segment
-  whether the compiled scan kernels apply, so observer and checkpoint
-  semantics are untouched by the compiled backend.  Each result records the
-  requested backend and the kernel that actually ran in
-  ``RunResult.extra["matching_backend"]`` / ``extra["matching_kernel"]``
-  (they differ exactly when numba fell back to the fast kernel).
+  Each result records the requested backend and the kernel that ran in
+  ``RunResult.extra["matching_backend"]`` / ``extra["matching_kernel"]``.
 
 Checkpoint positions default to evenly spaced request counts
 (:func:`_checkpoint_positions`); ``SimulationConfig.checkpoint_positions``
@@ -207,8 +202,7 @@ def _assemble_result(
     )
     extra: dict = {
         # Provenance: the backend the config asked for and the kernel that
-        # actually ran.  They differ exactly when the numba backend fell
-        # back to the pure-Python fast kernel (numba missing or masked).
+        # actually ran.
         "matching_backend": config.matching_backend,
         "matching_kernel": algorithm.matching.backend_name,
     }
@@ -218,12 +212,6 @@ def _assemble_result(
     solver_provenance = getattr(algorithm, "solver_provenance", None)
     if solver_provenance:
         extra.update(solver_provenance)
-    # RNG-mode provenance (randomized algorithms only): the rng_mode the
-    # config requested (None when the library default applied) and the mode
-    # that actually ran.  Deterministic algorithms record nothing.
-    rng_provenance = getattr(algorithm, "rng_provenance", None)
-    if rng_provenance:
-        extra.update(rng_provenance)
     if config.collect_matching_history:
         extra["matching_history"] = matching_history
     return RunResult(

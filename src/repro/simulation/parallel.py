@@ -58,8 +58,8 @@ from .runner import AnySpec, as_experiment_spec, execute_experiment_spec
 
 __all__ = ["run_specs_parallel", "default_worker_count", "default_chunksize"]
 
-#: Environment default for worker counts, in the family of ``REPRO_RUN_STORE``
-#: and ``REPRO_RNG_MODE``: consulted only when no explicit ``n_workers`` is
+#: Environment default for worker counts, in the family of
+#: ``REPRO_RUN_STORE``: consulted only when no explicit ``n_workers`` is
 #: passed (an explicit argument always wins).
 ENV_WORKERS = "REPRO_WORKERS"
 

@@ -124,7 +124,6 @@ def run_sweep(
     n_workers: Optional[int] = None,
     observers: Iterable[SimulationObserver] = (),
     solver_backend: Optional[str] = None,
-    rng_mode: Optional[str] = None,
     store=None,
     streaming: bool = False,
     chunk_size: Optional[int] = None,
@@ -158,9 +157,6 @@ def run_sweep(
         the demand-fingerprint memo in
         :mod:`repro.matching.static_solver` solves ``max(b_values)`` blossom
         rounds once instead of re-solving every prefix per ``b``.
-    rng_mode:
-        Randomness kernel for randomized configurations (``None`` = library
-        default; see :data:`repro.core.rng.RNG_MODES`).
     store:
         Run-store policy, forwarded to :func:`run_experiments` (``None``
         defers to ``REPRO_RUN_STORE``, ``False`` forces cold runs).
@@ -177,8 +173,7 @@ def run_sweep(
     base = ExperimentSpec(
         algorithm={"name": sweep.algorithms[0], "b": int(sweep.b_values[0]),
                    "alpha": float(sweep.alpha_values[0]),
-                   "solver_backend": solver_backend,
-                   "rng_mode": rng_mode},
+                   "solver_backend": solver_backend},
         traffic={"name": workload, "params": dict(workload_kwargs or {}),
                  "streaming": streaming, "chunk_size": chunk_size},
         topology={"name": topology, "params": dict(topology_kwargs or {})},

@@ -18,15 +18,11 @@ the storage key.  The fingerprint contract:
   bumping :data:`SCHEMA_VERSION` (when result semantics change
   incompatibly) invalidates every existing entry by construction, no
   migration pass needed.
-* **Backend provenance.**  The digest covers the *effective* kernels, not
-  just the requested names: a spec pinning ``matching_backend="numba"`` on
-  a host where numba is missing or masked runs the pure-Python fallback,
-  and its fingerprint differs from the same spec on a host where the
-  compiled kernel is genuinely active.  Results are bit-identical across
-  that divide by design, but wall-clock provenance is not, so the store
-  keeps the runs distinguishable.  The same applies to SO-BMA's static
-  solver backend, and — for randomized algorithms, where the two modes
-  draw genuinely different randomness — to the effective ``rng_mode``.
+* **Backend provenance.**  The digest records the kernels a run executes
+  (:func:`effective_kernels`): the matching backend and, for SO-BMA, the
+  static solver backend.  Results are bit-identical across backends by
+  design, but wall-clock provenance is not, so the store keeps the runs
+  distinguishable.
 
 Fingerprints are hex blake2b digests (160 bits), stable across processes,
 platforms, and Python versions for a given :data:`SCHEMA_VERSION`.
@@ -40,7 +36,6 @@ from typing import Any, Dict, Mapping, Union
 
 from ..errors import ConfigurationError
 from ..experiments.specs import ExperimentSpec, canonical_data
-from ..matching import numba_backend_active
 from ..matching.static_solver import resolve_solver_backend
 
 __all__ = [
@@ -53,8 +48,10 @@ __all__ = [
 #: Version of the (spec canonicalisation, result serialisation) contract.
 #: Bump whenever stored results become incompatible with freshly computed
 #: ones; every existing fingerprint then misses and re-runs populate the
-#: store under the new keys.
-SCHEMA_VERSION = 1
+#: store under the new keys.  Version 2: randomized algorithms always draw
+#: counter-mode randomness, so a schema-1 entry (possibly computed with the
+#: retired stateful generator) must never be served.
+SCHEMA_VERSION = 2
 
 #: Hex digest length = 2 * digest_size; 20 bytes keeps paths short while
 #: making collisions (2^-80 birthday bound at billions of runs) a non-issue.
@@ -75,11 +72,8 @@ def canonical_json(data: Any) -> str:
 
 
 def effective_kernels(spec: ExperimentSpec) -> Dict[str, str]:
-    """The kernels a run of ``spec`` would actually execute on this host.
+    """The kernels a run of ``spec`` executes.
 
-    Mirrors the requested-vs-effective provenance the engine records in
-    ``RunResult.extra``: the ``"numba"`` matching backend resolves to
-    ``"fast"`` when the compiled kernel is unavailable or masked, and
     SO-BMA's solver backend resolves through
     :func:`repro.matching.static_solver.resolve_solver_backend` (the
     ``"greedy"`` solver bypasses the blossom tier entirely).  Algorithms
@@ -87,10 +81,7 @@ def effective_kernels(spec: ExperimentSpec) -> Dict[str, str]:
     default cannot invalidate, say, cached RBMA runs.
     """
     backend = spec.simulation.matching_backend
-    kernel = backend
-    if backend == "numba" and not numba_backend_active():
-        kernel = "fast"
-    kernels = {"matching_backend": backend, "matching_kernel": kernel}
+    kernels = {"matching_backend": backend, "matching_kernel": backend}
 
     from ..core.registry import ALGORITHMS  # local: registries load late
 
@@ -102,14 +93,6 @@ def effective_kernels(spec: ExperimentSpec) -> Dict[str, str]:
             kernels["solver_kernel"] = resolve_solver_backend(
                 spec.algorithm.solver_backend
             )
-    # RNG-mode provenance (randomized algorithms only): counter and stateful
-    # runs draw different randomness, so they must never share a store cell.
-    # Deterministic algorithms carry no key — flipping the rng default
-    # cannot invalidate their cached runs.
-    if getattr(factory, "uses_rng", False):
-        from ..core.rng import resolve_rng_mode  # local: registries load late
-
-        kernels["rng_kernel"] = resolve_rng_mode(spec.algorithm.rng_mode)
     return kernels
 
 

@@ -125,6 +125,35 @@ class TestRunSpecFile:
         path.write_text(json.dumps(data))
         return data
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("simulation", "matching_backend", "numba",
+         "unknown matching_backend 'numba' (available: fast, reference)"),
+        ("algorithm", "solver_backend", "numba",
+         "unknown solver backend 'numba' (available: array, nx)"),
+        ("algorithm", "rng_mode", "counter",
+         "unknown AlgorithmSpec keys: rng_mode (allowed: "),
+    ])
+    def test_removed_names_are_configuration_errors(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        """Retired backend names and the retired ``rng_mode`` key fail with
+        the registry / unknown-key error listing the valid names, both when
+        loading the spec and through ``repro run``."""
+        import json
+
+        from repro.errors import ConfigurationError
+        from repro.experiments import ExperimentSpec
+
+        spec_path = tmp_path / "spec.json"
+        data = self._write_spec(spec_path)
+        data.setdefault(section, {})[key] = value
+        spec_path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError) as excinfo:
+            ExperimentSpec.from_dict(data)
+        assert message in str(excinfo.value)
+        assert main(["run", str(spec_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_run_spec_json(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         self._write_spec(spec_path)

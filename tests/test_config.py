@@ -73,10 +73,6 @@ class TestSimulationConfig:
         assert cfg.checkpoint_positions == (1, 10, 20)
         assert all(isinstance(p, int) for p in cfg.checkpoint_positions)
 
-    def test_matching_backend_numba_is_always_a_valid_name(self):
-        """'numba' validates everywhere; availability is resolved at build time."""
-        assert SimulationConfig(matching_backend="numba").matching_backend == "numba"
-
     def test_rejects_unknown_matching_backend(self):
         with pytest.raises(ConfigurationError, match="unknown matching_backend"):
             SimulationConfig(matching_backend="cython")

@@ -1,6 +1,6 @@
 """Differential harness: every kernel must be indistinguishable from BMatching.
 
-Two layers of evidence certify the fast and numba kernels:
+Two layers of evidence certify the fast kernel:
 
 * **Operation-level** — randomized operation sequences (hypothesis-driven and
   seeded-exhaustive) are applied to all kernels in lockstep; every return
@@ -13,23 +13,12 @@ Two layers of evidence certify the fast and numba kernels:
   approximate), as must the final matching state.
 
 Because the engine routes ``"reference"`` runs through the original
-per-request loop and ``"fast"``/``"numba"`` runs through the batched
-``serve_batch`` path, the replay layer simultaneously guards the kernel
-swaps, the batched engine path, and every algorithm's hand-tuned batch loop
-(including the numba scan drivers).
-
-The numba legs run on every host: an autouse fixture sets
-``REPRO_NUMBA_PUREPY`` so the numba code path executes uncompiled where
-numba is missing — same functions, same arithmetic, no JIT.  Under the
-*nonumba* CI tier (``REPRO_NO_NUMBA=1``, which takes precedence) the
-``"numba"`` legs resolve to the fast-kernel fallback instead, which is
-exactly the behaviour that tier exists to exercise; the one test that
-requires the numba backend to be genuinely active skips itself there.
+per-request loop and ``"fast"`` runs through the batched ``serve_batch``
+path, the replay layer simultaneously guards the kernel swap, the batched
+engine path, and every algorithm's hand-tuned batch loop.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -43,27 +32,14 @@ from repro.experiments import ExperimentSpec
 from repro.matching import (
     BMatching,
     FastBMatching,
-    NumbaBMatching,
     convert_matching,
     make_matching,
-    numba_backend_active,
 )
 from repro.simulation import run_simulation
 from repro.topology.registry import TOPOLOGIES
 from repro.traffic.registry import WORKLOADS
 
-BACKENDS = ("reference", "fast", "numba")
-
-
-@pytest.fixture(autouse=True)
-def _enable_numba_leg(monkeypatch):
-    """Let the numba backend run (uncompiled) on hosts without numba.
-
-    ``REPRO_NO_NUMBA`` deliberately keeps precedence: the nonumba CI tier
-    masks the backend regardless, turning the numba legs into fallback-path
-    coverage.
-    """
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
+BACKENDS = ("reference", "fast")
 
 # --------------------------------------------------------------------------- #
 # Operation-level differential testing
@@ -118,7 +94,7 @@ def _snapshot(matching):
 
 def _run_lockstep(ops):
     reference = BMatching(N_NODES, B)
-    others = {"fast": FastBMatching(N_NODES, B), "numba": NumbaBMatching(N_NODES, B)}
+    others = {"fast": FastBMatching(N_NODES, B)}
     for step, (op_idx, nodes) in enumerate(ops):
         op, arity = _OPS[op_idx % len(_OPS)]
         args = tuple(nodes[:arity])
@@ -132,11 +108,6 @@ def _run_lockstep(ops):
             assert ref_state == _snapshot(kernel), (
                 f"step {step}: {name} state diverged after {op}{args}"
             )
-        # The numba kernel's membership LUT must mirror its edge set exactly
-        # (the compiled scans trust it blindly).
-        numba = others["numba"]
-        lut_keys = sorted(int(k) for k in np.nonzero(numba.member_lut)[0])
-        assert lut_keys == sorted(numba.edge_keys), f"step {step}: LUT drifted"
 
 
 # Node values deliberately include out-of-range ids and duplicate endpoints so
@@ -188,26 +159,12 @@ def test_copy_and_convert_roundtrip():
     assert _snapshot(back) == _snapshot(fast)
     # Same-backend conversion is the identity, not a copy.
     assert convert_matching(fast, "fast") is fast
-    if numba_backend_active():
-        compiled = convert_matching(fast, "numba")
-        assert type(compiled) is NumbaBMatching
-        assert _snapshot(compiled) == _snapshot(fast)
-        clone = compiled.copy()
-        assert type(clone) is NumbaBMatching
-        assert _snapshot(clone) == _snapshot(compiled)
-        assert np.array_equal(clone.member_lut, compiled.member_lut)
-        assert convert_matching(compiled, "numba") is compiled
-        assert _snapshot(convert_matching(compiled, "fast")) == _snapshot(fast)
 
 
 def test_make_matching_backends():
     assert isinstance(make_matching(4, 2, "reference"), BMatching)
     assert isinstance(make_matching(4, 2, "fast"), FastBMatching)
     assert isinstance(make_matching(4, 2), FastBMatching)  # default
-    # "numba" always resolves: to the compiled kernel when active, to the
-    # fast kernel (with a one-time warning elsewhere) when not.
-    expected = NumbaBMatching if numba_backend_active() else FastBMatching
-    assert type(make_matching(4, 2, "numba")) is expected
     with pytest.raises(ReproError):
         make_matching(4, 2, "no-such-kernel")
 
@@ -280,10 +237,6 @@ def _compare_backends(algorithm: str, topology: str, workload: str) -> None:
             algo.matching.additions,
             algo.matching.removals,
         )
-        if backend == "numba" and numba_backend_active():
-            assert algo.matching.backend_name == "numba", (
-                f"numba leg of {algorithm} did not run on the numba kernel"
-            )
     ref = runs["reference"]
     for backend in BACKENDS[1:]:
         what = f"{algorithm} on {topology}/{workload} ({backend} vs reference)"
@@ -309,24 +262,11 @@ def test_replay_identical_across_workloads(algorithm, workload):
 
 def test_backend_recorded_in_spec_roundtrip():
     """matching_backend survives the spec dict/JSON round-trip."""
-    for backend in ("reference", "numba"):
+    for backend in ("reference", "fast"):
         spec = _spec("rbma", "leaf-spine", "zipf", backend)
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert clone.simulation.matching_backend == backend
         assert clone == spec
-
-
-def test_numba_leg_is_genuinely_active():
-    """Outside the nonumba tier, the numba legs must not silently degrade.
-
-    Guards the harness itself: if the purepy escape hatch ever stopped
-    activating the backend, every numba comparison above would become a
-    fast-vs-fast tautology without failing.
-    """
-    if os.environ.get("REPRO_NO_NUMBA", "").strip() not in ("", "0"):
-        pytest.skip("nonumba tier: the numba backend is masked by design")
-    assert numba_backend_active()
-    assert type(make_matching(4, 2, "numba")) is NumbaBMatching
 
 
 # --------------------------------------------------------------------------- #
@@ -350,7 +290,7 @@ def test_every_registered_algorithm_is_batched():
         )
 
 
-@pytest.mark.parametrize("backend", ["fast", "numba"])
+@pytest.mark.parametrize("backend", ["reference", "fast"])
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_serve_batch_random_segments_match_serve(algorithm, seed, backend):
@@ -360,11 +300,11 @@ def test_serve_batch_random_segments_match_serve(algorithm, seed, backend):
     segments; this drives every algorithm's hand-tuned batch loop across
     *random* segment boundaries (including single-request segments) so that
     all state carried between ``serve_batch`` calls — rotation counters,
-    predictor windows, expert costs, paging marks, and the numba drivers'
-    dict<->dense-array counter syncs — is proven equivalent to sequential
-    serving, not just equivalent at checkpoint granularity.  The sequential
-    arm always runs on the default fast kernel, so the numba leg is also a
-    cross-backend comparison.
+    predictor windows, expert costs, paging marks — is proven equivalent to
+    sequential serving, not just equivalent at checkpoint granularity.  The
+    sequential arm always runs on the default fast kernel, so the reference
+    leg (where every batch loop falls back to per-request serving) is also
+    a cross-backend comparison.
     """
     spec = _spec(algorithm, "leaf-spine", "zipf", backend)
     trace = spec.build_trace()

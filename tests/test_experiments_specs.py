@@ -1,6 +1,7 @@
 """Tests for the declarative ExperimentSpec tree and seed policy."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestSerialisation:
     def test_experiment_spec_requires_algorithm_and_traffic(self):
         with pytest.raises(ConfigurationError, match="requires 'algorithm'"):
             ExperimentSpec.from_dict({"traffic": {"name": "zipf"}})
+
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_example_specs_load(self, path):
+        """Every shipped example spec validates (the README quickstart runs
+        ``examples/spec.json``)."""
+        spec = ExperimentSpec.from_dict(json.loads(path.read_text()), validate=True)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestBuilding:

@@ -10,15 +10,13 @@ The golden-trace classes at the bottom extend the same idea to *every*
 registered algorithm (randomized ones under a pinned seed) on a committed
 800-request trace: total costs, matching counters, and the checkpoint series
 are pinned in ``tests/data/golden/golden_pins.json`` for every matching
-backend (reference, fast, and numba), so any kernel or replay-path change
-that alters observable results fails loudly here.
+backend (reference and fast), so any kernel or replay-path change that
+alters observable results fails loudly here.
 
-Randomized algorithms are pinned under *both* rng modes: the legacy
-``"stateful"`` mode must reproduce the pre-counter ``pins`` byte-identically
-(the mode exists precisely so old results stay reachable), while the
-``"counter"`` default pins its own ``pins_counter`` section.  To regenerate
-the pins after an *intentional* behaviour change, run with
-``REPRO_REGEN_GOLDEN=1`` and commit the updated JSON.
+Deterministic algorithms are pinned in the ``pins`` section; randomized
+ones (counter-RNG draws) in ``pins_counter``.  To regenerate the pins after
+an *intentional* behaviour change, run with ``REPRO_REGEN_GOLDEN=1`` and
+commit the updated JSON.
 """
 
 import json
@@ -136,21 +134,18 @@ def _load_golden():
 
 
 GOLDEN_TRACE, GOLDEN = _load_golden()
+#: Deterministic algorithms, pinned in ``pins``.
 GOLDEN_ALGORITHMS = sorted(GOLDEN["pins"])
-#: Algorithms whose serve path draws randomness; only these get a second,
-#: counter-mode pin (deterministic algorithms cannot depend on the rng mode).
-RANDOMIZED_GOLDEN = sorted(
-    name for name in GOLDEN_ALGORITHMS
-    if getattr(ALGORITHMS.resolve(name), "uses_rng", False)
-)
+#: Algorithms whose serve path draws randomness, pinned in ``pins_counter``.
+RANDOMIZED_GOLDEN = sorted(GOLDEN["pins_counter"])
 
 
-def _run_golden(algorithm: str, backend: str, rng_mode=None):
+def _run_golden(algorithm: str, backend: str):
     topology = LeafSpineTopology(n_racks=GOLDEN_TRACE.n_nodes)
     algo = ALGORITHMS.build(
         algorithm,
         topology,
-        MatchingConfig(b=GOLDEN["b"], alpha=GOLDEN["alpha"], rng_mode=rng_mode),
+        MatchingConfig(b=GOLDEN["b"], alpha=GOLDEN["alpha"]),
         GOLDEN["algorithm_seed"],
         **GOLDEN["algorithm_params"].get(algorithm, {}),
     )
@@ -172,26 +167,17 @@ def _run_golden(algorithm: str, backend: str, rng_mode=None):
 def test_golden_registry_is_complete():
     """A newly registered algorithm must get a golden pin (regenerate)."""
     canonical = sorted({ALGORITHMS.canonical(name) for name in ALGORITHMS.names()})
-    assert canonical == GOLDEN_ALGORITHMS
+    assert canonical == sorted(GOLDEN_ALGORITHMS + RANDOMIZED_GOLDEN)
+    assert RANDOMIZED_GOLDEN == sorted(
+        name for name in canonical if getattr(ALGORITHMS.resolve(name), "uses_rng", False)
+    )
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
+@pytest.mark.parametrize("backend", ["reference", "fast"])
 @pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)
-def test_golden_trace_pins(algorithm, backend, monkeypatch):
-    """Exact totals/counters/series on the committed trace, every kernel.
-
-    The numba leg forces the pure-Python escape hatch so it pins the numba
-    code path even on hosts without numba (compiled where available);
-    under the nonumba CI tier (``REPRO_NO_NUMBA=1``) it instead pins the
-    numba->fast fallback, which must hit the same goldens by definition.
-
-    The ``pins`` section predates the counter rng: it is pinned under
-    ``rng_mode="stateful"``, certifying that the legacy mode still
-    reproduces every pre-counter result byte-identically.
-    """
-    if backend == "numba":
-        monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    observed = _run_golden(algorithm, backend, rng_mode="stateful")
+def test_golden_trace_pins(algorithm, backend):
+    """Exact totals/counters/series on the committed trace, every kernel."""
+    observed = _run_golden(algorithm, backend)
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":  # pragma: no cover
         GOLDEN["pins"][algorithm] = observed
         with open(GOLDEN_DIR / "golden_pins.json", "w") as fh:
@@ -203,18 +189,11 @@ def test_golden_trace_pins(algorithm, backend, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
+@pytest.mark.parametrize("backend", ["reference", "fast"])
 @pytest.mark.parametrize("algorithm", RANDOMIZED_GOLDEN)
-def test_golden_trace_pins_counter(algorithm, backend, monkeypatch):
-    """Counter-mode (the default) pins for the randomized algorithms.
-
-    Counter draws are keyed Philox functions of the request index, so they
-    legitimately differ from the stateful sequence; this pins the new
-    default so counter-mode drift fails just as loudly.
-    """
-    if backend == "numba":
-        monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    observed = _run_golden(algorithm, backend, rng_mode="counter")
+def test_golden_trace_pins_counter(algorithm, backend):
+    """Pins for the randomized algorithms (keyed counter-RNG draws)."""
+    observed = _run_golden(algorithm, backend)
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":  # pragma: no cover
         GOLDEN.setdefault("pins_counter", {})[algorithm] = observed
         with open(GOLDEN_DIR / "golden_pins.json", "w") as fh:

@@ -185,22 +185,37 @@ class TestFingerprint:
         with pytest.raises(ConfigurationError, match="unseeded"):
             fingerprint_spec(_spec(seed=None))
 
-    def test_numba_fallback_distinguishes_runs(self, monkeypatch):
-        """A numba-requesting spec fingerprints differently depending on
-        whether the compiled kernel is genuinely active — and a spec that
-        never asked for numba is unaffected."""
-        import repro.store.fingerprint as fp_mod
+    def test_legacy_schema1_rbma_entry_is_not_served(self, tmp_path):
+        """An entry stored under the schema-1 fingerprint of an rbma spec
+        (kernels without ``rng_kernel``, as written before randomized
+        algorithms drew counter-mode randomness) must miss: its result may
+        come from the retired stateful generator."""
+        import hashlib
 
-        numba_spec = _spec(simulation={"checkpoints": 4,
-                                       "matching_backend": "numba"})
-        fast_spec = _spec(simulation={"checkpoints": 4,
-                                      "matching_backend": "fast"})
-        monkeypatch.setattr(fp_mod, "numba_backend_active", lambda: False)
-        numba_inactive = fingerprint_spec(numba_spec)
-        fast_inactive = fingerprint_spec(fast_spec)
-        monkeypatch.setattr(fp_mod, "numba_backend_active", lambda: True)
-        assert fingerprint_spec(numba_spec) != numba_inactive
-        assert fingerprint_spec(fast_spec) == fast_inactive
+        from repro.store.fingerprint import canonical_json
+
+        spec = _spec()
+        data = spec.canonical_dict()
+        data.pop("name", None)
+        data.pop("repeats", None)
+        legacy_payload = {
+            "schema_version": 1,
+            "kernels": {"matching_backend": "fast", "matching_kernel": "fast"},
+            "spec": data,
+        }
+        legacy_fp = hashlib.blake2b(
+            canonical_json(legacy_payload).encode("utf-8"), digest_size=20
+        ).hexdigest()
+        # Only the schema bump separates the two keys.
+        assert fingerprint_spec(spec, schema_version=1) == legacy_fp
+        assert fingerprint_spec(spec) != legacy_fp
+
+        cold = execute_experiment_spec(spec, store=False)
+        store = RunStore(tmp_path)
+        store.put(replace(cold, total_routing_cost=-1.0), fingerprint=legacy_fp)
+        served = execute_experiment_spec(spec, store=store)
+        assert served.total_routing_cost == cold.total_routing_cost
+        assert store.counters.hits == 0
 
     def test_solver_kernel_only_covers_static_algorithms(self, monkeypatch):
         """Flipping the effective solver kernel re-keys SO-BMA runs but

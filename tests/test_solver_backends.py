@@ -1,6 +1,6 @@
 """Differential and behavioural tests for the static solver tier.
 
-Certifies the ``SOLVER_BACKENDS`` registry (nx / array / numba) behind
+Certifies the ``SOLVER_BACKENDS`` registry (nx / array) behind
 SO-BMA's iterated maximum-weight b-matching:
 
 * a hypothesis differential harness — array vs nx must agree on total
@@ -14,15 +14,12 @@ SO-BMA's iterated maximum-weight b-matching:
 * prefix-sharing equivalence (``solve_b_rounds`` vs per-``b`` solves);
 * demand-fingerprint memo behaviour (hits, misses, eviction, mutation
   safety, the ``REPRO_SOLVER_CACHE`` knob);
-* the numba solver leg: PUREPY differential plus the fallback-with-warning
-  contract when the compiled backend is inactive;
 * spec/config UX (typo suggestions, JSON round-trips) and
   ``RunResult.extra`` provenance;
 * a ``perf_smoke`` leg timing array vs nx.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +38,6 @@ from repro.matching import (
     solver_cache_clear,
     solver_cache_info,
 )
-from repro.matching import static_solver
 from repro.matching.validation import check_b_matching
 
 pytestmark = pytest.mark.solver
@@ -124,21 +120,6 @@ class TestDifferential:
                     weights, n, b, backend="array"
                 )
                 assert chosen_array == chosen_nx
-
-    def test_numba_purepy_leg_is_identical(self, monkeypatch):
-        """The numba code path (run uncompiled) must match the other backends."""
-        monkeypatch.delenv("REPRO_NO_NUMBA", raising=False)
-        monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-        assert resolve_solver_backend("numba") == "numba"
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            n = int(rng.integers(2, 10))
-            weights = _random_weights(rng, n, int(rng.integers(0, 16)))
-            solver_cache_clear()
-            via_numba = iterated_max_weight_b_matching(weights, n, 2, backend="numba")
-            solver_cache_clear()
-            via_array = iterated_max_weight_b_matching(weights, n, 2, backend="array")
-            assert via_numba == via_array
 
 
 class TestPrefixSharing:
@@ -246,25 +227,6 @@ class TestBackendSelection:
             MatchingConfig(b=2, solver_backend="arrray")
         assert MatchingConfig(b=2, solver_backend="nx").solver_backend == "nx"
 
-    def test_numba_falls_back_with_one_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        monkeypatch.setattr(static_solver, "_NUMBA_FALLBACK_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="solver backend 'numba' is unavailable"):
-            assert resolve_solver_backend("numba") == "array"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve must stay silent
-            assert resolve_solver_backend("numba") == "array"
-
-    def test_fallback_solve_equals_array(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        monkeypatch.setattr(static_solver, "_NUMBA_FALLBACK_WARNED", True)
-        weights = {(0, 1): 2.0, (1, 2): 3.0, (2, 3): 2.0}
-        via_numba = iterated_max_weight_b_matching(weights, 4, 2, backend="numba")
-        via_array = iterated_max_weight_b_matching(weights, 4, 2, backend="array")
-        assert via_numba == via_array
-        # The fallback shares the array memo entry rather than duplicating it.
-        assert solver_cache_info()["misses"] == 1
-
 
 def _so_bma_spec(solver_backend=None):
     return ExperimentSpec(
@@ -291,8 +253,8 @@ class TestSpecAndProvenance:
     def test_algorithm_spec_rejects_unknown_backend_eagerly(self):
         with pytest.raises(ConfigurationError, match="unknown solver backend"):
             AlgorithmSpec(name="so-bma", b=2, solver_backend="blossom").validate()
-        with pytest.raises(ConfigurationError, match="did you mean 'numba'"):
-            AlgorithmSpec(name="so-bma", b=2, solver_backend="nunba").validate()
+        with pytest.raises(ConfigurationError, match="did you mean 'nx'"):
+            AlgorithmSpec(name="so-bma", b=2, solver_backend="nxx").validate()
 
     def test_run_result_records_requested_and_effective_backend(self):
         result = _so_bma_spec().execute()
@@ -303,13 +265,6 @@ class TestSpecAndProvenance:
         assert result_nx.extra["solver_kernel"] == "nx"
         assert result_nx.total_routing_cost == result.total_routing_cost
         assert result_nx.series.routing_cost.tolist() == result.series.routing_cost.tolist()
-
-    def test_numba_request_records_fallback_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        monkeypatch.setattr(static_solver, "_NUMBA_FALLBACK_WARNED", True)
-        result = _so_bma_spec("numba").execute()
-        assert result.extra["solver_backend"] == "numba"
-        assert result.extra["solver_kernel"] == "array"
 
     def test_greedy_solver_records_greedy_provenance(self):
         spec = ExperimentSpec(

@@ -27,6 +27,7 @@ import pytest
 
 from repro.config import MatchingConfig, SimulationConfig
 from repro.core.registry import ALGORITHMS
+from repro.core.rng import resolve_rng_mode
 from repro.errors import SimulationError
 from repro.experiments.specs import ExperimentSpec
 from repro.simulation import run_simulation
@@ -54,11 +55,10 @@ def _load_golden():
 
 
 GOLDEN_TRACE, GOLDEN = _load_golden()
-GOLDEN_ALGORITHMS = sorted(GOLDEN["pins"])
-RANDOMIZED_GOLDEN = sorted(
-    name for name in GOLDEN_ALGORITHMS
-    if getattr(ALGORITHMS.resolve(name), "uses_rng", False)
-)
+#: Deterministic algorithms (``pins``) and randomized ones (``pins_counter``).
+DETERMINISTIC_GOLDEN = sorted(GOLDEN["pins"])
+RANDOMIZED_GOLDEN = sorted(GOLDEN["pins_counter"])
+GOLDEN_ALGORITHMS = sorted(DETERMINISTIC_GOLDEN + RANDOMIZED_GOLDEN)
 
 #: Chunk sizes chosen to straddle the golden run's checkpoint positions:
 #: 1 splits at every request, 7 and 173 land mid-interval around every
@@ -67,12 +67,12 @@ RANDOMIZED_GOLDEN = sorted(
 CHUNK_SIZES = (7, 173, 799, 4096)
 
 
-def _build_golden_algorithm(algorithm: str, rng_mode=None):
+def _build_golden_algorithm(algorithm: str):
     topology = LeafSpineTopology(n_racks=GOLDEN_TRACE.n_nodes)
     return ALGORITHMS.build(
         algorithm,
         topology,
-        MatchingConfig(b=GOLDEN["b"], alpha=GOLDEN["alpha"], rng_mode=rng_mode),
+        MatchingConfig(b=GOLDEN["b"], alpha=GOLDEN["alpha"]),
         GOLDEN["algorithm_seed"],
         **GOLDEN["algorithm_params"].get(algorithm, {}),
     )
@@ -132,26 +132,8 @@ def test_streaming_differential_matrix(algorithm, backend, chunk_size):
     assert_bit_identical(streamed, materialized)
 
 
-@pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)
-def test_streaming_differential_numba_kernel(algorithm, monkeypatch):
-    """The numba backend's drive path streams bit-identically too.
-
-    REPRO_NUMBA_PUREPY forces the pure-Python escape hatch so the numba code
-    path is exercised even on hosts without numba (compiled where available).
-    """
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    materialized = run_simulation(
-        _build_golden_algorithm(algorithm), GOLDEN_TRACE, _golden_config("numba")
-    )
-    stream = TraceStream.from_trace(GOLDEN_TRACE, chunk_size=173)
-    streamed = run_simulation(
-        _build_golden_algorithm(algorithm), stream, _golden_config("numba")
-    )
-    assert_bit_identical(streamed, materialized)
-
-
-def _streamed_pin(algorithm, rng_mode):
-    algo = _build_golden_algorithm(algorithm, rng_mode=rng_mode)
+def _streamed_pin(algorithm):
+    algo = _build_golden_algorithm(algorithm)
     stream = TraceStream.from_trace(GOLDEN_TRACE, chunk_size=173)
     result = run_simulation(algo, stream, _golden_config("fast"))
     return {
@@ -164,38 +146,39 @@ def _streamed_pin(algorithm, rng_mode):
     }
 
 
-@pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", DETERMINISTIC_GOLDEN)
 def test_golden_pins_hold_under_streaming(algorithm):
-    """The committed golden pins are reproduced exactly from a stream.
-
-    The ``pins`` section predates the counter rng, so it is replayed under
-    ``rng_mode="stateful"`` (the mode that produced it).
-    """
-    assert _streamed_pin(algorithm, "stateful") == GOLDEN["pins"][algorithm]
+    """The committed golden pins are reproduced exactly from a stream."""
+    assert _streamed_pin(algorithm) == GOLDEN["pins"][algorithm]
 
 
 @pytest.mark.parametrize("algorithm", RANDOMIZED_GOLDEN)
 def test_counter_golden_pins_hold_under_streaming(algorithm):
-    """The counter-mode pins are reproduced exactly from a stream too."""
-    assert _streamed_pin(algorithm, "counter") == GOLDEN["pins_counter"][algorithm]
+    """The randomized algorithms' pins are reproduced exactly from a stream.
+
+    This holds with zero generator-fork bookkeeping: every eviction draw is
+    a pure function of (seed, stream, request index, draw index), so where
+    the segment boundaries fall cannot matter.
+    """
+    assert _streamed_pin(algorithm) == GOLDEN["pins_counter"][algorithm]
 
 
-@pytest.mark.parametrize("rng_mode", ["stateful", "counter"])
+@pytest.mark.parametrize("rng_mode", ["counter"])
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 @pytest.mark.parametrize("algorithm", RANDOMIZED_GOLDEN)
 def test_streaming_randomized_rng_mode_differential(algorithm, rng_mode, chunk_size):
-    """Randomized replay is chunk-invariant in *both* rng modes.
+    """Randomized replay is chunk-invariant in the counter RNG mode.
 
-    In counter mode this holds with zero generator-fork bookkeeping: every
+    Counter mode is the only mode randomized algorithms draw in; every
     eviction draw is a pure function of (seed, stream, request index, draw
     index), so where the segment boundaries fall cannot matter.
     """
+    assert resolve_rng_mode() == rng_mode
     materialized = run_simulation(
-        _build_golden_algorithm(algorithm, rng_mode=rng_mode),
-        GOLDEN_TRACE, _golden_config("fast"),
+        _build_golden_algorithm(algorithm), GOLDEN_TRACE, _golden_config("fast"),
     )
     streamed = run_simulation(
-        _build_golden_algorithm(algorithm, rng_mode=rng_mode),
+        _build_golden_algorithm(algorithm),
         TraceStream.from_trace(GOLDEN_TRACE, chunk_size=chunk_size),
         _golden_config("fast"),
     )
