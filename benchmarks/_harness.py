@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from repro.analysis import format_comparison_table, format_series_table
 from repro.experiments import ExperimentSpec
 from repro.simulation import AggregateResult, ExperimentRunner
-from repro.simulation.parallel import default_worker_count
+from repro.exec import default_worker_count
 from repro.store import default_store, store_counters
 
 __all__ = [
@@ -172,7 +172,7 @@ def check_specs_picklable(specs: Sequence[object]) -> None:
     are checked by :func:`preflight`; the ablation sweeps call this on
     their own spec grids.
     """
-    from repro.simulation.parallel import _check_picklable
+    from repro.exec.scheduler import _check_picklable
 
     _check_picklable(list(specs))
 

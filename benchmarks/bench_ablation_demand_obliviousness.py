@@ -12,7 +12,8 @@ of the benefit comes from demand-awareness itself.
 import _harness as harness
 
 from repro.analysis import format_comparison_table
-from repro.simulation import ExperimentRunner, RunSpec
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner
 
 WORKLOADS = {
     "facebook-database": {"n_nodes": 100, "n_requests": None},
@@ -27,9 +28,13 @@ def _run():
         workload_kwargs = dict(kwargs)
         workload_kwargs["n_requests"] = harness.scaled_requests(350_000)
         specs = [
-            RunSpec(algorithm=algorithm, workload=workload, b=12, alpha=harness.DEFAULT_ALPHA,
-                    workload_kwargs=workload_kwargs, checkpoints=5,
-                    algorithm_kwargs={"period": 200} if algorithm == "rotor" else {})
+            ExperimentSpec(
+                algorithm={"name": algorithm, "b": 12, "alpha": harness.DEFAULT_ALPHA,
+                           "params": {"period": 200} if algorithm == "rotor" else {}},
+                traffic={"name": workload, "params": workload_kwargs},
+                simulation={"checkpoints": 5},
+                seed=None,
+            )
             for algorithm in ("rbma", "rotor", "oblivious")
         ]
         harness.check_specs_picklable(specs)

@@ -10,28 +10,28 @@ structure versus simply caching recently used pairs.
 import _harness as harness
 
 from repro.analysis import format_comparison_table
-from repro.simulation import ExperimentRunner, RunSpec
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner
 
 POLICIES = ("marking", "lru", "fifo", "lfu", "random")
 
 
 def _run_ablation():
-    workload_kwargs = {"n_nodes": 100, "n_requests": harness.scaled_requests(350_000)}
+    traffic = {"name": "facebook-database",
+               "params": {"n_nodes": 100, "n_requests": harness.scaled_requests(350_000)}}
     specs = [
-        RunSpec(
-            algorithm="rbma",
-            workload="facebook-database",
-            b=12,
-            alpha=harness.DEFAULT_ALPHA,
-            workload_kwargs=workload_kwargs,
-            algorithm_kwargs={"paging_policy": policy},
-            checkpoints=5,
+        ExperimentSpec(
+            algorithm={"name": "rbma", "b": 12, "alpha": harness.DEFAULT_ALPHA,
+                       "params": {"paging_policy": policy}},
+            traffic=traffic,
+            simulation={"checkpoints": 5},
+            seed=None,
         )
         for policy in POLICIES
     ]
     specs.append(
-        RunSpec(algorithm="oblivious", workload="facebook-database", b=12,
-                alpha=harness.DEFAULT_ALPHA, workload_kwargs=workload_kwargs, checkpoints=5)
+        ExperimentSpec(algorithm={"name": "oblivious", "b": 12, "alpha": harness.DEFAULT_ALPHA},
+                       traffic=traffic, simulation={"checkpoints": 5}, seed=None)
     )
     harness.check_specs_picklable(specs)
     runner = ExperimentRunner(repetitions=harness.bench_repetitions(), base_seed=17)

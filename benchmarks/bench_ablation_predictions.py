@@ -10,7 +10,8 @@ combiner should track the better of its two experts up to a constant factor.
 import _harness as harness
 
 from repro.analysis import format_comparison_table
-from repro.simulation import ExperimentRunner, RunSpec
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner
 
 ALGORITHMS = {
     "rbma": {},
@@ -21,12 +22,17 @@ ALGORITHMS = {
 
 
 def _run():
-    workload_kwargs = {"n_nodes": 100, "n_requests": harness.scaled_requests(350_000)}
+    traffic = {"name": "facebook-database",
+               "params": {"n_nodes": 100, "n_requests": harness.scaled_requests(350_000)}}
     specs = [
-        RunSpec(algorithm=name, workload="facebook-database", b=12,
-                alpha=harness.DEFAULT_ALPHA, workload_kwargs=workload_kwargs,
-                algorithm_kwargs=kwargs, checkpoints=5)
-        for name, kwargs in ALGORITHMS.items()
+        ExperimentSpec(
+            algorithm={"name": name, "b": 12, "alpha": harness.DEFAULT_ALPHA,
+                       "params": params},
+            traffic=traffic,
+            simulation={"checkpoints": 5},
+            seed=None,
+        )
+        for name, params in ALGORITHMS.items()
     ]
     harness.check_specs_picklable(specs)
     runner = ExperimentRunner(repetitions=harness.bench_repetitions(), base_seed=29)

@@ -11,7 +11,8 @@ meaningful even as the oblivious baseline changes.
 import _harness as harness
 
 from repro.analysis import routing_cost_reduction
-from repro.simulation import ExperimentRunner, RunSpec
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner
 
 TOPOLOGIES = {
     "fat-tree": {},
@@ -27,10 +28,13 @@ def _run_ablation():
     rows = {}
     for topology, topo_kwargs in TOPOLOGIES.items():
         specs = [
-            RunSpec(algorithm=algorithm, workload="facebook-database", b=12,
-                    alpha=harness.DEFAULT_ALPHA, topology=topology,
-                    topology_kwargs=topo_kwargs, workload_kwargs=workload_kwargs,
-                    checkpoints=5)
+            ExperimentSpec(
+                algorithm={"name": algorithm, "b": 12, "alpha": harness.DEFAULT_ALPHA},
+                traffic={"name": "facebook-database", "params": workload_kwargs},
+                topology={"name": topology, "params": topo_kwargs},
+                simulation={"checkpoints": 5},
+                seed=None,
+            )
             for algorithm in ("rbma", "oblivious")
         ]
         harness.check_specs_picklable(specs)

@@ -7,7 +7,7 @@ paper), but the grid itself shards across a process pool.  This script builds
 a small Figure-1-style panel, runs it sequentially and sharded over workers,
 verifies the two produce *identical* cost series (workers rebuild the shared
 trace deterministically from their specs — see
-:mod:`repro.simulation.parallel` for the sharding model), and reports the
+:mod:`repro.exec.scheduler` for the sharding model), and reports the
 wall-clock for both along with the parallel efficiency.
 
 It also demonstrates ``checkpoint_positions``: the panel records its series
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import ExperimentSpec
 from repro.simulation import ExperimentRunner, log_spaced_checkpoints
-from repro.simulation.parallel import default_worker_count
+from repro.exec import default_worker_count
 
 N_REQUESTS = 12_000
 REPETITIONS = 3

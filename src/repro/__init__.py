@@ -89,9 +89,7 @@ from .simulation import (
     AggregateResult,
     ExperimentRunner,
     RunResult,
-    RunSpec,
     execute_experiment_spec,
-    execute_run_spec,
     run_experiments,
     run_simulation,
     run_sweep,
@@ -153,9 +151,7 @@ __all__ = [
     "run_simulation",
     "run_sweep",
     "run_experiments",
-    "execute_run_spec",
     "execute_experiment_spec",
-    "RunSpec",
     "RunResult",
     "AggregateResult",
     "ExperimentRunner",

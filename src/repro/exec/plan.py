@@ -1,9 +1,8 @@
 """Execution planning: canonicalize, dedupe, group, pre-solve.
 
-:func:`build_execution_plan` turns a flat sequence of run specs (legacy
-:class:`~repro.simulation.runner.RunSpec`, structured
-:class:`~repro.experiments.specs.ExperimentSpec`, or plain mappings) into an
-:class:`ExecutionPlan`:
+:func:`build_execution_plan` turns a flat sequence of run specs
+(:class:`~repro.experiments.specs.ExperimentSpec` objects or plain mappings)
+into an :class:`ExecutionPlan`:
 
 * **Store dedupe before dispatch.**  With a run store active, every eligible
   spec is fingerprinted and looked up in the parent; hits never reach a
@@ -19,7 +18,10 @@
   parent, and the solved rounds travel with the task
   (:func:`repro.matching.static_solver.export_solver_rounds`).  Workers
   seed their per-process solver memo from the payload, so no worker ever
-  re-solves an aggregate the parent already solved.
+  re-solves an aggregate the parent already solved.  The trace the
+  pre-solve generated stays in the parent's trace cache
+  (:func:`repro.exec.runtime.share_trace`), so serial execution does not
+  generate it a second time.
 
 The plan is execution-policy-free: scheduler backends
 (:mod:`repro.exec.scheduler`) decide *where* tasks run, the plan only says
@@ -217,10 +219,12 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
         offline.append(spec)
     if not offline:
         return ()
+    from .runtime import share_trace
+
     payloads: List[Dict[str, Any]] = []
     try:
         trace = offline[0].build_trace()
-        _share_trace(offline[0], trace)
+        share_trace(offline[0], trace)
         buckets: "OrderedDict[Tuple[str, str], List[ExperimentSpec]]" = OrderedDict()
         for spec in offline:
             effective = static_solver.resolve_solver_backend(
@@ -248,26 +252,6 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
     return tuple(payloads)
 
 
-def _share_trace(spec: ExperimentSpec, trace: Any) -> None:
-    """Seed the per-process trace LRU so later executions reuse ``trace``."""
-    from ..simulation import parallel as parallel_mod
-
-    trace_seed = spec.run_seeds()[0]
-    if trace_seed is None:
-        return
-    try:
-        key = (
-            spec.traffic.name,
-            tuple(sorted(spec.traffic.params.items())),
-            trace_seed,
-        )
-    except TypeError:
-        return
-    parallel_mod._TRACE_CACHE[key] = trace
-    while len(parallel_mod._TRACE_CACHE) > parallel_mod._TRACE_CACHE_MAX:
-        parallel_mod._TRACE_CACHE.popitem(last=False)
-
-
 def build_execution_plan(
     specs: Sequence[AnySpec],
     *,
@@ -281,9 +265,9 @@ def build_execution_plan(
     Parameters
     ----------
     specs:
-        Runs to plan, in result order.  Legacy :class:`RunSpec`, structured
-        :class:`ExperimentSpec`, or mappings; seeds are taken as-is (the
-        caller owns the repetition/seed policy).
+        Runs to plan, in result order: :class:`ExperimentSpec` objects or
+        mappings; seeds are taken as-is (the caller owns the repetition/seed
+        policy).
     store:
         Run-store policy (:func:`repro.store.resolve_store` semantics).
         With a store, eligible specs are fingerprinted and looked up here —

@@ -74,6 +74,10 @@ DEFAULT_POLL_INTERVAL = 0.2
 _META_NAME = "queue.json"
 _STOP_NAME = "stop"
 
+#: Seconds the parent waits, after requesting a stop, for its workers to exit
+#: on their own before terminating them.
+_STOP_GRACE_SECONDS = 5.0
+
 
 @dataclass
 class QueueCounters:
@@ -513,19 +517,6 @@ class _Heartbeat(threading.Thread):
         self.join(timeout=5.0)
 
 
-def _stamp_queue_result(result: RunResult, attempts: int) -> RunResult:
-    from dataclasses import replace
-
-    return replace(
-        result,
-        extra={
-            **result.extra,
-            "scheduler_backend": "queue",
-            "attempts": int(attempts),
-        },
-    )
-
-
 def _process_claim(
     queue: WorkQueue,
     name: str,
@@ -535,7 +526,7 @@ def _process_claim(
 ) -> bool:
     """Execute one claimed task; returns ``True`` on a published result."""
     from ..matching.static_solver import solver_cache_info
-    from .runtime import run_task_specs
+    from .runtime import TaskPolicy, run_task, stamp_provenance
 
     fault_point("worker.crash")
     task_id, attempt = queue.parse_name(name)
@@ -543,18 +534,13 @@ def _process_claim(
     heartbeat.start()
     try:
         task = PlanTask.from_payload(payload)
-        from .scheduler import _import_solver_payloads
-
-        _import_solver_payloads(task.solver)
-        outcomes = run_task_specs(
-            task.specs, collect=(queue.on_error == "collect"), max_attempts=1
-        )
+        outcomes = run_task(task, TaskPolicy(on_error=queue.on_error))
         entries: List[Dict[str, Any]] = []
-        for (index, fingerprint), (outcome, _attempts) in zip(
-            zip(task.indices, task.fingerprints), outcomes
+        for index, fingerprint, (outcome, _attempts) in zip(
+            task.indices, task.fingerprints, outcomes
         ):
             if isinstance(outcome, RunResult):
-                stamped = _stamp_queue_result(outcome, attempt)
+                stamped = stamp_provenance(outcome, "queue", attempt)
                 if store is not None and fingerprint is not None:
                     if not store.entry_path(fingerprint).exists():
                         store.put(stamped, fingerprint=fingerprint)
@@ -794,16 +780,21 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
             if not progressed:
                 time.sleep(min(poll, 0.1))
     finally:
+        # Workers exit on their own once they see the stop file (or a
+        # drained queue), after writing their stats; only a worker still
+        # busy after the grace period is terminated.
         queue.request_stop()
-        for proc, _log in workers:
-            if proc.poll() is None:
-                proc.terminate()
+        grace_ends = time.time() + _STOP_GRACE_SECONDS
         for proc, log in workers:
             try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                proc.kill()
-                proc.wait(timeout=5.0)
+                proc.wait(timeout=max(0.0, grace_ends - time.time()))
+            except subprocess.TimeoutExpired:
+                proc.terminate()
+                try:
+                    proc.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+                    proc.kill()
+                    proc.wait(timeout=5.0)
             log.close()
         if merged_any and plan.store is not None:
             # Workers wrote entries under their own index snapshots; rebuild

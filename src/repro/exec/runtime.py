@@ -1,137 +1,214 @@
-"""Task-group execution shared by the serial and queue scheduler backends.
+"""The execution unit every scheduler backend calls: :func:`run_task`.
 
 A :class:`~repro.exec.plan.PlanTask` groups specs that share a workload and
-a seed; :func:`run_task_specs` executes such a group in one process:
+a seed.  :func:`run_task` executes one such task in the calling process —
+the serial backend in the parent, the pool backend in a pool worker (one
+single-spec task at a time), the queue backend in a ``repro worker``:
 
-* a multi-spec group of streaming specs replays **one** shared stream
-  through every algorithm in lockstep (:func:`run_shared_stream`, the
-  engine behind the sequential ``compare_on_shared_trace``);
-* otherwise the shared trace is materialized once and each spec replays it
-  (bit-identical to the streamed path and to fully independent execution,
-  since the trace depends only on the traffic spec and the spawned seed).
+* it seeds this process's solver memo from the task's pre-solved SO-BMA
+  rounds, so no process re-solves demand the planner already solved;
+* a multi-spec task of streaming specs replays **one** shared stream
+  through every algorithm in lockstep (:func:`run_shared_stream`);
+* a solo streaming spec keeps its bounded-memory streamed replay;
+* otherwise the task's trace comes from the per-process trace cache
+  (:func:`cached_trace`), which the planner's SO-BMA pre-solve already
+  filled, and each spec replays it.  Results are bit-identical to fully
+  independent execution, since the trace depends only on the traffic spec
+  and the spawned seed.
 
 Failures follow the :class:`~repro.errors.WorkerExecutionError` contract —
-the failing spec's JSON travels in the message — and ``collect`` turns
-per-spec failures into :class:`TaskError` records instead of aborting the
-rest of the group.
+the failing spec's JSON travels in the message.  Under
+``on_error="collect"`` a terminal failure becomes a
+:class:`~repro.exec.plan.RunFailure` in that spec's slot and the rest of the
+task still runs; ``max_attempts`` retries a failing spec (or, for a lockstep
+streamed task, the whole task) before the failure is terminal.
 """
 
 from __future__ import annotations
 
+import json
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..errors import WorkerExecutionError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
 from ..simulation.engine import StreamingSimulation, run_simulation
-from ..simulation.parallel import _describe_spec
 from ..simulation.results import RunResult
 from ..simulation.runner import execute_experiment_spec
 from ..traffic.base import Trace
 from ..traffic.stream import TraceStream
+from .plan import PlanTask, RunFailure
 
-__all__ = ["TaskError", "run_task_specs", "run_shared_stream"]
+__all__ = [
+    "TaskPolicy",
+    "run_task",
+    "run_shared_stream",
+    "cached_trace",
+    "share_trace",
+    "stamp_provenance",
+]
+
+#: Per-process LRU of generated traces, keyed by (workload name, generator
+#: params, trace seed).  Figure panels run every algorithm against the same
+#: workload, so a process generates each trace once instead of once per
+#: spec.  Bounded: traces can be millions of requests.
+_TRACE_CACHE: "OrderedDict[tuple, Trace]" = OrderedDict()
+_TRACE_CACHE_MAX = 4
+
+
+def _trace_key(spec: ExperimentSpec) -> Optional[tuple]:
+    """The cache key of ``spec``'s trace, or ``None`` when it must not be cached.
+
+    Unseeded specs draw fresh entropy per run (caching would turn
+    independent workloads into copies of one draw); unhashable generator
+    params cannot be keyed.
+    """
+    trace_seed = spec.run_seeds()[0]
+    if trace_seed is None:
+        return None
+    key = (spec.traffic.name, tuple(sorted(spec.traffic.params.items())), trace_seed)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def share_trace(spec: ExperimentSpec, trace: Trace) -> None:
+    """Keep ``trace`` as ``spec``'s trace for later tasks in this process."""
+    key = _trace_key(spec)
+    if key is None:
+        return
+    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE.move_to_end(key)
+    while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
+        _TRACE_CACHE.popitem(last=False)
+
+
+def cached_trace(spec: ExperimentSpec) -> Trace:
+    """The spec's trace, rebuilt deterministically and memoised per process."""
+    key = _trace_key(spec)
+    trace = None if key is None else _TRACE_CACHE.get(key)
+    if trace is None:
+        trace = spec.build_trace()
+    share_trace(spec, trace)
+    return trace
+
+
+def stamp_provenance(result: RunResult, backend: str, attempts: int) -> RunResult:
+    """``result`` with the scheduler backend and attempt count in ``extra``."""
+    return replace(
+        result,
+        extra={**result.extra, "scheduler_backend": backend, "attempts": int(attempts)},
+    )
 
 
 @dataclass(frozen=True)
-class TaskError:
-    """One spec's terminal failure inside a task group (picklable/JSON-safe)."""
+class TaskPolicy:
+    """How :func:`run_task` treats failures, and the observers it attaches.
 
-    message: str
-    error_type: str
+    ``on_error`` is the plan's policy (``"raise"`` or ``"collect"``),
+    ``max_attempts`` the backend's per-spec attempt budget.  Observers only
+    exist in-process, so only the serial backend passes any.
+    """
 
-    def to_dict(self) -> dict:
-        return {"message": self.message, "error_type": self.error_type}
+    on_error: str = "raise"
+    max_attempts: int = 1
+    observers: Tuple[SimulationObserver, ...] = ()
 
 
-Outcome = Union[RunResult, TaskError]
+Outcome = Tuple[Union[RunResult, RunFailure], int]
 
 
-def _wrap_failure(exc: Exception, spec: ExperimentSpec) -> WorkerExecutionError:
-    """The pool-worker error contract: error plus the failing spec's JSON."""
+def _describe_spec(spec: ExperimentSpec) -> str:
+    """The spec's JSON (algorithm/topology/seed, ...) for error context."""
+    try:
+        return json.dumps(spec.to_dict(), sort_keys=True, default=repr)
+    except Exception:  # pragma: no cover - description must never mask the real error
+        return repr(spec)
+
+
+def _failure_message(exc: Exception, spec: ExperimentSpec) -> str:
+    """The error plus the failing spec's JSON, as one message."""
     if isinstance(exc, WorkerExecutionError):
-        return exc
-    return WorkerExecutionError(
+        return str(exc)
+    return (
         f"worker failed with {type(exc).__name__}: {exc}; "
         f"failing spec: {_describe_spec(spec)}"
     )
 
 
-def run_task_specs(
-    specs: Sequence[ExperimentSpec],
-    observers: Sequence[SimulationObserver] = (),
-    collect: bool = False,
-    max_attempts: int = 1,
-) -> List[Tuple[Outcome, int]]:
-    """Execute one task group; returns ``(outcome, attempts)`` per spec in order.
+def _run_one(
+    spec: ExperimentSpec, solo: bool, observers: Sequence[SimulationObserver]
+) -> List[RunResult]:
+    if spec.traffic.streaming and solo:
+        # The plan owns the store, so force a cold execution here.
+        return [execute_experiment_spec(spec, observers=observers, store=False)]
+    return [execute_experiment_spec(spec, trace=cached_trace(spec), observers=observers)]
 
-    With ``collect=False`` the first terminal failure raises
-    :class:`WorkerExecutionError`; with ``collect=True`` it becomes a
-    :class:`TaskError` in that spec's slot and the rest of the group still
-    runs.  ``max_attempts`` retries a failing spec (or, for a lockstep
-    streamed group, the whole group) before the failure is terminal.
+
+def _import_solver_rounds(payloads: Sequence[dict]) -> None:
+    """Seed this process's solver memo from a task's pre-solved rounds."""
+    if not payloads:
+        return
+    from ..matching.static_solver import import_solver_rounds
+
+    for payload in payloads:
+        try:
+            import_solver_rounds(payload)
+        except Exception:  # noqa: BLE001 - pre-solve is best-effort
+            continue
+
+
+def run_task(task: PlanTask, policy: TaskPolicy = TaskPolicy()) -> List[Outcome]:
+    """Execute one plan task; ``(outcome, attempts)`` per spec, in task order.
+
+    With ``policy.on_error="raise"`` the first terminal failure raises
+    :class:`~repro.errors.WorkerExecutionError`; with ``"collect"`` it
+    becomes a :class:`~repro.exec.plan.RunFailure` in that spec's slot.
     """
-    specs = list(specs)
-    observers = tuple(observers)
-    max_attempts = max(1, max_attempts)
+    _import_solver_rounds(task.solver)
+    specs = task.specs
+    observers = tuple(policy.observers)
     if len(specs) > 1 and all(s.traffic.streaming for s in specs):
+        units = [(task.indices, specs, partial(run_shared_stream, specs, observers))]
+    else:
+        units = [
+            ((index,), (spec,), partial(_run_one, spec, len(specs) == 1, observers))
+            for index, spec in zip(task.indices, specs)
+        ]
+    outcomes: List[Outcome] = []
+    for indices, unit_specs, run in units:
         attempts = 0
         while True:
             attempts += 1
             try:
-                results = run_shared_stream(specs, observers)
-                return [(result, attempts) for result in results]
+                results: Sequence[Union[RunResult, RunFailure]] = run()
+                break
             except Exception as exc:  # noqa: BLE001 - re-raised with spec context
-                if attempts < max_attempts:
+                if attempts < policy.max_attempts:
                     continue
-                if not collect:
-                    raise _wrap_failure(exc, specs[0]) from exc
-                return [
-                    (
-                        TaskError(
-                            message=str(_wrap_failure(exc, spec)),
-                            error_type=type(exc).__name__,
-                        ),
-                        attempts,
+                if policy.on_error != "collect":
+                    if isinstance(exc, WorkerExecutionError):
+                        raise
+                    raise WorkerExecutionError(
+                        _failure_message(exc, unit_specs[0])
+                    ) from exc
+                results = [
+                    RunFailure(
+                        index=index,
+                        spec=spec.to_dict(),
+                        error_type=type(exc).__name__,
+                        message=_failure_message(exc, spec),
+                        attempts=attempts,
                     )
-                    for spec in specs
+                    for index, spec in zip(indices, unit_specs)
                 ]
-
-    outcomes: List[Tuple[Outcome, int]] = []
-    shared_trace: Optional[Trace] = None
-    for spec in specs:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                if spec.traffic.streaming and len(specs) == 1:
-                    # A solo streamed spec keeps its bounded-memory path; the
-                    # plan owns the store, so force a cold execution here.
-                    result = execute_experiment_spec(
-                        spec, observers=observers, store=False
-                    )
-                else:
-                    if shared_trace is None:
-                        shared_trace = spec.build_trace()
-                    result = execute_experiment_spec(
-                        spec, trace=shared_trace, observers=observers
-                    )
-                outcomes.append((result, attempts))
                 break
-            except Exception as exc:  # noqa: BLE001 - re-raised with spec context
-                if attempts < max_attempts:
-                    continue
-                failure = _wrap_failure(exc, spec)
-                if not collect:
-                    raise failure from exc
-                outcomes.append(
-                    (
-                        TaskError(message=str(failure), error_type=type(exc).__name__),
-                        attempts,
-                    )
-                )
-                break
+        outcomes.extend((outcome, attempts) for outcome in results)
     return outcomes
 
 
@@ -178,7 +255,7 @@ def run_shared_stream(
             drivers[i].feed(segments[k])
         if offline:
             collected.append(segments[-1])
-    results: List[Optional[RunResult]] = [None] * len(seeded)
+    results: List[Any] = [None] * len(seeded)
     for i in online:
         results[i] = replace(drivers[i].finish(), spec=seeded[i].to_dict())
     if offline:
@@ -188,4 +265,4 @@ def run_shared_stream(
                 algorithms[i], full, configs[i], observers=observers
             )
             results[i] = replace(result, spec=seeded[i].to_dict())
-    return results  # type: ignore[return-value]  # every slot is filled above
+    return results

@@ -2,19 +2,18 @@
 
 :data:`SCHEDULER_BACKENDS` is a :class:`~repro.experiments.registry.Registry`
 (typo'd names get "did you mean ...?" suggestions) mapping a backend name to
-a plan executor:
+a plan executor.  Every backend executes work through the same unit,
+:func:`repro.exec.runtime.run_task`:
 
 ``"serial"``
     In-process execution, one task group at a time.  The only backend that
     honours observers; sequential semantics are the reference every other
     backend must match bit-identically.
 ``"pool"``
-    The established process-pool fan-out
-    (:func:`repro.simulation.parallel._execute_batch`), re-seated on the
-    planner: groups are flattened to per-spec units in group-consecutive
-    order so chunked dispatch keeps per-worker trace caches warm, and the
-    plan's pre-solved SO-BMA rounds ship to every worker via the pool
-    initializer.
+    Process-pool fan-out: groups are split into single-spec tasks in
+    group-consecutive order, so one group still spreads across workers
+    while chunked dispatch keeps per-worker trace caches warm; each task
+    carries its group's pre-solved SO-BMA rounds.
 ``"queue"``
     The file-based pull scheduler (:mod:`repro.exec.queue`): tasks are JSON
     files claimed via atomic renames, independently launched
@@ -26,19 +25,32 @@ input order — the **results plane**: every computed result is stamped with
 ``extra["scheduler_backend"]`` / ``extra["attempts"]`` provenance and
 written through the plan's run store (parent-owned writes for serial/pool;
 queue workers write their own results and the parent merges).
+:func:`run_specs_parallel` is the one-call entry point: plan, then execute.
+
+Sharding model: specs travel, objects don't.  A unit of work is a picklable
+spec (plain names and numbers); traces, topologies and algorithms are
+rebuilt inside the worker from the spec's spawned seeds, so a sharded run is
+bit-identical to the same specs executed sequentially.  Workers compute and
+return; only the parent (serial/pool) touches the run store.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import pickle
+import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import SimulationError, WorkerExecutionError
 from ..experiments.registry import Registry
-from ..simulation import parallel as parallel_mod
 from ..simulation.results import RunResult
-from .plan import ExecutionPlan, RunFailure
+from ..simulation.runner import AnySpec
+from .plan import ExecutionPlan, PlanTask, RunFailure, build_execution_plan
+from .runtime import TaskPolicy, run_task, stamp_provenance
 
 __all__ = [
     "SCHEDULER_BACKENDS",
@@ -47,11 +59,19 @@ __all__ = [
     "execute_plan",
     "resolve_backend_name",
     "resolve_worker_count",
+    "run_specs_parallel",
+    "default_worker_count",
+    "default_chunksize",
 ]
 
-#: Environment variable consulted when no explicit worker count is given
-#: (mirrors ``REPRO_RUN_STORE``; explicit argument wins).
-ENV_WORKERS = parallel_mod.ENV_WORKERS
+#: Environment default for worker counts, in the family of
+#: ``REPRO_RUN_STORE``: consulted only when no explicit ``n_workers`` is
+#: passed (an explicit argument always wins).
+ENV_WORKERS = "REPRO_WORKERS"
+
+#: Tokens treated as "unset" so ``REPRO_WORKERS=off`` reads naturally in
+#: wrapper scripts (matching the run store's disable convention).
+_ENV_FALSEY = {"", "0", "off", "false", "no", "none", "disabled"}
 
 #: Name -> plan-executor registry for scheduler backends.
 SCHEDULER_BACKENDS: Registry = Registry("scheduler backend")
@@ -70,10 +90,40 @@ def resolve_worker_count(
         if n_workers < 1:
             raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
         return int(n_workers)
-    env = parallel_mod._env_worker_count()
-    if env is not None:
-        return env
-    return fallback
+    raw = os.environ.get(ENV_WORKERS)
+    if raw is None or raw.strip().lower() in _ENV_FALSEY:
+        return fallback
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        warnings.warn(
+            f"ignoring {ENV_WORKERS}={raw!r}: worker count must be an integer >= 1",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return fallback
+    return value
+
+
+def _cpu_workers() -> int:
+    return max(1, (os.cpu_count() or 2) - 1)
+
+
+def default_worker_count() -> int:
+    """Default worker count: ``REPRO_WORKERS`` if set, else CPU count minus one."""
+    return resolve_worker_count(None, fallback=_cpu_workers())
+
+
+def default_chunksize(n_specs: int, n_workers: int) -> int:
+    """Specs handed to a pool worker at a time when the caller does not pin one.
+
+    Large enough that many small specs amortise task dispatch (and hit the
+    per-worker trace/topology caches on consecutive specs), small enough
+    that every worker gets several chunks for load balancing.
+    """
+    return max(1, n_specs // (max(1, n_workers) * 4))
 
 
 def resolve_backend_name(backend: Optional[str], n_workers: Optional[int]) -> str:
@@ -106,19 +156,9 @@ class _ResultsPlane:
         self.results: Dict[int, RunResult] = dict(plan.cached)
         self.failures: Dict[int, RunFailure] = {}
 
-    def _stamp(self, result: RunResult, attempts: int) -> RunResult:
-        return replace(
-            result,
-            extra={
-                **result.extra,
-                "scheduler_backend": self.backend,
-                "attempts": int(attempts),
-            },
-        )
-
     def success(self, index: int, result: RunResult, attempts: int) -> None:
         """A result computed under this parent: stamp, store, record."""
-        result = self._stamp(result, attempts)
+        result = stamp_provenance(result, self.backend, attempts)
         fp = self.plan.fingerprints[index]
         if fp is not None and self.plan.store is not None:
             self.plan.store.put(result, fingerprint=fp)
@@ -128,7 +168,7 @@ class _ResultsPlane:
         """A worker-owned result (queue): the worker already stored it; the
         parent only fills entries the worker's store never saw (e.g. a
         store-less queue dir) — identical content either way."""
-        result = self._stamp(result, attempts)
+        result = stamp_provenance(result, self.backend, attempts)
         fp = self.plan.fingerprints[index]
         if (
             fp is not None
@@ -183,94 +223,71 @@ class _ResultsPlane:
         return out
 
 
-def _import_solver_payloads(payloads: Sequence[dict]) -> None:
-    """Seed this process's solver memo from a task's pre-solved rounds."""
-    if not payloads:
-        return
-    from ..matching.static_solver import import_solver_rounds
-
-    for payload in payloads:
-        try:
-            import_solver_rounds(payload)
-        except Exception:  # pragma: no cover - pre-solve is best-effort
-            continue
-
-
-def _needs_rich_path(plan: ExecutionPlan) -> bool:
-    """Whether serial execution must go through the task-group runtime.
-
-    Observers only exist there, and streaming specs must keep their
-    bounded-memory replay (lockstep tee for shared-stream groups, lazy
-    stream for solo specs) instead of the flat path's materialized traces.
-    """
-    if plan.observers:
-        return True
-    return any(s.traffic.streaming for task in plan.tasks for s in task.specs)
-
-
 @SCHEDULER_BACKENDS.register("serial")
 def _run_serial(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane) -> None:
     """In-process execution, task group by task group."""
-    if not plan.tasks:
-        return
-    collect = plan.on_error == "collect"
+    policy = TaskPolicy(
+        on_error=plan.on_error,
+        max_attempts=options.max_attempts,
+        observers=plan.observers,
+    )
     for task in plan.tasks:
-        _import_solver_payloads(task.solver)
-    if _needs_rich_path(plan):
-        from . import runtime
-
-        for task in plan.tasks:
-            outcomes = runtime.run_task_specs(
-                task.specs,
-                observers=plan.observers,
-                collect=collect,
-                max_attempts=options.max_attempts,
-            )
-            for index, (outcome, attempts) in zip(task.indices, outcomes):
-                plane.deliver(index, outcome, attempts)
-    else:
-        # The common case funnels through the legacy dispatch seam
-        # (`_execute_batch` with workers=1): identical per-spec execution,
-        # shared traces served by the per-process LRU the planner pre-seeded.
-        indices = [i for task in plan.tasks for i in task.indices]
-        parallel_mod._set_exec_context(collect=collect, max_attempts=options.max_attempts)
-        try:
-            outcomes = parallel_mod._execute_batch(
-                [plan.specs[i] for i in indices], 1, options.chunksize
-            )
-        finally:
-            parallel_mod._reset_exec_context()
-        for index, (outcome, attempts) in zip(indices, outcomes):
+        for index, (outcome, attempts) in zip(task.indices, run_task(task, policy)):
             plane.deliver(index, outcome, attempts)
+
+
+def _check_picklable(specs: Sequence[object]) -> None:
+    """Fail fast, with the offending spec named, before the pool dispatches."""
+    for i, spec in enumerate(specs):
+        try:
+            clone = pickle.loads(pickle.dumps(spec))
+        except Exception as exc:
+            raise SimulationError(
+                f"spec #{i} ({spec!r}) cannot be shipped to a worker process: "
+                f"pickling failed with {type(exc).__name__}: {exc}"
+            ) from exc
+        if clone != spec:
+            raise SimulationError(
+                f"spec #{i} ({spec!r}) does not round-trip through pickle; "
+                "parallel execution would run a different experiment"
+            )
 
 
 @SCHEDULER_BACKENDS.register("pool")
 def _run_pool(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane) -> None:
-    """Process-pool fan-out over per-spec units, group-consecutive order.
+    """Process-pool fan-out over single-spec tasks, group-consecutive order.
 
     Observers are not shipped to pool workers (entry points route
     observer-carrying runs to the serial backend).  Lockstep stream groups
-    flatten to independent per-spec units here — each worker materializes
-    its trace from the spec, which is bit-identical by the sharding
-    contract.
+    split into independent single-spec tasks here, which is bit-identical
+    by the sharding contract.  One worker (or one task) runs in-process.
     """
-    if not plan.tasks:
-        return
-    indices = [i for task in plan.tasks for i in task.indices]
-    payloads = [dict(p) for task in plan.tasks for p in task.solver]
-    parallel_mod._set_exec_context(
-        solver_rounds=payloads,
-        collect=plan.on_error == "collect",
-        max_attempts=options.max_attempts,
-    )
-    try:
-        outcomes = parallel_mod._execute_batch(
-            [plan.specs[i] for i in indices], options.workers, options.chunksize
+    units = [
+        PlanTask(
+            task_id=f"{task.task_id}.{k}",
+            indices=(index,),
+            specs=(spec,),
+            fingerprints=(fingerprint,),
+            group=task.group,
+            solver=task.solver,
         )
-    finally:
-        parallel_mod._reset_exec_context()
-    for index, (outcome, attempts) in zip(indices, outcomes):
-        plane.deliver(index, outcome, attempts)
+        for task in plan.tasks
+        for k, (index, spec, fingerprint) in enumerate(
+            zip(task.indices, task.specs, task.fingerprints)
+        )
+    ]
+    run = partial(run_task, policy=TaskPolicy(plan.on_error, options.max_attempts))
+    with ExitStack() as stack:
+        if options.workers > 1 and len(units) > 1:
+            _check_picklable([unit.specs[0] for unit in units])
+            ctx = mp.get_context("spawn") if os.name == "nt" else mp.get_context()
+            pool = stack.enter_context(ctx.Pool(processes=options.workers))
+            chunksize = options.chunksize or default_chunksize(len(units), options.workers)
+            outcomes = pool.imap(run, units, chunksize)
+        else:
+            outcomes = map(run, units)
+        for unit, [(outcome, attempts)] in zip(units, outcomes):
+            plane.deliver(unit.indices[0], outcome, attempts)
 
 
 def execute_plan(
@@ -299,7 +316,7 @@ def execute_plan(
     workers = resolve_worker_count(n_workers, fallback=None)
     name = resolve_backend_name(backend, workers)
     if workers is None:
-        workers = 1 if name == "serial" else parallel_mod.default_worker_count()
+        workers = 1 if name == "serial" else _cpu_workers()
     if max_attempts is None:
         max_attempts = DEFAULT_QUEUE_ATTEMPTS if name == "queue" else 1
     options = ExecOptions(
@@ -315,6 +332,65 @@ def execute_plan(
     run_backend = SCHEDULER_BACKENDS.resolve(name)
     run_backend(plan, options, plane)
     return plane.assemble()
+
+
+def run_specs_parallel(
+    specs: Sequence[AnySpec],
+    n_workers: Optional[int] = None,
+    chunksize: Optional[int] = None,
+    store=None,
+    on_error: str = "raise",
+    backend: Optional[str] = None,
+    queue_dir: Optional[str] = None,
+) -> List[Union[RunResult, RunFailure]]:
+    """Execute run specs across a scheduler backend, preserving input order.
+
+    Builds an :class:`~repro.exec.plan.ExecutionPlan` (run-store hits served
+    before any dispatch, shared-workload specs grouped, offline SO-BMA
+    demand pre-solved once in the parent) and hands it to
+    :func:`execute_plan`.
+
+    Parameters
+    ----------
+    specs:
+        The runs to execute (:class:`~repro.experiments.specs.ExperimentSpec`
+        objects or their mappings).  Every spec must round-trip through
+        pickle before pool dispatch (checked up front).
+    n_workers:
+        Worker count; defaults to :func:`default_worker_count`
+        (``REPRO_WORKERS`` if set, else CPU count minus one).  A value of 1
+        runs in-process (useful under debuggers and on single-CPU hosts,
+        where a pool would only add overhead).
+    chunksize:
+        Number of specs handed to a pool worker at a time; defaults to
+        :func:`default_chunksize`, which keeps per-worker caches warm when
+        many small specs are submitted.
+    store:
+        Run-store policy (see :func:`repro.store.resolve_store`; ``None``
+        defers to ``REPRO_RUN_STORE``, ``False`` forces cold runs).  With a
+        store, every eligible spec (seeded, no matching-history collection)
+        is looked up in the *parent* before dispatch: hits are served from
+        disk without touching any worker — a fully warm grid performs zero
+        simulation work — and only misses are executed.
+    on_error:
+        ``"raise"`` (default) aborts on the first failing spec with
+        :class:`~repro.errors.WorkerExecutionError`; ``"collect"`` returns
+        a :class:`~repro.exec.plan.RunFailure` record in the failing spec's
+        slot and keeps going.
+    backend:
+        Scheduler backend name (``"serial"``, ``"pool"``, ``"queue"``);
+        ``None`` picks serial for one worker and the pool otherwise.
+    queue_dir:
+        Queue directory for ``backend="queue"`` (a temporary directory is
+        used — and cleaned up — when omitted).
+    """
+    if not specs:
+        return []
+    workers = default_worker_count() if n_workers is None else resolve_worker_count(n_workers)
+    plan = build_execution_plan(specs, store=store, on_error=on_error)
+    return execute_plan(
+        plan, backend=backend, n_workers=workers, chunksize=chunksize, queue_dir=queue_dir
+    )
 
 
 def _register_queue_backend() -> None:

@@ -16,8 +16,9 @@ implementations, selected by name through :data:`MATCHING_BACKENDS` /
 ``"reference"`` — :class:`~repro.matching.bmatching.BMatching`
     The original, readable kernel: plain sets of canonical pair tuples.  It is
     the semantic ground truth; when run through the simulation engine it also
-    forces the engine's per-request replay loop, so a reference run exercises
-    the exact pre-optimization code path.
+    selects the base class's per-request ``serve_batch`` (a loop over
+    ``serve``), so a reference run exercises the exact pre-optimization code
+    path.
 
 ``"fast"`` (default) — :class:`~repro.matching.fast_bmatching.FastBMatching`
     The array-backed kernel: int-encoded edges (``u * n + v``), numpy degree

@@ -6,24 +6,18 @@ evenly spaced checkpoints — exactly the series plotted in the paper's figures
 (routing cost vs. number of requests, execution time vs. number of requests).
 
 Experiments are described declaratively by
-:class:`~repro.experiments.specs.ExperimentSpec` (or the legacy
-:class:`RunSpec`); :func:`execute_experiment_spec`, :class:`ExperimentRunner`,
-:func:`run_experiments` and :func:`run_sweep` execute them sequentially or in
-a process pool.
+:class:`~repro.experiments.specs.ExperimentSpec`;
+:func:`execute_experiment_spec`, :class:`ExperimentRunner`,
+:func:`run_experiments`, :func:`run_sweep` and :func:`run_specs_parallel`
+execute them through the plan -> scheduler stack in :mod:`repro.exec`.
 """
 
 from .results import AggregateResult, CheckpointSeries, RunResult, aggregate_runs
 from .engine import log_spaced_checkpoints, run_simulation
 from .timer import Timer
-from .runner import (
-    ExperimentRunner,
-    RunSpec,
-    as_experiment_spec,
-    execute_experiment_spec,
-    execute_run_spec,
-)
+from .runner import ExperimentRunner, as_experiment_spec, execute_experiment_spec
 from .sweep import run_experiments, run_sweep
-from .parallel import run_specs_parallel
+from ..exec.scheduler import run_specs_parallel
 
 __all__ = [
     "CheckpointSeries",
@@ -34,9 +28,7 @@ __all__ = [
     "log_spaced_checkpoints",
     "Timer",
     "ExperimentRunner",
-    "RunSpec",
     "as_experiment_spec",
-    "execute_run_spec",
     "execute_experiment_spec",
     "run_experiments",
     "run_sweep",

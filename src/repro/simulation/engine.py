@@ -5,23 +5,18 @@ algorithm, measuring the algorithm's wall-clock time (excluding the engine's
 own checkpoint bookkeeping) and recording the cumulative cost series at
 evenly spaced checkpoints.
 
-Two replay paths share identical semantics:
-
-* the **reference path** serves one request per loop iteration, exactly as
-  the original implementation did.  It is used when
-  ``SimulationConfig.matching_backend == "reference"``, when per-request
-  matching history is collected, and when an observer demands per-request
-  batches;
-* the **batched path** pre-materialises the trace once, splits it into
-  contiguous segments bounded by checkpoints (and observer batch intervals),
-  and hands each segment to the algorithm's ``serve_batch`` in a single call,
-  so checkpoint checks, observer dispatch, and Request/ServeOutcome
-  allocation are paid per segment instead of per request.  Every registered
-  algorithm ships a hand-tuned ``serve_batch``; algorithms that do not
-  override it inherit the base-class per-request loop inside the batched
-  path, so there is no engine-level fallback to route around ``serve_batch``.
-  Each result records the requested backend and the kernel that ran in
-  ``RunResult.extra["matching_backend"]`` / ``extra["matching_kernel"]``.
+There is one drive loop, :class:`StreamingSimulation`.  It takes contiguous
+trace segments, cuts each at checkpoints and observer batch intervals, and
+hands every piece to the algorithm's ``serve_batch`` in one call, so
+checkpoint checks, observer dispatch and Request/ServeOutcome allocation are
+paid per piece instead of per request.  A materialized trace is simply a
+one-segment stream.  ``SimulationConfig.matching_backend == "reference"``
+picks the base class's per-request
+:meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve_batch` (a plain loop
+over ``serve``), the semantic ground truth every hand-tuned ``serve_batch``
+must match bit for bit.  Each result records the requested backend and the
+kernel that ran in ``RunResult.extra["matching_backend"]`` /
+``extra["matching_kernel"]``.
 
 Checkpoint positions default to evenly spaced request counts
 (:func:`_checkpoint_positions`); ``SimulationConfig.checkpoint_positions``
@@ -41,6 +36,7 @@ degree bound.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -179,56 +175,17 @@ def _resolve_checkpoints(n_requests: int, config: SimulationConfig) -> np.ndarra
     return positions
 
 
-def _assemble_result(
-    algorithm: OnlineBMatchingAlgorithm,
-    config: SimulationConfig,
-    workload: str,
-    n_requests: int,
-    cp_requests: list,
-    cp_routing: list,
-    cp_reconf: list,
-    cp_elapsed: list,
-    cp_matched: list,
-    elapsed_seconds: float,
-    matching_history: list,
-) -> RunResult:
-    """Build the :class:`RunResult` shared by the materialized and streaming drives."""
-    series = CheckpointSeries(
-        requests=np.asarray(cp_requests, dtype=np.int64),
-        routing_cost=np.asarray(cp_routing, dtype=np.float64),
-        reconfiguration_cost=np.asarray(cp_reconf, dtype=np.float64),
-        elapsed_seconds=np.asarray(cp_elapsed, dtype=np.float64),
-        matched_fraction=np.asarray(cp_matched, dtype=np.float64),
-    )
-    extra: dict = {
-        # Provenance: the backend the config asked for and the kernel that
-        # actually ran.
-        "matching_backend": config.matching_backend,
-        "matching_kernel": algorithm.matching.backend_name,
-    }
-    # Static-solver provenance (SO-BMA): the solver backend the config asked
-    # for and the blossom kernel that actually ran — same requested/effective
-    # contract as the matching keys above, populated by the algorithm's fit.
-    solver_provenance = getattr(algorithm, "solver_provenance", None)
-    if solver_provenance:
-        extra.update(solver_provenance)
-    if config.collect_matching_history:
-        extra["matching_history"] = matching_history
-    return RunResult(
-        algorithm=algorithm.name,
-        workload=workload,
-        topology=algorithm.topology.name,
-        b=algorithm.config.b,
-        alpha=algorithm.config.alpha,
-        n_requests=n_requests,
-        seed=config.seed,
-        series=series,
-        total_routing_cost=algorithm.total_routing_cost,
-        total_reconfiguration_cost=algorithm.total_reconfiguration_cost,
-        total_elapsed_seconds=elapsed_seconds,
-        matched_fraction=algorithm.matched_fraction,
-        extra=extra,
-    )
+class _MatchingHistory(SimulationObserver):
+    """Records the matching's edges after every request
+    (``SimulationConfig.collect_matching_history``)."""
+
+    batch_interval = 1
+
+    def __init__(self) -> None:
+        self.edges: list[frozenset] = []
+
+    def on_request_batch(self, context: RunContext, start: int, stop: int) -> None:
+        self.edges.append(context.algorithm.matching.edges)
 
 
 def run_simulation(
@@ -250,10 +207,12 @@ def run_simulation(
         already matches); the rebind preserves state exactly and consumes no
         randomness, so results are bit-identical across backends.
     trace:
-        The workload to replay.  A :class:`~repro.traffic.stream.TraceStream`
-        is consumed segment by segment through :class:`StreamingSimulation`
-        (peak memory bounded by the chunk size, results bit-identical to the
-        materialized replay); offline algorithms (``requires_full_trace``)
+        The workload to replay.  A materialized
+        :class:`~repro.traffic.base.Trace` is fed to
+        :class:`StreamingSimulation` as one segment; a
+        :class:`~repro.traffic.stream.TraceStream` is consumed segment by
+        segment (peak memory bounded by the chunk size, results
+        bit-identical to the materialized replay).  Offline algorithms
         materialize the stream first, since they need the whole trace to fit.
     config:
         Simulation parameters (checkpoints, matching backend, seed
@@ -269,191 +228,54 @@ def run_simulation(
         each checkpoint.  Observer time is excluded from the measured
         algorithm wall-clock time.
     """
+    if isinstance(trace, TraceStream) and algorithm.requires_full_trace:
+        trace = trace.materialize()
     if isinstance(trace, TraceStream):
-        if algorithm.requires_full_trace:
-            return run_simulation(
-                algorithm, trace.materialize(), config, validate, observers
-            )
-        driver = StreamingSimulation(
-            algorithm,
-            trace.metadata,
-            config=config,
-            validate=validate,
-            observers=observers,
-            n_requests=trace.n_requests,
-            source=trace,
-        )
-        for segment in trace:
-            driver.feed(segment)
-        return driver.finish()
-
-    config = config or SimulationConfig()
-    if trace.n_nodes > algorithm.topology.n_racks:
-        raise SimulationError(
-            f"trace addresses {trace.n_nodes} racks but topology has only "
-            f"{algorithm.topology.n_racks}"
-        )
-    if algorithm.requests_served:
-        raise SimulationError(
-            "algorithm has already served requests; call reset() or use a fresh instance"
-        )
-    algorithm.rebind_matching_backend(config.matching_backend)
-
-    watchers = ObserverList(observers)
-    if validate:
-        watchers.observers.append(ValidationObserver())
-    notify = bool(watchers)
-
-    n_requests = len(trace)
-    checkpoints = _resolve_checkpoints(n_requests, config)
-    timer = Timer()
-
-    context = RunContext(algorithm=algorithm, trace=trace, config=config,
-                         n_requests=n_requests)
-    if notify:
-        watchers.on_start(context)
-    batch_interval = watchers.batch_interval if notify else None
-
-    cp_requests: list[int] = []
-    cp_routing: list[float] = []
-    cp_reconf: list[float] = []
-    cp_elapsed: list[float] = []
-    cp_matched: list[float] = []
-    matching_history: list[frozenset] = []
-
-    use_batched_path = (
-        config.matching_backend != "reference"
-        and not config.collect_matching_history
-        # Per-request batches (e.g. ValidationObserver) degenerate to
-        # single-element segments; the plain loop is faster and identical.
-        and (batch_interval is None or batch_interval > 1)
-    )
-
-    if algorithm.requires_full_trace:
-        with timer:
-            algorithm.fit(trace if use_batched_path else list(trace.requests()))
-
-    def record_checkpoint(index: int, served: int) -> None:
-        cp_requests.append(served)
-        cp_routing.append(algorithm.total_routing_cost)
-        cp_reconf.append(algorithm.total_reconfiguration_cost)
-        cp_elapsed.append(timer.elapsed)
-        cp_matched.append(algorithm.matched_fraction)
-        if notify:
-            watchers.on_checkpoint(
-                context,
-                CheckpointEvent(
-                    index=index,
-                    requests_served=served,
-                    routing_cost=algorithm.total_routing_cost,
-                    reconfiguration_cost=algorithm.total_reconfiguration_cost,
-                    elapsed_seconds=timer.elapsed,
-                    matched_fraction=algorithm.matched_fraction,
-                ),
-            )
-
-    if use_batched_path:
-        checkpoint_list = checkpoints.tolist()
-        n_checkpoints = len(checkpoint_list)
-        next_checkpoint_idx = 0
-        served = 0
-        batch_start = 0
-        while served < n_requests:
-            # Explicit checkpoint overrides may end before the last request;
-            # the remaining tail is then served as one final segment.
-            if next_checkpoint_idx < n_checkpoints:
-                stop = checkpoint_list[next_checkpoint_idx]
-            else:
-                stop = n_requests
-            if batch_interval is not None:
-                stop = min(stop, batch_start + batch_interval)
-            segment = trace[served:stop]
-            with timer:
-                algorithm.serve_batch(segment)
-            served = stop
-            at_checkpoint = (
-                next_checkpoint_idx < n_checkpoints
-                and served >= checkpoint_list[next_checkpoint_idx]
-            )
-            if notify and served > batch_start:
-                interval_reached = (
-                    batch_interval is not None and served - batch_start >= batch_interval
-                )
-                if interval_reached or at_checkpoint:
-                    watchers.on_request_batch(context, batch_start, served)
-                    batch_start = served
-            if at_checkpoint:
-                record_checkpoint(next_checkpoint_idx, served)
-                next_checkpoint_idx += 1
-        # Flush the trailing partial batch (requests past the last checkpoint
-        # or short of a full interval) so observers see every request.
-        if notify and served > batch_start:
-            watchers.on_request_batch(context, batch_start, served)
-            batch_start = served
+        segments, n_requests = trace, trace.n_requests
     else:
-        next_checkpoint_idx = 0
-        served = 0
-        batch_start = 0
-        for i in range(n_requests):
-            request = trace[i]
-            with timer:
-                algorithm.serve(request)
-            served += 1
-            if config.collect_matching_history:
-                matching_history.append(algorithm.matching.edges)
-            at_checkpoint = (
-                next_checkpoint_idx < len(checkpoints)
-                and served >= checkpoints[next_checkpoint_idx]
-            )
-            if notify and batch_interval is not None and served - batch_start >= batch_interval:
-                watchers.on_request_batch(context, batch_start, served)
-                batch_start = served
-            if at_checkpoint:
-                if notify and served > batch_start:
-                    watchers.on_request_batch(context, batch_start, served)
-                    batch_start = served
-                record_checkpoint(next_checkpoint_idx, served)
-                next_checkpoint_idx += 1
-        # Flush the trailing partial batch (requests past the last checkpoint
-        # or short of a full interval) so observers see every request.
-        if notify and served > batch_start:
-            watchers.on_request_batch(context, batch_start, served)
-            batch_start = served
-
-    result = _assemble_result(
-        algorithm, config, trace.name, n_requests,
-        cp_requests, cp_routing, cp_reconf, cp_elapsed, cp_matched,
-        timer.elapsed, matching_history,
+        trace = trace.with_offset(0)
+        segments, n_requests = (trace,), len(trace)
+    driver = StreamingSimulation(
+        algorithm,
+        trace.metadata,
+        config=config,
+        validate=validate,
+        observers=observers,
+        n_requests=n_requests,
+        source=trace,
     )
-    if notify:
-        watchers.on_end(context, result)
-    return result
+    for segment in segments:
+        driver.feed(segment)
+    return driver.finish()
 
 
 class StreamingSimulation:
-    """Incremental drive loop over streamed trace segments.
+    """The engine's drive loop over contiguous trace segments.
 
     Construct with a fresh algorithm, :meth:`feed` contiguous
     :class:`~repro.traffic.base.Trace` segments in global order, then call
-    :meth:`finish` for the :class:`RunResult`.  The result is **bit-identical**
-    to :func:`run_simulation` on the materialized concatenation of the
-    segments: checkpoints and observer batches fire at the same global
-    positions regardless of where segment boundaries fall, and per-segment
-    cost sums are exact (path lengths are integral floats, so float64
-    addition is lossless far past any realistic trace length).
+    :meth:`finish` for the :class:`RunResult`.  Checkpoints and observer
+    batches fire at the same global positions regardless of where segment
+    boundaries fall, and per-segment cost sums are exact (path lengths are
+    integral floats, so float64 addition is lossless far past any realistic
+    trace length), so a streamed run is **bit-identical** to the same trace
+    fed as one materialized segment.
 
     Checkpoint planning:
 
-    * declared ``n_requests`` — identical to the materialized run
-      (:func:`_resolve_checkpoints`, evenly spaced or the explicit override);
+    * declared ``n_requests`` — :func:`_resolve_checkpoints` (evenly spaced
+      or the explicit override);
     * unknown length with explicit ``config.checkpoint_positions`` — the
       positions are used as given and must all be reached by exhaustion;
     * unknown length, no override — tail-flush strategy: one checkpoint
       recorded at exhaustion (even spacing needs the length up front).
 
-    :func:`run_simulation` drives one of these per stream; the runner's
-    shared-stream fan-out (``compare_on_shared_trace``) drives several in
-    lockstep off one tee'd stream.
+    An offline algorithm (``requires_full_trace``) is fitted here, inside
+    the measured time, and only when ``source`` is the materialized
+    :class:`~repro.traffic.base.Trace` being replayed; a stream-fed driver
+    rejects it.  :func:`run_simulation` drives one of these per trace; the
+    runtime's shared-stream fan-out drives several in lockstep off one
+    tee'd stream.
     """
 
     def __init__(
@@ -464,7 +286,7 @@ class StreamingSimulation:
         validate: bool = False,
         observers: Iterable[SimulationObserver] = (),
         n_requests: Optional[int] = None,
-        source: Optional[TraceStream] = None,
+        source: "Trace | TraceStream | None" = None,
     ):
         config = config or SimulationConfig()
         if metadata.n_nodes > algorithm.topology.n_racks:
@@ -476,7 +298,7 @@ class StreamingSimulation:
             raise SimulationError(
                 "algorithm has already served requests; call reset() or use a fresh instance"
             )
-        if algorithm.requires_full_trace:
+        if algorithm.requires_full_trace and not isinstance(source, Trace):
             raise SimulationError(
                 f"algorithm {algorithm.name!r} requires the full trace to fit; "
                 "materialize the stream first (run_simulation does this automatically)"
@@ -487,10 +309,20 @@ class StreamingSimulation:
         self.config = config
         self.metadata = metadata
         self.declared_n_requests = None if n_requests is None else int(n_requests)
+        # The reference backend replays through the base class's per-request
+        # loop, the ground truth every hand-tuned serve_batch must match.
+        if config.matching_backend == "reference":
+            self._serve_batch = partial(OnlineBMatchingAlgorithm.serve_batch, algorithm)
+        else:
+            self._serve_batch = algorithm.serve_batch
 
         self._watchers = ObserverList(observers)
         if validate:
             self._watchers.observers.append(ValidationObserver())
+        self._history: Optional[_MatchingHistory] = None
+        if config.collect_matching_history:
+            self._history = _MatchingHistory()
+            self._watchers.observers.append(self._history)
         self._notify = bool(self._watchers)
         self._batch_interval = self._watchers.batch_interval if self._notify else None
 
@@ -505,11 +337,6 @@ class StreamingSimulation:
         else:
             self._checkpoints = None  # tail-flush: record once at exhaustion
 
-        self._use_batched = (
-            config.matching_backend != "reference"
-            and not config.collect_matching_history
-            and (self._batch_interval is None or self._batch_interval > 1)
-        )
         self._timer = Timer()
         self._served = 0
         self._batch_start = 0
@@ -520,7 +347,6 @@ class StreamingSimulation:
         self._cp_reconf: list[float] = []
         self._cp_elapsed: list[float] = []
         self._cp_matched: list[float] = []
-        self._matching_history: list[frozenset] = []
 
         if source is None:
             # Observers only need `.name` off the context trace; a zero-length
@@ -532,6 +358,13 @@ class StreamingSimulation:
         )
         if self._notify:
             self._watchers.on_start(self._context)
+        if algorithm.requires_full_trace:
+            with self._timer:
+                algorithm.fit(
+                    list(source.requests())
+                    if config.matching_backend == "reference"
+                    else source
+                )
 
     @property
     def requests_served(self) -> int:
@@ -583,20 +416,18 @@ class StreamingSimulation:
                 f"stream declared {self.declared_n_requests} requests but "
                 f"delivered at least {end}"
             )
-        if self._use_batched:
-            self._feed_batched(segment, end)
-        else:
-            self._feed_reference(segment)
+        self._feed_batched(segment, end)
 
     def _feed_batched(self, segment: Trace, end: int) -> None:
         checkpoints = self._checkpoints
         n_cp = len(checkpoints) if checkpoints is not None else 0
         base = segment.offset
         watchers = self._watchers
+        serve_batch = self._serve_batch
         while self._served < end:
-            # Same boundaries as the materialized batched path — checkpoints
-            # and observer intervals — plus the segment end; extra splits at
-            # segment ends cannot change results (exact integral-float sums).
+            # Cut at checkpoints, observer intervals and the segment end;
+            # extra cuts at segment ends cannot change results (exact
+            # integral-float sums).
             stop = end
             if checkpoints is not None and self._next_cp < n_cp:
                 stop = min(stop, checkpoints[self._next_cp])
@@ -604,7 +435,7 @@ class StreamingSimulation:
                 stop = min(stop, self._batch_start + self._batch_interval)
             sub = segment[self._served - base : stop - base]
             with self._timer:
-                self.algorithm.serve_batch(sub)
+                serve_batch(sub)
             self._served = stop
             at_checkpoint = (
                 checkpoints is not None
@@ -622,37 +453,6 @@ class StreamingSimulation:
                     )
                     self._batch_start = self._served
             if at_checkpoint:
-                self._record_checkpoint(self._next_cp, self._served)
-                self._next_cp += 1
-
-    def _feed_reference(self, segment: Trace) -> None:
-        checkpoints = self._checkpoints
-        n_cp = len(checkpoints) if checkpoints is not None else 0
-        watchers = self._watchers
-        for request in segment.requests():
-            with self._timer:
-                self.algorithm.serve(request)
-            self._served += 1
-            if self.config.collect_matching_history:
-                self._matching_history.append(self.algorithm.matching.edges)
-            at_checkpoint = (
-                checkpoints is not None
-                and self._next_cp < n_cp
-                and self._served >= checkpoints[self._next_cp]
-            )
-            if (
-                self._notify
-                and self._batch_interval is not None
-                and self._served - self._batch_start >= self._batch_interval
-            ):
-                watchers.on_request_batch(self._context, self._batch_start, self._served)
-                self._batch_start = self._served
-            if at_checkpoint:
-                if self._notify and self._served > self._batch_start:
-                    watchers.on_request_batch(
-                        self._context, self._batch_start, self._served
-                    )
-                    self._batch_start = self._served
                 self._record_checkpoint(self._next_cp, self._served)
                 self._next_cp += 1
 
@@ -674,18 +474,51 @@ class StreamingSimulation:
                 f"checkpoint_positions reach {self._checkpoints[-1]} but the "
                 f"stream delivered only {n} requests"
             )
-        # Flush the trailing partial batch (same contract as the materialized
-        # paths): observers see every request exactly once before on_end.
+        # Flush the trailing partial batch (requests past the last checkpoint
+        # or short of a full interval): observers see every request exactly
+        # once before on_end.
         if self._notify and self._served > self._batch_start:
             self._watchers.on_request_batch(self._context, self._batch_start, self._served)
             self._batch_start = self._served
         if self._checkpoints is None:
             self._record_checkpoint(0, n)
-        result = _assemble_result(
-            self.algorithm, self.config, self.metadata.name, n,
-            self._cp_requests, self._cp_routing, self._cp_reconf,
-            self._cp_elapsed, self._cp_matched,
-            self._timer.elapsed, self._matching_history,
+        algorithm = self.algorithm
+        series = CheckpointSeries(
+            requests=np.asarray(self._cp_requests, dtype=np.int64),
+            routing_cost=np.asarray(self._cp_routing, dtype=np.float64),
+            reconfiguration_cost=np.asarray(self._cp_reconf, dtype=np.float64),
+            elapsed_seconds=np.asarray(self._cp_elapsed, dtype=np.float64),
+            matched_fraction=np.asarray(self._cp_matched, dtype=np.float64),
+        )
+        extra: dict = {
+            # Provenance: the backend the config asked for and the kernel that
+            # actually ran.
+            "matching_backend": self.config.matching_backend,
+            "matching_kernel": algorithm.matching.backend_name,
+        }
+        # Static-solver provenance (SO-BMA): the solver backend the config
+        # asked for and the blossom kernel that actually ran — same
+        # requested/effective contract as the matching keys above, populated
+        # by the algorithm's fit.
+        solver_provenance = getattr(algorithm, "solver_provenance", None)
+        if solver_provenance:
+            extra.update(solver_provenance)
+        if self._history is not None:
+            extra["matching_history"] = self._history.edges
+        result = RunResult(
+            algorithm=algorithm.name,
+            workload=self.metadata.name,
+            topology=algorithm.topology.name,
+            b=algorithm.config.b,
+            alpha=algorithm.config.alpha,
+            n_requests=n,
+            seed=self.config.seed,
+            series=series,
+            total_routing_cost=algorithm.total_routing_cost,
+            total_reconfiguration_cost=algorithm.total_reconfiguration_cost,
+            total_elapsed_seconds=self._timer.elapsed,
+            matched_fraction=algorithm.matched_fraction,
+            extra=extra,
         )
         if self._notify:
             self._watchers.on_end(self._context, result)

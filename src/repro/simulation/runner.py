@@ -6,28 +6,18 @@ The canonical description of a run is an
 :class:`~repro.simulation.results.RunResult` (stamped with the originating
 spec for provenance).  :class:`ExperimentRunner` layers the paper's
 methodology on top: repetitions with spawned seeds, averaging, and shared
-traces for algorithm comparisons.
-
-:class:`RunSpec` is the legacy flat description kept for backward
-compatibility; it converts losslessly via :meth:`RunSpec.to_experiment_spec`
-and every entry point accepts either form.
+traces for algorithm comparisons.  Every entry point also accepts a spec's
+mapping form (:meth:`ExperimentSpec.from_dict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from ..config import SimulationConfig
 from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
-from ..experiments.specs import (
-    AlgorithmSpec,
-    ExperimentSpec,
-    TopologySpec,
-    TrafficSpec,
-    spawn_seeds,
-)
+from ..experiments.specs import ExperimentSpec, spawn_seeds
 from ..store.fingerprint import fingerprint_spec
 from ..store.run_store import RunStore, resolve_store
 from ..traffic.base import Trace
@@ -36,86 +26,24 @@ from .engine import run_simulation
 from .results import AggregateResult, RunResult, aggregate_runs
 
 __all__ = [
-    "RunSpec",
     "AnySpec",
     "ExperimentRunner",
-    "execute_run_spec",
     "execute_experiment_spec",
     "as_experiment_spec",
 ]
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Legacy flat description of one run (see :class:`ExperimentSpec`).
-
-    Kept as a stable shim: all fields and semantics are unchanged, and
-    :meth:`to_experiment_spec` converts to the structured spec tree that the
-    execution paths now consume.
-
-    Attributes
-    ----------
-    algorithm:
-        Registered algorithm name (e.g. ``"rbma"``).
-    workload:
-        Registered workload name (e.g. ``"facebook-database"``).
-    b, alpha:
-        Matching parameters.
-    topology:
-        Registered topology name; defaults to ``"fat-tree"`` as in the paper.
-    workload_kwargs, topology_kwargs, algorithm_kwargs:
-        Extra keyword arguments forwarded to the respective factories.
-    seed:
-        Seed for both workload generation and algorithm randomness (distinct
-        sub-seeds are spawned for each).
-    checkpoints:
-        Number of recorded checkpoints.
-    """
-
-    algorithm: str
-    workload: str
-    b: int
-    alpha: float = 1.0
-    topology: str = "fat-tree"
-    workload_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    topology_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    algorithm_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    checkpoints: int = 20
-
-    def with_seed(self, seed: int) -> "RunSpec":
-        """The same spec with a different seed (used for repetitions)."""
-        return replace(self, seed=seed)
-
-    def to_experiment_spec(self) -> ExperimentSpec:
-        """The equivalent structured :class:`ExperimentSpec`."""
-        return ExperimentSpec(
-            algorithm=AlgorithmSpec(
-                name=self.algorithm,
-                b=self.b,
-                alpha=self.alpha,
-                params=dict(self.algorithm_kwargs),
-            ),
-            traffic=TrafficSpec(name=self.workload, params=dict(self.workload_kwargs)),
-            topology=TopologySpec(name=self.topology, params=dict(self.topology_kwargs)),
-            simulation=SimulationConfig(checkpoints=self.checkpoints),
-            seed=self.seed,
-        )
-
-
-AnySpec = Union[RunSpec, ExperimentSpec]
+AnySpec = Union[ExperimentSpec, Mapping[str, Any]]
 
 
 def as_experiment_spec(spec: AnySpec) -> ExperimentSpec:
-    """Normalise a :class:`RunSpec` or :class:`ExperimentSpec` to the latter."""
+    """Normalise an :class:`ExperimentSpec` or its mapping form to the former."""
     if isinstance(spec, ExperimentSpec):
         return spec
-    if isinstance(spec, RunSpec):
-        return spec.to_experiment_spec()
     if isinstance(spec, Mapping):
         return ExperimentSpec.from_dict(spec)
     raise ConfigurationError(
-        f"expected an ExperimentSpec, RunSpec, or mapping, got {type(spec).__name__}"
+        f"expected an ExperimentSpec or mapping, got {type(spec).__name__}"
     )
 
 
@@ -206,26 +134,12 @@ def execute_experiment_spec(
     return result
 
 
-def execute_run_spec(
-    spec: AnySpec,
-    trace: Optional[Trace] = None,
-    observers: Iterable[SimulationObserver] = (),
-    validate: bool = False,
-) -> RunResult:
-    """Execute a single spec (legacy or structured) and return its result."""
-    return execute_experiment_spec(
-        as_experiment_spec(spec), trace=trace, observers=observers, validate=validate
-    )
-
-
 class ExperimentRunner:
     """Runs groups of specs sharing a workload, with repetitions and averaging.
 
     The runner drives the repeat/seed policy: each repetition gets a seed
     spawned from ``base_seed`` via :class:`numpy.random.SeedSequence` (the
-    paper repeats every simulation five times and averages).  Specs may be
-    legacy :class:`RunSpec` or structured :class:`ExperimentSpec` objects;
-    a spec's own ``repeats``/``seed`` fields are superseded by the runner's
+    paper repeats every simulation five times and averages).  A spec's own ``repeats``/``seed`` fields are superseded by the runner's
     policy here (use :meth:`ExperimentSpec.run` or
     :func:`~repro.simulation.sweep.run_experiments` for spec-driven runs).
 
@@ -408,15 +322,3 @@ class ExperimentRunner:
             agg = aggregate_runs(per_spec_runs[i])
             results[agg.label] = agg
         return results
-
-    def _run_shared_stream(self, seeded: Sequence[ExperimentSpec]) -> List[RunResult]:
-        """Replay one shared workload stream through several algorithms at once.
-
-        Kept as a thin delegation to
-        :func:`repro.exec.runtime.run_shared_stream` (where the lockstep
-        tee engine now lives, shared with the queue workers) so existing
-        callers and subclasses keep working.
-        """
-        from ..exec.runtime import run_shared_stream
-
-        return run_shared_stream(seeded, self.observers)

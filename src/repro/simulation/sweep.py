@@ -41,9 +41,8 @@ def run_experiments(
     Parameters
     ----------
     specs:
-        The experiments (legacy :class:`~repro.simulation.runner.RunSpec`,
-        structured :class:`~repro.experiments.specs.ExperimentSpec`, or plain
-        spec dicts).
+        The experiments (:class:`~repro.experiments.specs.ExperimentSpec`
+        objects or plain spec dicts).
     n_workers:
         Worker count; defaults to ``REPRO_WORKERS`` if set, else 1.  Values
         above 1 shard the expanded runs over the resolved scheduler backend.

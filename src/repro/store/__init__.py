@@ -22,11 +22,12 @@ Layers (bottom up):
   recomputation history (runtime CIs, determinism and runtime regression
   flags) and cross-seed configuration spreads.
 
-The execution layer lives in :mod:`repro.simulation` (``store=`` keyword on
+The execution layer lives in :mod:`repro.simulation` and :mod:`repro.exec`
+(``store=`` keyword on
 :func:`~repro.simulation.runner.execute_experiment_spec`,
 :class:`~repro.simulation.runner.ExperimentRunner`,
 :func:`~repro.simulation.sweep.run_experiments`, and
-:func:`~repro.simulation.parallel.run_specs_parallel`); the CLI surface is
+:func:`~repro.exec.scheduler.run_specs_parallel`); the CLI surface is
 ``repro runs list|show|stats|gc`` plus ``--store``/``--no-store`` on the
 simulation commands.
 """

@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import MatchingConfig, SweepConfig
 from repro.core import RBMA, make_algorithm
-from repro.simulation import RunSpec, run_sweep
-from repro.simulation.runner import execute_run_spec
+from repro.experiments import ExperimentSpec
+from repro.simulation import run_sweep
+from repro.simulation.runner import execute_experiment_spec
 from repro.topology import FatTreeTopology, StarTopology
 from repro.traffic import database_trace, hadoop_trace, web_service_trace
 from repro.types import Request
@@ -52,30 +53,33 @@ class TestResourceAugmentedConfig:
 
 class TestRunnerTopologyHandling:
     def test_torus_spec_does_not_get_n_racks(self):
-        spec = RunSpec(
-            algorithm="oblivious", workload="uniform", b=2, alpha=2.0, topology="torus",
-            topology_kwargs={"rows": 4, "cols": 4},
-            workload_kwargs={"n_nodes": 16, "n_requests": 100}, seed=0, checkpoints=3,
+        spec = ExperimentSpec(
+            algorithm={"name": "oblivious", "b": 2, "alpha": 2.0},
+            traffic={"name": "uniform", "params": {"n_nodes": 16, "n_requests": 100}},
+            topology={"name": "torus", "params": {"rows": 4, "cols": 4}},
+            simulation={"checkpoints": 3}, seed=0,
         )
-        result = execute_run_spec(spec)
+        result = execute_experiment_spec(spec)
         assert result.topology.startswith("torus")
 
     def test_hypercube_spec(self):
-        spec = RunSpec(
-            algorithm="oblivious", workload="uniform", b=2, alpha=2.0, topology="hypercube",
-            topology_kwargs={"dimension": 4},
-            workload_kwargs={"n_nodes": 16, "n_requests": 100}, seed=0, checkpoints=3,
+        spec = ExperimentSpec(
+            algorithm={"name": "oblivious", "b": 2, "alpha": 2.0},
+            traffic={"name": "uniform", "params": {"n_nodes": 16, "n_requests": 100}},
+            topology={"name": "hypercube", "params": {"dimension": 4}},
+            simulation={"checkpoints": 3}, seed=0,
         )
-        result = execute_run_spec(spec)
+        result = execute_experiment_spec(spec)
         assert result.topology.startswith("hypercube")
 
     def test_star_lower_bound_spec(self):
-        spec = RunSpec(
-            algorithm="rbma", workload="uniform", b=2, alpha=2.0, topology="star",
-            topology_kwargs={"n_racks": 8, "hub_is_rack": False},
-            workload_kwargs={"n_nodes": 8, "n_requests": 150}, seed=1, checkpoints=3,
+        spec = ExperimentSpec(
+            algorithm={"name": "rbma", "b": 2, "alpha": 2.0},
+            traffic={"name": "uniform", "params": {"n_nodes": 8, "n_requests": 150}},
+            topology={"name": "star", "params": {"n_racks": 8, "hub_is_rack": False}},
+            simulation={"checkpoints": 3}, seed=1,
         )
-        result = execute_run_spec(spec)
+        result = execute_experiment_spec(spec)
         assert result.n_requests == 150
 
 

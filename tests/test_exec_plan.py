@@ -12,12 +12,15 @@ plane contract (see :mod:`repro.exec`).
   :class:`RunFailure` records without discarding completed work.
 * ``REPRO_WORKERS`` supplies worker-count defaults (explicit wins).
 
-Pure-logic and serial-backend tests run everywhere; nothing here spawns a
-pool or a subprocess (the subprocess-backed queue tier lives in
-``tests/test_exec_queue.py`` under the ``sched`` marker).
+Pure-logic and serial-backend tests run everywhere.  The one failure record
+is also checked on the pool (``parallel`` marker) and queue (``sched``
+marker) backends; the rest of the subprocess-backed queue tier lives in
+``tests/test_exec_queue.py``.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from repro.exec import (
 )
 from repro.experiments import ExperimentSpec
 from repro.matching import static_solver
-from repro.simulation import RunSpec, run_specs_parallel
+from repro.simulation import run_specs_parallel
 from repro.simulation.results import RunResult
 from repro.simulation.runner import execute_experiment_spec
 from repro.store import RunStore, fingerprint_spec
@@ -84,17 +87,15 @@ def _assert_series_identical(a, b):
 
 class TestPlanConstruction:
     def test_mixed_inputs_canonicalize_and_group_by_shared_trace(self):
-        legacy = RunSpec(
-            algorithm="bma",
-            workload="zipf",
-            b=3,
-            workload_kwargs={"n_nodes": 10, "n_requests": 200},
-            seed=SEED,
-        )
-        specs = [_spec("rbma"), legacy, _spec("oblivious", seed=SEED + 1)]
+        mapping = {
+            "algorithm": {"name": "bma", "b": 3},
+            "traffic": {"name": "zipf", "params": {"n_nodes": 10, "n_requests": 200}},
+            "seed": SEED,
+        }
+        specs = [_spec("rbma"), mapping, _spec("oblivious", seed=SEED + 1)]
         plan = build_execution_plan(specs, store=False)
         assert all(isinstance(s, ExperimentSpec) for s in plan.specs)
-        # rbma and the legacy bma spec share (workload, params, seed); the
+        # rbma and the mapping's bma spec share (workload, params, seed); the
         # reseeded oblivious spec gets its own task.
         assert plan.describe() == {
             "specs": 3,
@@ -171,6 +172,16 @@ class TestPresolve:
         static_solver.solver_cache_clear()
         _assert_series_identical(results[0], _so_bma_spec().execute())
 
+    def test_execution_reuses_the_presolved_trace(self, monkeypatch):
+        plan = build_execution_plan([_so_bma_spec(), _spec("rbma")], store=False)
+        built = []
+        real = ExperimentSpec.build_trace
+        monkeypatch.setattr(
+            ExperimentSpec, "build_trace",
+            lambda self, *a, **k: built.append(self) or real(self, *a, **k))
+        execute_plan(plan, backend="serial")
+        assert built == []  # the pre-solve's trace served both specs
+
     def test_presolve_can_be_disabled(self):
         plan = build_execution_plan([_so_bma_spec()], store=False, presolve=False)
         assert plan.describe()["presolved"] == 0
@@ -200,20 +211,35 @@ class TestSerialBackend:
         assert "failing spec" in message
         assert '"seed": 5' in message
 
-    def test_collect_mode_keeps_completed_work(self):
-        ok = _spec("rbma")
-        results = run_specs_parallel([ok, _failing_spec(), _spec("bma")],
-                                     n_workers=1, on_error="collect")
+    @pytest.mark.parametrize(
+        "backend, workers, streaming",
+        [
+            ("serial", 1, False),
+            ("serial", 1, True),
+            pytest.param("pool", 2, False, marks=pytest.mark.parallel),
+            pytest.param("queue", 2, False, marks=pytest.mark.sched),
+        ],
+        ids=["serial-plain", "serial-streaming", "pool", "queue"],
+    )
+    def test_collect_mode_keeps_completed_work(self, backend, workers, streaming):
+        bad = _failing_spec()
+        if streaming:
+            bad = bad.with_streaming(chunk_size=16)
+        specs = [_spec("rbma"), bad, _spec("bma")]
+        results = run_specs_parallel(specs, n_workers=workers, backend=backend,
+                                     on_error="collect")
         assert isinstance(results[0], RunResult)
         assert isinstance(results[2], RunResult)
         failure = results[1]
         assert isinstance(failure, RunFailure)
+        assert failure.scheduler_backend == backend
+        # Every backend yields the same record; only the backend stamp differs.
         assert failure.index == 1
+        assert failure.spec == bad.to_dict()
         assert failure.error_type == "SimulationError"
-        assert failure.scheduler_backend == "serial"
-        assert failure.spec["seed"] == 5
+        assert failure.attempts == 1
         assert "checkpoint_positions reach 999" in failure.message
-        assert failure.to_dict()["attempts"] == 1
+        assert f"failing spec: {json.dumps(bad.to_dict(), sort_keys=True)}" in failure.message
 
     def test_streaming_specs_take_the_rich_path_and_stay_identical(self):
         bulk = _spec("rbma", n_requests=300)

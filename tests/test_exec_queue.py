@@ -296,3 +296,24 @@ def test_queue_backend_survives_a_killed_worker_bit_identically(tmp_path):
     ]
     assert snapshots, "no worker result payloads recorded"
     assert all(snap.get("misses", 0) == 0 for snap in snapshots)
+
+
+@pytest.mark.sched
+def test_queue_workers_write_their_stats_before_exiting(tmp_path):
+    """The parent lets its workers exit on their own once the sweep is done:
+    each spawned worker leaves its ``workers/<id>.json`` stats file, and no
+    half-written tmp file is left behind by a worker killed mid-write."""
+    queue_dir = tmp_path / "queue"
+    specs = [_spec(name, seed=seed) for seed in (1, 2) for name in ("rbma", "bma")]
+    results = execute_plan(
+        build_execution_plan(specs, store=False),
+        backend="queue",
+        n_workers=2,
+        queue_dir=str(queue_dir),
+        poll_interval=0.05,
+        timeout=120.0,
+    )
+    assert len(results) == len(specs)
+    stats = sorted(p.name for p in (queue_dir / "workers").iterdir())
+    assert stats == ["local-0.json", "local-1.json"]
+    assert not list(queue_dir.rglob(".*.tmp-*"))

@@ -16,7 +16,7 @@ from repro.experiments import (
     expand_grid,
     spawn_seeds,
 )
-from repro.simulation import ExperimentRunner, RunSpec, run_experiments
+from repro.simulation import ExperimentRunner, run_experiments
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -68,7 +68,7 @@ class TestConstruction:
 
     def test_from_dict_rejects_unknown_keys(self):
         data = _spec().to_dict()
-        data["workload"] = "zipf"  # the legacy RunSpec field name
+        data["workload"] = "zipf"  # a flat field name, not part of the spec tree
         with pytest.raises(ConfigurationError, match="unknown ExperimentSpec keys"):
             ExperimentSpec.from_dict(data)
 
@@ -93,6 +93,18 @@ class TestSerialisation:
         text = spec.to_json()
         json.loads(text)  # valid JSON document
         assert ExperimentSpec.from_json(text) == spec
+
+    def test_round_tripped_spec_executes_identically(self):
+        spec = ExperimentSpec(
+            algorithm={"name": "oblivious", "b": 2, "alpha": 4.0},
+            traffic={"name": "zipf", "params": {"n_nodes": 8, "n_requests": 100}},
+            simulation={"checkpoints": 5},
+            seed=3,
+        )
+        a = spec.execute()
+        b = ExperimentSpec.from_json(spec.to_json()).execute()
+        assert a.total_routing_cost == b.total_routing_cost
+        assert (a.series.routing_cost == b.series.routing_cost).all()
 
     def test_file_round_trip(self, tmp_path):
         spec = _spec()
@@ -279,28 +291,3 @@ class TestGridExpansion:
     def test_expanded_specs_are_validated(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             expand_grid(_spec(), {"algorithm.name": ["rmba"]})
-
-
-class TestRunSpecShim:
-    def test_conversion_preserves_fields(self):
-        legacy = RunSpec(algorithm="bma", workload="uniform", b=3, alpha=2.0,
-                         topology="ring", workload_kwargs={"n_nodes": 6, "n_requests": 50},
-                         algorithm_kwargs={}, seed=4, checkpoints=7)
-        spec = legacy.to_experiment_spec()
-        assert spec.algorithm.name == "bma"
-        assert spec.algorithm.b == 3
-        assert spec.traffic.name == "uniform"
-        assert spec.topology.name == "ring"
-        assert spec.simulation.checkpoints == 7
-        assert spec.seed == 4
-
-    def test_legacy_and_structured_specs_agree(self):
-        legacy = RunSpec(algorithm="oblivious", workload="zipf", b=2, alpha=4.0,
-                         workload_kwargs={"n_nodes": 8, "n_requests": 100}, seed=3,
-                         checkpoints=5)
-        from repro.simulation import execute_run_spec
-
-        a = execute_run_spec(legacy)
-        b = execute_run_spec(legacy.to_experiment_spec())
-        assert a.total_routing_cost == b.total_routing_cost
-        assert (a.series.routing_cost == b.series.routing_cost).all()

@@ -5,7 +5,8 @@ import pytest
 
 from repro.analysis import format_comparison_table, format_series_table, routing_cost_reduction
 from repro.config import SweepConfig
-from repro.simulation import ExperimentRunner, RunSpec, run_sweep
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner, run_sweep
 from repro.traffic import available_workloads
 
 
@@ -18,13 +19,11 @@ def _specs(workload, b_values, algorithms, alpha=8.0, extra_kwargs=None):
     for algorithm in algorithms:
         for b in b_values:
             specs.append(
-                RunSpec(
-                    algorithm=algorithm,
-                    workload=workload,
-                    b=b,
-                    alpha=alpha,
-                    workload_kwargs=kwargs,
-                    checkpoints=6,
+                ExperimentSpec(
+                    algorithm={"name": algorithm, "b": b, "alpha": alpha},
+                    traffic={"name": workload, "params": kwargs},
+                    simulation={"checkpoints": 6},
+                    seed=None,
                 )
             )
     return specs
@@ -36,8 +35,9 @@ class TestFullPipeline:
         runner = ExperimentRunner(repetitions=2, base_seed=3)
         specs = _specs("facebook-database", b_values=(2, 6), algorithms=("rbma", "bma"))
         specs.append(
-            RunSpec(algorithm="oblivious", workload="facebook-database", b=2, alpha=8.0,
-                    workload_kwargs=WORKLOAD_KWARGS, checkpoints=6)
+            ExperimentSpec(algorithm={"name": "oblivious", "b": 2, "alpha": 8.0},
+                           traffic={"name": "facebook-database", "params": WORKLOAD_KWARGS},
+                           simulation={"checkpoints": 6}, seed=None)
         )
         results = runner.compare_on_shared_trace(specs)
         oblivious = results["oblivious (b: 2)"]
@@ -88,8 +88,9 @@ class TestFullPipeline:
             if workload == "hotspot":
                 kwargs["n_hot_pairs"] = 3
             agg = runner.run(
-                RunSpec(algorithm="rbma", workload=workload, b=2, alpha=4.0,
-                        workload_kwargs=kwargs, checkpoints=4)
+                ExperimentSpec(algorithm={"name": "rbma", "b": 2, "alpha": 4.0},
+                               traffic={"name": workload, "params": kwargs},
+                               simulation={"checkpoints": 4}, seed=None)
             )
             assert agg.n_requests == 200
             assert agg.routing_cost_mean > 0

@@ -2,8 +2,8 @@
 
 Guards the package surface across refactors: every exported name must be a
 real attribute, the pre-redesign names must keep working (the legacy registry
-entry points and ``RunSpec`` are shims now, not gone), and the new
-declarative API must be reachable from the package root.
+entry points are shims now, not gone), and the new declarative API must be
+reachable from the package root.
 """
 
 import pytest
@@ -23,7 +23,7 @@ LEGACY_EXPORTS = [
     "OnlineBMatchingAlgorithm", "RBMA", "BMA", "ObliviousRouting", "GreedyBMA",
     "StaticOfflineBMA", "UniformBMatching", "PredictiveBMA",
     "available_algorithms", "make_algorithm",
-    "run_simulation", "run_sweep", "RunSpec", "RunResult", "AggregateResult",
+    "run_simulation", "run_sweep", "RunResult", "AggregateResult",
     "ExperimentRunner",
 ]
 
@@ -34,7 +34,7 @@ SPEC_EXPORTS = [
     "expand_grid", "spawn_seeds",
     "SimulationObserver", "ProgressObserver", "ValidationObserver",
     "CostTraceObserver",
-    "run_experiments", "execute_run_spec", "execute_experiment_spec",
+    "run_experiments", "execute_experiment_spec",
 ]
 
 
@@ -123,15 +123,6 @@ class TestLegacyRegistryShims:
         finally:
             ALGORITHMS.unregister("test-only-fake")
         assert "test-only-fake" not in ALGORITHMS
-
-
-def test_legacy_runspec_constructor_signature_unchanged():
-    from repro import RunSpec
-
-    spec = RunSpec(algorithm="rbma", workload="zipf", b=2, alpha=4.0,
-                   topology="fat-tree", workload_kwargs={}, topology_kwargs={},
-                   algorithm_kwargs={}, seed=None, checkpoints=20)
-    assert spec.with_seed(3).seed == 3
 
 
 def test_version_is_a_string():

@@ -22,9 +22,9 @@ from repro.cli import main
 from repro.core.registry import ALGORITHMS
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import ExperimentSpec, canonical_data
-from repro.simulation import parallel as parallel_mod
+from repro.exec import scheduler as scheduler_mod
+from repro.exec.scheduler import run_specs_parallel
 from repro.simulation import runner as runner_mod
-from repro.simulation.parallel import run_specs_parallel
 from repro.simulation.results import AggregateResult, RunResult, aggregate_runs
 from repro.simulation.runner import ExperimentRunner, execute_experiment_spec
 from repro.simulation.sweep import run_experiments
@@ -520,7 +520,7 @@ class TestRunSpecsParallelStore:
         cold = run_specs_parallel(grid, n_workers=1, store=store)
         def _boom(*_a, **_k):
             raise AssertionError("dispatched to execution despite warm store")
-        monkeypatch.setattr(parallel_mod, "_execute_batch", _boom)
+        monkeypatch.setattr(scheduler_mod, "run_task", _boom)
         warm = run_specs_parallel(grid, n_workers=1, store=store)
         for c, w in zip(cold, warm):
             _assert_identical(c, w)
@@ -531,10 +531,10 @@ class TestRunSpecsParallelStore:
         run_specs_parallel([warm_spec], n_workers=1, store=store)
         grid = [_spec(seed=2), warm_spec, _spec(seed=3)]
         dispatched = []
-        real = parallel_mod._execute_batch
+        real = scheduler_mod.run_task
         monkeypatch.setattr(
-            parallel_mod, "_execute_batch",
-            lambda specs, w, c: dispatched.extend(specs) or real(specs, w, c))
+            scheduler_mod, "run_task",
+            lambda task, policy: dispatched.extend(task.specs) or real(task, policy))
         results = run_specs_parallel(grid, n_workers=1, store=store)
         assert [s.seed for s in dispatched] == [2, 3]  # the hit never dispatched
         assert [r.spec["seed"] for r in results] == [2, 1, 3]  # input order preserved

@@ -243,6 +243,26 @@ class TestRunSimulation:
         history = result.extra["matching_history"]
         assert len(history) == 50
         assert all(isinstance(h, frozenset) for h in history)
+        manual = RBMA(small_leafspine, MatchingConfig(b=2, alpha=2), rng=0)
+        expected = []
+        for request in trace:
+            manual.serve(request)
+            expected.append(manual.matching.edges)
+        assert history == expected
+
+    @pytest.mark.parametrize("backend, batch_calls", [("reference", 0), ("fast", 5)])
+    def test_backend_picks_the_serve_batch_loop(self, small_leafspine, backend, batch_calls):
+        """The reference backend replays through the base class's per-request
+        loop; every other backend calls the algorithm's own serve_batch once
+        per checkpoint segment."""
+        trace = zipf_pair_trace(n_nodes=8, n_requests=50, seed=1)
+        algo = RBMA(small_leafspine, MatchingConfig(b=2, alpha=2), rng=0)
+        calls = []
+        own = algo.serve_batch
+        algo.serve_batch = lambda requests: calls.append(len(requests)) or own(requests)
+        run_simulation(algo, trace, SimulationConfig(checkpoints=5, matching_backend=backend))
+        assert len(calls) == batch_calls
+        assert algo.requests_served == 50
 
     def test_oblivious_cost_matches_trace_lengths(self, small_leafspine, uniform_trace):
         algo = ObliviousRouting(small_leafspine, MatchingConfig(b=2, alpha=4))

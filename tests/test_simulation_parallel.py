@@ -1,6 +1,6 @@
 """Sharded execution: bit-identity, worker hygiene, and spec portability.
 
-The sharding contract (see :mod:`repro.simulation.parallel`) is that moving
+The sharding contract (see :mod:`repro.exec.scheduler`) is that moving
 runs into worker processes may change *nothing* about the results: workers
 rebuild traces deterministically from their specs, so a parallel figure panel
 must be bit-identical to the sequential one.  Pool-spawning tests carry the
@@ -16,13 +16,9 @@ import pytest
 
 from repro.errors import SimulationError, WorkerExecutionError
 from repro.experiments import ExperimentSpec
-from repro.simulation import ExperimentRunner, RunSpec, run_specs_parallel
-from repro.simulation.parallel import (
-    _cached_trace,
-    _check_picklable,
-    _init_worker,
-    default_chunksize,
-)
+from repro.exec import default_chunksize, runtime
+from repro.exec.scheduler import _check_picklable
+from repro.simulation import ExperimentRunner, run_specs_parallel
 
 
 def _panel_specs(algorithms=("rbma", "bma", "oblivious", "rotor")):
@@ -62,10 +58,10 @@ def test_default_chunksize_balances_dispatch_and_cache_hits():
 
 
 def test_worker_trace_cache_returns_identical_workloads():
-    _init_worker()  # start from an empty cache, as a fresh worker would
+    runtime._TRACE_CACHE.clear()  # start from an empty cache, as a fresh worker would
     spec = _panel_specs(["rbma"])[0].with_seed(13)
-    first = _cached_trace(spec)
-    second = _cached_trace(spec)
+    first = runtime.cached_trace(spec)
+    second = runtime.cached_trace(spec)
     assert second is first  # memoised within the process
     rebuilt = spec.build_trace()
     assert np.array_equal(first.sources, rebuilt.sources)
@@ -73,21 +69,20 @@ def test_worker_trace_cache_returns_identical_workloads():
 
 
 def test_worker_trace_cache_never_caches_unseeded_specs():
-    _init_worker()
+    runtime._TRACE_CACHE.clear()
     spec = _panel_specs(["rbma"])[0].with_seed(None)
-    first = _cached_trace(spec)
-    second = _cached_trace(spec)
+    first = runtime.cached_trace(spec)
+    second = runtime.cached_trace(spec)
     # Fresh entropy per run: caching would silently correlate repetitions.
     assert second is not first
 
 
 def test_unpicklable_spec_is_rejected_before_dispatch():
-    bad = RunSpec(
-        algorithm="rbma",
-        workload="zipf",
-        b=2,
-        workload_kwargs={"n_nodes": 8, "n_requests": 50},
-        algorithm_kwargs={"paging_factory": lambda capacity, rng: None},
+    bad = ExperimentSpec(
+        algorithm={"name": "rbma", "b": 2, "alpha": 1.0,
+                   "params": {"paging_factory": lambda capacity, rng: None}},
+        traffic={"name": "zipf", "params": {"n_nodes": 8, "n_requests": 50}},
+        seed=None,
     )
     with pytest.raises(SimulationError, match="pickl"):
         _check_picklable([bad])

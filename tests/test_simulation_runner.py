@@ -4,48 +4,47 @@ import pytest
 
 from repro.config import SweepConfig
 from repro.errors import ConfigurationError
-from repro.simulation import ExperimentRunner, RunSpec, run_specs_parallel, run_sweep
-from repro.simulation.runner import execute_run_spec
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner, run_specs_parallel, run_sweep
+from repro.simulation.runner import execute_experiment_spec
 
 
 SMALL_WORKLOAD = dict(n_nodes=12, n_requests=300)
 
 
-def _spec(algorithm="rbma", b=2, **kwargs):
-    return RunSpec(
-        algorithm=algorithm,
-        workload="zipf",
-        b=b,
-        alpha=4.0,
-        workload_kwargs={**SMALL_WORKLOAD, "exponent": 1.3},
-        checkpoints=5,
-        **kwargs,
+def _spec(algorithm="rbma", b=2, topology="fat-tree", seed=None):
+    return ExperimentSpec(
+        algorithm={"name": algorithm, "b": b, "alpha": 4.0},
+        traffic={"name": "zipf", "params": {**SMALL_WORKLOAD, "exponent": 1.3}},
+        topology={"name": topology},
+        simulation={"checkpoints": 5},
+        seed=seed,
     )
 
 
 class TestExecuteRunSpec:
     def test_basic_execution(self):
-        result = execute_run_spec(_spec(seed=1))
+        result = execute_experiment_spec(_spec(seed=1))
         assert result.algorithm == "rbma"
         assert result.n_requests == 300
         assert result.workload == "zipf"
         assert result.topology.startswith("fat-tree")
 
     def test_seed_reproducibility(self):
-        a = execute_run_spec(_spec(seed=3))
-        b = execute_run_spec(_spec(seed=3))
+        a = execute_experiment_spec(_spec(seed=3))
+        b = execute_experiment_spec(_spec(seed=3))
         assert a.total_routing_cost == b.total_routing_cost
 
     def test_shared_trace_override(self):
         from repro.traffic import zipf_pair_trace
 
         trace = zipf_pair_trace(n_nodes=12, n_requests=200, seed=5)
-        result = execute_run_spec(_spec(), trace=trace)
+        result = execute_experiment_spec(_spec(), trace=trace)
         assert result.n_requests == 200
 
     def test_alternative_topology(self):
         spec = _spec(topology="leaf-spine", seed=0)
-        result = execute_run_spec(spec)
+        result = execute_experiment_spec(spec)
         assert result.topology.startswith("leaf-spine")
 
     def test_with_seed_copy(self):
@@ -79,8 +78,9 @@ class TestExperimentRunner:
 
     def test_compare_requires_same_workload(self):
         runner = ExperimentRunner()
-        other = RunSpec(algorithm="rbma", workload="uniform", b=2,
-                        workload_kwargs=SMALL_WORKLOAD, checkpoints=5)
+        other = ExperimentSpec(algorithm={"name": "rbma", "b": 2},
+                               traffic={"name": "uniform", "params": SMALL_WORKLOAD},
+                               simulation={"checkpoints": 5}, seed=None)
         with pytest.raises(ConfigurationError):
             runner.compare_on_shared_trace([_spec(), other])
 
@@ -114,7 +114,7 @@ class TestParallel:
 
     def test_multi_worker_matches_sequential(self):
         specs = [_spec(algorithm="oblivious", seed=1), _spec(algorithm="rbma", seed=1)]
-        sequential = [execute_run_spec(s) for s in specs]
+        sequential = [execute_experiment_spec(s) for s in specs]
         parallel = run_specs_parallel(specs, n_workers=2)
         assert [r.algorithm for r in parallel] == [r.algorithm for r in sequential]
         for p, s in zip(parallel, sequential):

@@ -19,7 +19,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import ExperimentSpec
-from repro.simulation.parallel import run_specs_parallel
+from repro.simulation import run_specs_parallel
 from repro.store import RunStore, export_store, fingerprint_spec, import_store
 from repro.store.run_store import _atomic_write_json, entry_checksum
 from repro.store.transfer import MANIFEST_NAME
