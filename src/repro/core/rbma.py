@@ -16,6 +16,10 @@ R-BMA composes the two reductions of the paper:
 With the randomized marking / Young paging algorithm this yields the
 ``O((1 + ℓ_max/α)·log(b/(b−a+1)))`` competitive ratio of Corollary 3, an
 exponential improvement over the best deterministic algorithm (Θ(b)).
+
+Which requests are special depends only on per-pair counts and ``k_e``, not
+on the matching or the randomness, so :meth:`RBMA.serve_batch` finds a
+segment's specials in one numpy pass and runs Python only at those.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import SimulationError
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
-from .uniform import PerNodePagingMatcher
+from .uniform import PerNodePagingMatcher, segment_arrays, serve_specials
 
 __all__ = ["RBMA"]
 
@@ -113,67 +116,70 @@ class RBMA(OnlineBMatchingAlgorithm):
         return self._matcher.process(pair)
 
     def serve_batch(self, requests) -> None:
-        """Batched replay: filtered requests stay inside one tight loop.
+        """Event-skipping replay: Python runs only at special requests.
 
-        Reads the trace arrays directly and tests matching membership on
-        int-encoded pairs; only *special* requests (those passing the
-        Theorem 1 filter) touch the paging machinery.  Cost accounting,
-        randomness consumption, and raised errors are exactly those of
-        request-by-request :meth:`serve` calls.
+        (a) One numpy pass finds the segment's special requests from the
+        carried counters and the thresholds ``k_e``; (b)-(c)
+        :func:`~repro.core.uniform.serve_specials` forwards only those to the
+        paging machinery and totals every request's cost from the edge
+        events they log.  Costs, randomness consumption, counters and raised
+        errors are exactly those of request-by-request :meth:`serve` calls,
+        which also serve segments too short to repay the numpy passes.
         """
-        matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
-        decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
+        decoded = segment_arrays(self, requests)
+        if decoded is None:
             super().serve_batch(requests)
             return
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-        # Theorem 1 thresholds k_e = max(1, ceil(alpha / max(l, 1))) for the
-        # whole segment in one vectorised pass (np.ceil of the identical
-        # float division matches math.ceil exactly).
+        keys, lengths, order = decoded
+        # k_e = max(1, ceil(alpha / max(l, 1))) per request; np.ceil of the
+        # identical float division matches math.ceil exactly.
         thresholds = np.maximum(
-            1, np.ceil(self.config.alpha / np.maximum(lengths_arr, 1.0)).astype(np.int64)
-        ).tolist()
-
-        counters = self._counters
-        process = self._matcher.process
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
+            1, np.ceil(self.config.alpha / np.maximum(lengths, 1.0)).astype(np.int64)
+        )
+        specials, counters = self._find_specials(keys, thresholds, order)
         served = self.requests_served
-        matched = self.matched_requests
         try:
-            for key, length, k in zip(keys, lengths, thresholds):
-                hit = key in edge_keys
-                count = counters.get(key, 0) + 1
-                if count < k:
-                    counters[key] = count
-                    n_changes = 0
-                else:
-                    counters[key] = 0
-                    before = matching.additions + matching.removals
-                    pair = (key // n, key % n)
-                    process(pair)
-                    n_changes = matching.additions + matching.removals - before
-                    if n_changes and matching.degree(pair[0]) > b:
-                        raise SimulationError(
-                            f"{self.name}: degree bound violated at node {pair[0]}"
-                        )
-                routing += 1.0 if hit else length
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-        finally:
-            self.total_routing_cost = routing
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = served
-            self.matched_requests = matched
+            serve_specials(self, self._matcher, keys, lengths, order, specials)
+        except BaseException:
+            # serve_specials committed the requests before the failing
+            # special; per-request serving has also restarted that special's
+            # counter, so the counters advance through it.
+            stop = self.requests_served - served + 1
+            prefix = order[order < stop]
+            self._counters.update(self._find_specials(keys, thresholds, prefix)[1])
+            raise
+        self._counters.update(counters)
+
+    def _find_specials(
+        self, keys: np.ndarray, thresholds: np.ndarray, order: np.ndarray
+    ) -> tuple[np.ndarray, Dict[int, int]]:
+        """Theorem 1 over the requests ``order`` lists, sorted stably by pair.
+
+        Returns the positions of the special requests and the counters after
+        them.  A request's occurrence rank ``j`` (0-based) among its pair's
+        requests follows from the sort; with ``c0`` the pair's carried
+        counter, the request is special iff ``(c0 + j + 1) % k_e == 0``, and
+        the pair's counter afterwards is ``(c0 + n_e) % k_e`` for its ``n_e``
+        requests.
+        """
+        ranked = keys[order]
+        m = len(ranked)
+        first = np.empty(m, dtype=bool)  # first request of its pair
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        pairs = ranked[starts].tolist()
+        get = self._counters.get
+        carried = np.array([get(key, 0) for key in pairs], dtype=np.int64)
+        # count = c0 + j + 1, where j = sorted position - start of the pair.
+        count = (carried - starts)[first.cumsum() - 1]
+        count += np.arange(1, m + 1)
+        k = thresholds[order]
+        special = np.zeros(len(keys), dtype=bool)
+        special[order] = count % k == 0
+        ends = np.append(starts[1:], m) - 1  # last request of each pair
+        after = count[ends] % k[ends]
+        return special.nonzero()[0], dict(zip(pairs, after.tolist()))
 
     def _reset_policy_state(self) -> None:
         self._matcher = PerNodePagingMatcher(self.matching, self._factory, self.counter_rng)

@@ -20,6 +20,11 @@ R-BMA (which forwards only *special* requests, Theorem 1) can reuse it
 unchanged.  :class:`UniformBMatching` wraps it as a standalone algorithm that
 treats every request as special — the correct behaviour when ``α = 1`` and
 all distances are 1.
+
+Both algorithms replay a trace segment with :func:`serve_specials`: Python
+runs only at the special requests, which log every matching edge they add or
+remove, and the costs of all requests are then read off that log in one
+vectorised pass.
 """
 
 from __future__ import annotations
@@ -34,11 +39,19 @@ from ..matching import BMatching
 from ..paging.base import PagingAlgorithm
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
+from ..traffic.base import Trace
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
 from .rng import CounterRNG
 
 __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
+
+#: Segments shorter than this are served request by request through the
+#: base class's :meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve`:
+#: below it, the fixed numpy cost of :func:`serve_specials` outweighs the
+#: per-request Python it saves (measured on the fig4 workload).
+_MIN_EVENT_SEGMENT = 16
+
 
 class PerNodePagingMatcher:
     """Maintains per-node paging instances and the matching they induce.
@@ -86,34 +99,161 @@ class PerNodePagingMatcher:
     def process(self, pair: NodePair) -> Tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         """Forward ``pair`` to both endpoints' pagers and update the matching.
 
-        Returns the matching edges added and removed during this step.
+        Returns the matching edges added and removed during this step.  Most
+        forwarded requests are paging hits at both endpoints and find the
+        pair already matched; that path allocates nothing.
         """
-        u, v = pair
-        # 1. Request the pair at both endpoints; collect evicted pages.
-        for endpoint in (u, v):
-            result = self.pager(endpoint).request(pair)
-            for evicted in result.evicted:
-                # A page evicted from an endpoint's cache corresponds to a
-                # matching edge that may no longer be matched: mark it.
-                self.matching.mark_for_removal(*evicted)
+        matching = self.matching
+        pagers = self._pagers
+        # 1. Request the pair at both endpoints; a miss may evict pages.
+        for endpoint in pair:
+            pager = pagers.get(endpoint)
+            if pager is None:
+                pager = self.pager(endpoint)
+            if not pager.hit(pair):
+                for evicted in pager.request(pair).evicted:
+                    # A page evicted from an endpoint's cache corresponds to
+                    # a matching edge that may no longer be matched: mark it.
+                    matching.mark_for_removal(*evicted)
 
         # 2. Ensure the requested pair is a matching edge.
-        added: list[NodePair] = []
-        removed: list[NodePair] = []
-        if pair in self.matching:
+        u, v = pair
+        if pair in matching:
             # Requested and cached at both endpoints again: clear any stale mark.
-            self.matching.unmark(u, v)
-        else:
-            for endpoint in (u, v):
-                removed.extend(self.matching.prune_to_capacity(endpoint))
-            self.matching.add(u, v)
-            added.append(pair)
-
-        return tuple(added), tuple(removed)
+            matching.unmark(u, v)
+            return (), ()
+        removed = matching.prune_to_capacity(u)
+        removed.extend(matching.prune_to_capacity(v))
+        matching.add(u, v)
+        return (pair,), tuple(removed)
 
     def reset(self) -> None:
         """Drop all per-node paging state (the matching is reset by its owner)."""
         self._pagers.clear()
+
+
+def segment_arrays(algorithm: OnlineBMatchingAlgorithm, requests):
+    """``(keys, lengths, order)`` of a segment :func:`serve_specials` should serve.
+
+    ``keys`` are the int-encoded canonical pairs, ``lengths`` their
+    fixed-network distances and ``order`` the stable argsort of ``keys`` (a
+    radix sort when the keys fit in 16 bits).  Returns ``None`` — serve the
+    segment request by request instead — when ``requests`` is not a
+    :class:`~repro.traffic.base.Trace`, is shorter than the measured
+    crossover, addresses racks beyond the topology, or the matching is not
+    the fast kernel (whose int edge keys the replay reads).
+    """
+    if (
+        not isinstance(requests, Trace)
+        or len(requests) < _MIN_EVENT_SEGMENT
+        or getattr(algorithm.matching, "edge_keys", None) is None
+    ):
+        return None
+    decoded = algorithm._batch_arrays(requests)
+    if decoded is None:
+        return None
+    keys, lengths = decoded[2:]
+    n = algorithm.topology.n_racks
+    sortable = keys.astype(np.uint16) if n * n <= 1 << 16 else keys
+    return keys, lengths, sortable.argsort(kind="stable")
+
+
+def serve_specials(
+    algorithm: OnlineBMatchingAlgorithm,
+    matcher: PerNodePagingMatcher,
+    keys: np.ndarray,
+    lengths: np.ndarray,
+    order: np.ndarray,
+    specials: np.ndarray,
+) -> None:
+    """Serve a segment in which only the requests at ``specials`` reconfigure.
+
+    ``keys``, ``lengths`` and ``order`` are as returned by
+    :func:`segment_arrays`; ``specials`` are the ascending positions of the
+    requests forwarded to paging.  The segment is served in two passes, with
+    the costs, randomness and errors of per-request serving:
+
+    * ``matcher.process`` runs for each special, in order, and every edge it
+      adds or removes is logged with the special's position.  An event takes
+      effect after the request that caused it.  Reconfiguration cost is
+      summed here, in request order.
+    * Each request's hit is read from the per-pair membership timeline the
+      log defines (the matching at segment start, then the last event of its
+      pair before it), and routing cost is summed by a left-to-right
+      cumulative sum from the carried total, the float order of per-request
+      serving.
+
+    If a special raises, the requests before it are committed and the error
+    propagates, so the algorithm's totals are those per-request serving
+    leaves.
+    """
+    matching = algorithm.matching
+    n = algorithm.topology.n_racks
+    b = algorithm.config.b
+    alpha = algorithm.config.alpha
+    edge_keys = matching.edge_keys
+    initial = np.fromiter(edge_keys, np.int64, len(edge_keys))  # edges at segment start
+    initial.sort()
+    process = matcher.process
+    key_list = keys.tolist()
+    ev_pos: list[int] = []
+    ev_key: list[int] = []
+    ev_added: list[bool] = []
+    reconf = algorithm.total_reconfiguration_cost
+    stop = len(key_list)
+    try:
+        for pos in specials.tolist():
+            stop = pos  # the requests served if this special raises
+            key = key_list[pos]
+            pair = (key // n, key % n)
+            added, removed = process(pair)
+            if added or removed:
+                if matching.degree(pair[0]) > b:
+                    raise SimulationError(
+                        f"{algorithm.name}: degree bound violated at node {pair[0]}"
+                    )
+                reconf += (len(added) + len(removed)) * alpha
+                for u, v in removed:
+                    ev_pos.append(pos)
+                    ev_key.append(u * n + v)
+                    ev_added.append(False)
+                if added:
+                    ev_pos.append(pos)
+                    ev_key.append(key)
+                    ev_added.append(True)
+        stop = len(key_list)
+    finally:
+        if stop < len(order):
+            order = order[order < stop]
+        # Hits are looked up in pair order (sorted queries search fastest)
+        # and scattered back to request order.
+        ranked = keys[order]
+        if len(initial):
+            hit = initial.take(initial.searchsorted(ranked), mode="clip") == ranked
+        else:
+            hit = np.zeros(stop, dtype=bool)
+        if ev_pos:
+            # Sort the log by (pair, position); each request then finds its
+            # pair's last event strictly before it.
+            scale = stop + 1
+            ev_keys = np.array(ev_key, dtype=np.int64)
+            composite = ev_keys * scale + np.array(ev_pos, dtype=np.int64)
+            ev_order = composite.argsort(kind="stable")
+            last = composite[ev_order].searchsorted(ranked * scale + order) - 1
+            found = last >= 0
+            last = ev_order[last]  # last == -1 reads a wrong event, masked below
+            found &= ev_keys[last] == ranked
+            hit = np.where(found, np.array(ev_added)[last], hit)
+        in_order = np.empty(stop, dtype=bool)
+        in_order[order] = hit
+        cost = np.where(in_order, 1.0, lengths[:stop])
+        if stop:
+            # cumsum adds left to right, as per-request serving does.
+            cost[0] += algorithm.total_routing_cost
+            algorithm.total_routing_cost = float(cost.cumsum()[-1])
+        algorithm.total_reconfiguration_cost = reconf
+        algorithm.requests_served += stop
+        algorithm.matched_requests += int(np.count_nonzero(hit))
 
 
 class UniformBMatching(OnlineBMatchingAlgorithm):
@@ -155,54 +295,20 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
         return self._matcher.process(pair)
 
     def serve_batch(self, requests) -> None:
-        """Batched replay: every request drives paging in one tight int loop.
+        """Batched replay through :func:`serve_specials`, every request special.
 
-        Unlike R-BMA there is no Theorem 1 filter — each request reaches the
-        per-node pagers — so the win over :meth:`serve` is skipping the
-        Request/ServeOutcome wrappers and testing matching membership on
-        int-encoded pairs.  Cost accounting, randomness consumption, and
-        raised errors match request-by-request serving exactly.
+        Without a Theorem 1 filter each request reaches the per-node pagers,
+        so the saving over :meth:`serve` is skipping the Request/ServeOutcome
+        wrappers and reading hits and routing costs in one vectorised pass.
+        Costs, randomness and raised errors match request-by-request serving
+        exactly; short segments are served that way.
         """
-        matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
-        decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
+        decoded = segment_arrays(self, requests)
+        if decoded is None:
             super().serve_batch(requests)
             return
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-
-        process = self._matcher.process
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        try:
-            for key, length in zip(keys, lengths):
-                hit = key in edge_keys
-                before = matching.additions + matching.removals
-                pair = (key // n, key % n)
-                process(pair)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(pair[0]) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {pair[0]}"
-                    )
-                routing += 1.0 if hit else length
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-        finally:
-            self.total_routing_cost = routing
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = served
-            self.matched_requests = matched
+        keys, lengths, order = decoded
+        serve_specials(self, self._matcher, keys, lengths, order, np.arange(len(keys)))
 
     def _reset_policy_state(self) -> None:
         self._matcher = self._make_matcher()

@@ -9,7 +9,10 @@ manages a cache of at most ``capacity`` pages.  On a request to page ``p``:
 
 The matching reduction (Theorem 2 of the paper) additionally needs to know
 *which* pages were evicted on each request so that the corresponding matching
-edges can be dropped; :class:`PagingResult` reports that.
+edges can be dropped; :class:`PagingResult` reports that.  Most requests the
+reduction forwards are hits, which evict nothing, so it serves them through
+:meth:`PagingAlgorithm.hit` (a bool, no result object) and calls
+:meth:`PagingAlgorithm.request` only on a miss.
 """
 
 from __future__ import annotations
@@ -102,7 +105,10 @@ class PagingAlgorithm(ABC):
 
     Subclasses implement :meth:`_evict_victim` (choose a page to evict on a
     miss with a full cache) and may override :meth:`_on_hit` /
-    :meth:`_on_fetch` to maintain their bookkeeping.
+    :meth:`_on_fetch` to maintain their bookkeeping.  A subclass that checks
+    every request (as :class:`~repro.paging.belady.BeladyPaging` checks its
+    known sequence) must do so in :meth:`hit` as well as :meth:`request`:
+    callers may serve a hit through :meth:`hit` alone.
     """
 
     def __init__(self, capacity: int):
@@ -131,18 +137,34 @@ class PagingAlgorithm(ABC):
     def __len__(self) -> int:
         return len(self._cache)
 
+    def hit(self, page: Hashable) -> bool:
+        """Serve a request to ``page`` if it is cached; report whether it was.
+
+        On a hit this does all of a hit's bookkeeping (statistics and
+        :meth:`_on_hit`) and returns True.  On a miss it returns False and
+        changes nothing; the caller then serves the miss with
+        :meth:`request`.  :meth:`request` calls this first, so a hit is
+        served the same way whichever entry point is used, without
+        building a :class:`PagingResult`.
+        """
+        if page not in self._cache:
+            return False
+        stats = self.stats
+        stats.requests += 1
+        stats.hits += 1
+        self._on_hit(page)
+        return True
+
     def request(self, page: Hashable) -> PagingResult:
         """Serve a request to ``page`` and return what happened.
 
         On a miss the page is always fetched (no bypassing), evicting a
         victim chosen by the concrete policy if the cache is full.
         """
-        self.stats.requests += 1
-        if page in self._cache:
-            self.stats.hits += 1
-            self._on_hit(page)
+        if self.hit(page):
             return PagingResult(page=page, hit=True)
 
+        self.stats.requests += 1
         self.stats.misses += 1
         evicted: list[Hashable] = []
         while len(self._cache) >= self._capacity:

@@ -27,8 +27,9 @@ class BeladyPaging(PagingAlgorithm):
         Cache size.
     sequence:
         The complete request sequence this instance will be driven with.
-        Requests must be issued (via :meth:`request`) in exactly this order;
-        deviating raises :class:`~repro.errors.PagingError`.
+        Requests must be issued (via :meth:`request`, or :meth:`hit` for a
+        cached page) in exactly this order; deviating raises
+        :class:`~repro.errors.PagingError`.
     """
 
     def __init__(self, capacity: int, sequence: Sequence[Hashable]):
@@ -41,7 +42,21 @@ class BeladyPaging(PagingAlgorithm):
             self._positions[page].append(i)
         self._cursor = 0
 
+    def hit(self, page: Hashable) -> bool:
+        if page not in self._cache:
+            return False
+        self._advance(page)
+        return super().hit(page)
+
     def request(self, page: Hashable):  # type: ignore[override]
+        # A cached page advances the cursor in hit(), which the base
+        # request() calls first; only a miss is checked here.
+        if page not in self._cache:
+            self._advance(page)
+        return super().request(page)
+
+    def _advance(self, page: Hashable) -> None:
+        """Check ``page`` against the known sequence and move the cursor past it."""
         if self._cursor >= len(self._sequence):
             raise PagingError("BeladyPaging received more requests than its known sequence")
         expected = self._sequence[self._cursor]
@@ -54,7 +69,6 @@ class BeladyPaging(PagingAlgorithm):
         if queue and queue[0] == self._cursor:
             queue.popleft()
         self._cursor += 1
-        return super().request(page)
 
     def _next_use(self, page: Hashable) -> int:
         queue = self._positions.get(page)

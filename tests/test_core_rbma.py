@@ -7,8 +7,11 @@ import pytest
 
 from repro.config import MatchingConfig
 from repro.core import RBMA, ObliviousRouting
+from repro.core.uniform import _MIN_EVENT_SEGMENT, PerNodePagingMatcher
+from repro.errors import PagingError
 from repro.matching.validation import check_b_matching
-from repro.paging import RandomizedMarking
+from repro.paging import RandomizedMarking, make_paging_factory
+from repro.topology import StarTopology
 from repro.traffic import zipf_pair_trace
 from repro.types import Request
 
@@ -134,3 +137,155 @@ class TestRBMABehaviour:
         if (0, 1) in algo.matching:
             outcome = algo.serve(Request(0, 1))
             assert outcome.routing_cost == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# Event-skipping serve_batch: equal to per-request serve, state for state
+# --------------------------------------------------------------------------- #
+
+#: Segment sizes cycled through by the differential replays: single
+#: requests, both sides of the event-replay crossover, and long segments.
+_CUT_SIZES = (
+    1, 1, _MIN_EVENT_SEGMENT - 1, _MIN_EVENT_SEGMENT, _MIN_EVENT_SEGMENT + 1,
+    1, 300, _MIN_EVENT_SEGMENT - 1, 2, 700, _MIN_EVENT_SEGMENT + 1, 1, 1000,
+)
+
+
+def _segments(trace, sizes=_CUT_SIZES):
+    start, i = 0, 0
+    while start < len(trace):
+        stop = min(len(trace), start + sizes[i % len(sizes)])
+        yield trace[start:stop]
+        start, i = stop, i + 1
+
+
+def _pager_state(algo):
+    state = {}
+    for node in sorted(algo.matcher.active_nodes):
+        pager = algo.matcher.pager(node)
+        state[node] = (pager.cache, getattr(pager, "marked_pages", None), pager.stats)
+    return state
+
+
+def _full_state(algo, pairs):
+    return (
+        algo.total_routing_cost,
+        algo.total_reconfiguration_cost,
+        algo.requests_served,
+        algo.matched_requests,
+        {pair: algo.pending_count(pair) for pair in pairs},
+        sorted(algo.matching.edges),
+        sorted(algo.matching.marked_edges),
+        algo.matching.additions,
+        algo.matching.removals,
+        _pager_state(algo),
+    )
+
+
+class TestEventSkippingReplay:
+    @pytest.mark.parametrize("policy", ["marking", "lru"])
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            2.5,   # non-integral: k_e = 2 within a pod, 1 across
+            1.5,   # below every length: k_e = 1, every request is special
+            48.0,  # k_e = 24 within a pod, 12 across
+        ],
+    )
+    def test_segments_equal_per_request_serve(self, small_fattree, alpha, policy):
+        trace = zipf_pair_trace(n_nodes=16, n_requests=4000, exponent=1.3,
+                                repeat_probability=0.3, seed=21)
+        config = MatchingConfig(b=3, alpha=alpha)
+        batched = RBMA(small_fattree, config, rng=4, paging_policy=policy)
+        sequential = RBMA(small_fattree, config, rng=4, paging_policy=policy)
+        for segment in _segments(trace):
+            batched.serve_batch(segment)
+        for request in trace.requests():
+            sequential.serve(request)
+        pairs = set(trace.pairs())
+        assert _full_state(batched, pairs) == _full_state(sequential, pairs)
+        if alpha == 1.5:
+            assert all(count == 0 for count in _full_state(batched, pairs)[4].values())
+
+    def test_keys_beyond_16_bits_equal_per_request_serve(self):
+        # 300 racks: pair keys exceed 2**16, so the pair sort is not a radix sort.
+        topology = StarTopology(n_racks=300)
+        trace = zipf_pair_trace(n_nodes=300, n_requests=3000, exponent=1.4,
+                                repeat_probability=0.4, seed=2)
+        config = MatchingConfig(b=2, alpha=5.0)
+        batched = RBMA(topology, config, rng=9)
+        sequential = RBMA(topology, config, rng=9)
+        for segment in _segments(trace):
+            batched.serve_batch(segment)
+        for request in trace.requests():
+            sequential.serve(request)
+        pairs = set(trace.pairs())
+        assert max(pair[0] * 300 + pair[1] for pair in pairs) >= 1 << 16
+        assert _full_state(batched, pairs) == _full_state(sequential, pairs)
+
+    @pytest.mark.parametrize("misses_before_failure", [3, 40, 150])
+    @pytest.mark.parametrize("sizes", [(4000,), _CUT_SIZES])
+    def test_failing_special_leaves_per_request_state(
+        self, small_fattree, misses_before_failure, sizes
+    ):
+        trace = zipf_pair_trace(n_nodes=16, n_requests=4000, exponent=1.3, seed=8)
+
+        def failing_factory():
+            budget = [misses_before_failure]
+            marking = make_paging_factory("marking")
+
+            def factory(capacity, rng):
+                pager = marking(capacity, rng)
+                request = pager.request
+
+                def request_or_fail(page):
+                    if page not in pager:
+                        budget[0] -= 1
+                        if budget[0] < 0:
+                            raise PagingError(f"injected miss failure at {page}")
+                    return request(page)
+
+                pager.request = request_or_fail
+                return pager
+
+            return factory
+
+        config = MatchingConfig(b=2, alpha=6.0)
+        sequential = RBMA(small_fattree, config, rng=1, paging_factory=failing_factory())
+        with pytest.raises(PagingError) as seq_error:
+            for request in trace.requests():
+                sequential.serve(request)
+
+        batched = RBMA(small_fattree, config, rng=1, paging_factory=failing_factory())
+        with pytest.raises(PagingError) as batch_error:
+            for segment in _segments(trace, sizes):
+                batched.serve_batch(segment)
+
+        assert str(batch_error.value) == str(seq_error.value)
+        assert 0 < sequential.requests_served < len(trace)
+        pairs = set(trace.pairs())
+        assert _full_state(batched, pairs) == _full_state(sequential, pairs)
+
+    def test_only_theorem1_specials_reach_the_pagers(self, small_fattree, monkeypatch):
+        calls = []
+        process = PerNodePagingMatcher.process
+
+        def counting_process(self, pair):
+            calls.append(pair)
+            return process(self, pair)
+
+        monkeypatch.setattr(PerNodePagingMatcher, "process", counting_process)
+        trace = zipf_pair_trace(n_nodes=16, n_requests=5000, exponent=1.2, seed=3)
+        algo = RBMA(small_fattree, MatchingConfig(b=3, alpha=9.0), rng=0)
+        expected = 0
+        for segment in _segments(trace, (700, _MIN_EVENT_SEGMENT, 1, 1300, 57)):
+            # Sum over pairs e of floor((c0_e + n_e) / k_e), c0_e carried in.
+            counts = {}
+            for pair in segment.pairs():
+                counts[pair] = counts.get(pair, 0) + 1
+            for pair, n_e in counts.items():
+                k_e = algo.threshold(float(small_fattree.pair_length(pair)))
+                expected += (algo.pending_count(pair) + n_e) // k_e
+            algo.serve_batch(segment)
+        assert len(calls) == expected
+        assert 0 < expected < len(trace)

@@ -1,9 +1,21 @@
 """Tests for the paging interface shared by all policies."""
 
+import copy
+
 import pytest
 
+from repro.core.rng import CounterRNG
+from repro.core.uniform import PerNodePagingMatcher
 from repro.errors import PagingError
-from repro.paging import FIFOPaging, LRUPaging, RandomizedMarking
+from repro.matching import make_matching
+from repro.paging import (
+    BeladyPaging,
+    FIFOPaging,
+    LRUPaging,
+    RandomizedMarking,
+    available_paging_policies,
+    make_paging_factory,
+)
 from repro.paging.base import PagingResult
 
 
@@ -84,3 +96,95 @@ class TestRequestSemantics:
 
     def test_hit_ratio_empty(self):
         assert LRUPaging(1).stats.hit_ratio() == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# hit(): the one hit path, for every registered policy and Belady
+# --------------------------------------------------------------------------- #
+
+
+_WARMUP = [0, 1, 2, 0, 3, 1, 4, 0, 2]
+_AFTER = [5, 0, 6, 1, 7, 2, 0, 5]
+
+
+def _policy_state(pager):
+    """Everything a policy keeps, minus its RNG objects (compared by draws)."""
+    return copy.deepcopy(
+        {name: value for name, value in vars(pager).items() if name not in ("_rng", "_crng")}
+    )
+
+
+def _make(policy):
+    return make_paging_factory(policy)(3, CounterRNG(17).stream(2))
+
+
+@pytest.mark.parametrize("policy", available_paging_policies())
+class TestHitContract:
+    def test_hit_on_cached_page_equals_request(self, policy):
+        by_hit, by_request = _make(policy), _make(policy)
+        for pager in (by_hit, by_request):
+            pager.serve_sequence(_WARMUP)
+        cached = sorted(by_hit.cache)
+        for page in cached:
+            assert by_hit.hit(page) is True
+            assert by_request.request(page).hit
+            assert _policy_state(by_hit) == _policy_state(by_request)
+        # The two pagers stay in lockstep afterwards, evictions included.
+        for page in _AFTER:
+            assert by_hit.request(page) == by_request.request(page)
+        assert _policy_state(by_hit) == _policy_state(by_request)
+
+    def test_hit_on_uncached_page_changes_nothing(self, policy):
+        pager = _make(policy)
+        pager.serve_sequence(_WARMUP)
+        before = _policy_state(pager)
+        assert 99 not in pager
+        assert pager.hit(99) is False
+        assert _policy_state(pager) == before
+
+
+class TestBeladyHitPath:
+    SEQUENCE = ["a", "b", "a", "c", "a", "b", "d", "a"]
+
+    def test_hit_advances_the_known_sequence_like_request(self):
+        by_hit = BeladyPaging(2, self.SEQUENCE)
+        by_request = BeladyPaging(2, self.SEQUENCE)
+        for page in self.SEQUENCE:
+            if not by_hit.hit(page):
+                by_hit.request(page)
+            by_request.request(page)
+            assert _policy_state(by_hit) == _policy_state(by_request)
+
+    def test_uncached_hit_does_not_consume_the_sequence(self):
+        algo = BeladyPaging(2, self.SEQUENCE)
+        before = _policy_state(algo)
+        assert algo.hit("a") is False
+        assert _policy_state(algo) == before
+
+    def test_out_of_order_cached_page_rejected_by_hit(self):
+        algo = BeladyPaging(2, ["a", "a", "b"])
+        algo.request("a")
+        with pytest.raises(PagingError):
+            algo.request("b")  # "a" expected; the miss path checks
+        algo = BeladyPaging(2, ["a", "b", "a"])
+        algo.request("a")
+        with pytest.raises(PagingError):
+            algo.hit("a")  # cached, but "b" expected: the hit path checks too
+
+    def test_matcher_cannot_bypass_the_sequence_check(self):
+        # Every node's pager knows the pairs it will see; pagers are created
+        # lazily, in the order the nodes first appear.
+        pairs = [(0, 1), (0, 2), (0, 1), (0, 1), (0, 3), (0, 2)]
+        nodes = iter([0, 1, 2, 3])
+
+        def factory(capacity, rng):
+            node = next(nodes)
+            return BeladyPaging(capacity, [pair for pair in pairs if node in pair])
+
+        matcher = PerNodePagingMatcher(make_matching(4, 2, "fast"), factory, rng=0)
+        for pair in pairs:
+            matcher.process(pair)  # hits go through hit(), misses through request()
+        assert matcher.pager(0)._cursor == len(pairs)
+        cached = sorted(matcher.pager(0).cache)[0]
+        with pytest.raises(PagingError):
+            matcher.process(cached)  # a hit at node 0, but past its sequence
