@@ -399,11 +399,11 @@ def solver_benchmark(
 
     ``nx``
         Today's reference path — one independent iterated solve per ``b``
-        with the NetworkX kernel and memoisation disabled, i.e.
+        with the NetworkX kernel, the memo cleared before each solve, i.e.
         ``sum(b_values)`` blossom rounds.
     ``array_kernel``
-        The same independent solves on the flat-array kernel (memoisation
-        still disabled), isolating the pure kernel speedup.
+        The same independent solves on the flat-array kernel (memo still
+        cleared before each solve), isolating the pure kernel speedup.
     ``array``
         The new default tier: array kernel plus demand-fingerprint memo and
         prefix-shared rounds, started cold — the whole grid costs
@@ -417,7 +417,6 @@ def solver_benchmark(
     interleaved for ``rounds`` rounds and the per-arm minimum is recorded,
     then written to ``BENCH_solver.json`` at the repo root.
     """
-    import os as _os
     import numpy as _np
     from dataclasses import replace as _replace
 
@@ -426,15 +425,12 @@ def solver_benchmark(
     from repro.simulation.runner import execute_experiment_spec
 
     report: Dict[str, Dict[str, object]] = {}
-    saved_cache_env = _os.environ.get("REPRO_SOLVER_CACHE")
 
-    def _set_memo(enabled: bool) -> None:
-        # Pin both arms to known cache settings rather than inheriting the
-        # operator's REPRO_SOLVER_CACHE: an environment with the memo
-        # disabled would otherwise silently turn the "array + memo" arm into
-        # a kernel-only measurement while the JSON still claimed
-        # prefix-shared rounds.  The original value is restored on exit.
-        _os.environ["REPRO_SOLVER_CACHE"] = "16" if enabled else "0"
+    def _cold_solve(b: int, backend: str):
+        # An independent solve: clearing the memo first makes it pay for
+        # all b blossom rounds instead of extending a cached sweep state.
+        solver_cache_clear()
+        return iterated_max_weight_b_matching(weights, n, b, backend=backend)
 
     try:
         for figure in figures:
@@ -451,18 +447,14 @@ def solver_benchmark(
 
             # --- bit-identity gate: no timing is recorded unless the array
             # tier reproduces the nx solver exactly, per b and end-to-end.
-            _set_memo(False)
             for b in b_values:
-                chosen_nx = iterated_max_weight_b_matching(weights, n, b, backend="nx")
-                chosen_array = iterated_max_weight_b_matching(
-                    weights, n, b, backend="array"
-                )
+                chosen_nx = _cold_solve(b, "nx")
+                chosen_array = _cold_solve(b, "array")
                 if chosen_nx != chosen_array:
                     raise RuntimeError(
                         f"{figure}: array solver disagrees with nx at b={b}; "
                         "run tests/test_solver_backends.py"
                     )
-            _set_memo(True)
             solver_cache_clear()
             run_costs: Dict[str, float] = {}
             baseline = None
@@ -489,14 +481,12 @@ def solver_benchmark(
             # --- timing arms, interleaved, best-of-N.
             timings: Dict[str, float] = {}
             for _round in range(max(1, rounds)):
-                _set_memo(False)
                 for arm, backend in (("nx", "nx"), ("array_kernel", "array")):
                     started = time.perf_counter()
                     for b in b_values:
-                        iterated_max_weight_b_matching(weights, n, b, backend=backend)
+                        _cold_solve(b, backend)
                     elapsed = time.perf_counter() - started
                     timings[arm] = min(elapsed, timings.get(arm, elapsed))
-                _set_memo(True)
                 solver_cache_clear()  # the combined arm is measured cold
                 started = time.perf_counter()
                 for b in b_values:
@@ -518,10 +508,6 @@ def solver_benchmark(
                 "so_bma_routing_cost": run_costs["array"],
             }
     finally:
-        if saved_cache_env is None:
-            _os.environ.pop("REPRO_SOLVER_CACHE", None)
-        else:
-            _os.environ["REPRO_SOLVER_CACHE"] = saved_cache_env
         solver_cache_clear()
 
     payload = {

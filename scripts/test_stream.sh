@@ -1,10 +1,13 @@
 #!/bin/sh
 # stream CI tier: certify the streaming trace protocol end to end.
 #   * tests/test_traffic_stream.py — TraceStream protocol, chunked
-#     generators (fork_generator counter/buffer semantics, every streamable
-#     workload bit-identical to its bulk generator at any chunk size), tee
+#     generators (fork_generator counter/buffer semantics, every workload's
+#     stream concatenating to its materialized trace at any chunk size), tee
 #     fan-out, the incremental statistics accumulator, and chunked CSV/JSONL
 #     readers;
+#   * tests/test_traffic_golden.py — every workload's requests and the
+#     perfbench-scale trace statistics against golden digests taken from
+#     the earlier, independent bulk generators;
 #   * tests/test_streaming_engine.py — the streaming drive loop: a
 #     differential matrix over every registered algorithm x backend x chunk
 #     size asserting streamed replay is bit-identical to materialized
@@ -19,5 +22,6 @@ cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     exec python -m pytest -q \
     tests/test_traffic_stream.py \
+    tests/test_traffic_golden.py \
     tests/test_streaming_engine.py \
     "$@"

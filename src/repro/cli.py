@@ -57,7 +57,6 @@ from .topology import available_topologies
 from .traffic import (
     available_workloads,
     compute_trace_statistics,
-    load_trace_csv,
     make_workload,
     save_trace_csv,
     stream_trace_csv,
@@ -425,13 +424,9 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_trace(args: argparse.Namespace) -> int:
-    streaming, chunk_size = _streaming_args(args)
-    if streaming:
-        # Chunked read + incremental accumulator: memory stays bounded by
-        # the chunk size, the statistics are bit-identical.
-        trace = stream_trace_csv(args.path, chunk_size=chunk_size)
-    else:
-        trace = load_trace_csv(args.path)
+    # Chunked read + incremental accumulator: memory stays bounded by the
+    # chunk size whether or not --stream is given.
+    trace = stream_trace_csv(args.path, chunk_size=args.chunk_size)
     stats = compute_trace_statistics(trace)
     print(f"trace {trace.name!r}: {stats.n_requests:,} requests, {stats.n_nodes} racks")
     for key, value in stats.to_dict().items():

@@ -203,8 +203,6 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
     from ..experiments.specs import _algorithm_registry
     from ..matching import static_solver
 
-    if static_solver._cache_limit() == 0:
-        return ()
     offline: List[ExperimentSpec] = []
     for spec in specs:
         if spec.seed is None:

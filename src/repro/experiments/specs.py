@@ -250,23 +250,21 @@ class TrafficSpec:
         return self
 
     def build(self, seed: Optional[int] = None):
-        """Generate the trace; ``seed`` fills in unless ``params`` pins one."""
-        kwargs = dict(self.params)
-        kwargs.setdefault("seed", seed)
-        return _workload_registry().build(self.name, **kwargs)
+        """Generate the trace: :meth:`build_stream` materialized."""
+        return self.build_stream(seed).materialize()
 
     def build_stream(self, seed: Optional[int] = None):
         """The workload as a lazy :class:`~repro.traffic.stream.TraceStream`.
 
-        Bit-identical to :meth:`build` with the same seed, for any chunk
-        size; workloads without a chunked generator are materialized once
-        and sliced.
+        ``seed`` fills in unless ``params`` pins one.  The requests do not
+        depend on ``chunk_size``; ``facebook-hadoop`` is generated whole and
+        sliced, every other workload is generated chunk by chunk.
         """
-        from ..traffic.registry import make_workload_stream
-
         kwargs = dict(self.params)
         kwargs.setdefault("seed", seed)
-        return make_workload_stream(self.name, chunk_size=self.chunk_size, **kwargs)
+        return _workload_registry().build(
+            self.name, chunk_size=self.chunk_size, **kwargs
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"name": self.name, "params": dict(self.params)}

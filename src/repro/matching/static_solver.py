@@ -43,14 +43,13 @@ backend).  The cache stores the *incremental sweep state* (solved rounds
 plus residual weights), so a request for ``b = 6`` after ``b = 9`` is a pure
 cache hit and a request for ``b = 9`` after ``b = 3`` only solves rounds
 4..9 — repetitions, benchmark arms, and ``b``-grids that aggregate the same
-trace pay for each blossom round at most once per process.  ``REPRO_SOLVER_CACHE``
-sets the entry limit (default 16; ``0`` disables memoisation).
+trace pay for each blossom round at most once per process.  The LRU holds
+``_CACHE_SIZE`` (16) entries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -214,16 +213,11 @@ class _SweepState:
     exhausted: bool = False
 
 
+#: Max memo entries; the least recently used entry is evicted beyond it.
+_CACHE_SIZE = 16
+
 _SOLVE_CACHE: "OrderedDict[Tuple[str, int, str], _SweepState]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _cache_limit() -> int:
-    """Max memo entries (``REPRO_SOLVER_CACHE``; 0 disables memoisation)."""
-    try:
-        return max(0, int(os.environ.get("REPRO_SOLVER_CACHE", "16")))
-    except ValueError:
-        return 16
 
 
 def _demand_fingerprint(canon: Mapping[NodePair, float], n_nodes: int) -> str:
@@ -261,9 +255,6 @@ def _sweep_state(
 ) -> _SweepState:
     """The (possibly cached) sweep state for this demand and backend."""
     canon = _validated_canonical_weights(weights, n_nodes)
-    limit = _cache_limit()
-    if limit == 0:
-        return _SweepState(remaining=canon)
     key = (backend, n_nodes, _demand_fingerprint(canon, n_nodes))
     state = _SOLVE_CACHE.get(key)
     if state is None:
@@ -273,7 +264,7 @@ def _sweep_state(
     else:
         _CACHE_STATS["hits"] += 1
         _SOLVE_CACHE.move_to_end(key)
-    while len(_SOLVE_CACHE) > limit:
+    while len(_SOLVE_CACHE) > _CACHE_SIZE:
         _SOLVE_CACHE.popitem(last=False)
         _CACHE_STATS["evictions"] += 1
     return state
@@ -308,7 +299,7 @@ def solver_cache_info() -> Dict[str, int]:
     return {
         **_CACHE_STATS,
         "currsize": len(_SOLVE_CACHE),
-        "maxsize": _cache_limit(),
+        "maxsize": _CACHE_SIZE,
     }
 
 
@@ -414,14 +405,12 @@ def import_solver_rounds(payload: Mapping[str, object]) -> bool:
     """Seed the solver memo from an :func:`export_solver_rounds` payload.
 
     Returns ``True`` when the memo was seeded, ``False`` when the import was
-    skipped — memoisation disabled (``REPRO_SOLVER_CACHE=0``), or an existing
-    entry already holds at least as many solved rounds.  After a successful
+    skipped because an existing entry already holds at least as many solved
+    rounds.  After a successful
     import, solving the same demand on the same backend is a pure cache hit
     up to the exported ``b``; larger ``b`` values extend from the shipped
     residual weights exactly as the exporting process would have.
     """
-    if _cache_limit() == 0:
-        return False
     if payload.get("version") != 1:
         raise SolverError(
             f"unsupported solver-rounds payload version: {payload.get('version')!r}"
@@ -447,8 +436,7 @@ def import_solver_rounds(payload: Mapping[str, object]) -> bool:
         remaining=remaining, cumulative=cumulative, exhausted=bool(payload["exhausted"])
     )
     _SOLVE_CACHE.move_to_end(key)
-    limit = _cache_limit()
-    while len(_SOLVE_CACHE) > limit:
+    while len(_SOLVE_CACHE) > _CACHE_SIZE:
         _SOLVE_CACHE.popitem(last=False)
         _CACHE_STATS["evictions"] += 1
     return True

@@ -43,6 +43,7 @@ __all__ = [
     "web_service_trace",
     "web_service_stream",
     "hadoop_trace",
+    "hadoop_stream",
 ]
 
 
@@ -78,32 +79,12 @@ def database_trace(
     so the number of working-set changes over the trace does not depend on
     the simulated trace length.
     """
-    if drift_interval is None:
-        drift_interval = max(500, n_requests // 14)
-    rng = np.random.default_rng(seed)
-    popularity = _zipf_popularity(n_nodes, popularity_exponent, rng)
-    matrix = TrafficMatrix.from_node_popularity(
-        popularity, _locality_mask(n_nodes, group_size, locality_boost)
-    )
-    model = TemporalModel(
-        repeat_probability=repeat_probability, memory=memory, drift_interval=drift_interval
-    )
-    pairs = model.generate(matrix, n_requests, rng)
-    meta = TraceMetadata(
-        name="facebook-database",
-        n_nodes=n_nodes,
-        seed=seed,
-        params={
-            "n_requests": n_requests,
-            "popularity_exponent": popularity_exponent,
-            "group_size": group_size,
-            "locality_boost": locality_boost,
-            "repeat_probability": repeat_probability,
-            "memory": memory,
-            "drift_interval": drift_interval,
-        },
-    )
-    return Trace(pairs[:, 0], pairs[:, 1], meta)
+    return database_stream(
+        n_nodes=n_nodes, n_requests=n_requests, seed=seed,
+        popularity_exponent=popularity_exponent, group_size=group_size,
+        locality_boost=locality_boost, repeat_probability=repeat_probability,
+        memory=memory, drift_interval=drift_interval,
+    ).materialize()
 
 
 def database_stream(
@@ -118,10 +99,11 @@ def database_stream(
     drift_interval: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`database_trace` — bit-identical for any chunk size.
+    """The :func:`database_trace` workload as a chunked stream.
 
     The popularity/locality matrix is a prefix draw replayed at stream
-    start; the temporal model streams via counter-advanced RNG forks.
+    start; the temporal model streams via counter-advanced RNG forks, so
+    the requests do not depend on the chunk size.
     """
     if drift_interval is None:
         drift_interval = max(500, n_requests // 14)
@@ -173,28 +155,12 @@ def web_service_trace(
     where the paper observes R-BMA, BMA and SO-BMA ending up close together.
     ``drift_interval`` defaults to ``n_requests // 10``.
     """
-    if drift_interval is None:
-        drift_interval = max(500, n_requests // 10)
-    rng = np.random.default_rng(seed)
-    popularity = _zipf_popularity(n_nodes, popularity_exponent, rng)
-    matrix = TrafficMatrix.from_node_popularity(popularity)
-    model = TemporalModel(
-        repeat_probability=repeat_probability, memory=memory, drift_interval=drift_interval
-    )
-    pairs = model.generate(matrix, n_requests, rng)
-    meta = TraceMetadata(
-        name="facebook-web",
-        n_nodes=n_nodes,
-        seed=seed,
-        params={
-            "n_requests": n_requests,
-            "popularity_exponent": popularity_exponent,
-            "repeat_probability": repeat_probability,
-            "memory": memory,
-            "drift_interval": drift_interval,
-        },
-    )
-    return Trace(pairs[:, 0], pairs[:, 1], meta)
+    return web_service_stream(
+        n_nodes=n_nodes, n_requests=n_requests, seed=seed,
+        popularity_exponent=popularity_exponent,
+        repeat_probability=repeat_probability, memory=memory,
+        drift_interval=drift_interval,
+    ).materialize()
 
 
 def web_service_stream(
@@ -207,7 +173,10 @@ def web_service_stream(
     drift_interval: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`web_service_trace` — bit-identical for any chunk size."""
+    """The :func:`web_service_trace` workload as a chunked stream.
+
+    Built like :func:`database_stream`, without the locality boost.
+    """
     if drift_interval is None:
         drift_interval = max(500, n_requests // 10)
     size = validate_chunk_size(chunk_size)
@@ -313,3 +282,13 @@ def hadoop_trace(
         },
     )
     return Trace(all_pairs[:, 0], all_pairs[:, 1], meta)
+
+
+def hadoop_stream(chunk_size: Optional[int] = None, **params: object) -> TraceStream:
+    """:func:`hadoop_trace` sliced into a chunked stream.
+
+    Hadoop stays a bulk generator — its background interleave is a global
+    argsort over the whole trace — so this stream has no memory bound.
+    """
+    size = validate_chunk_size(chunk_size)
+    return TraceStream.from_trace(hadoop_trace(**params), chunk_size=size)

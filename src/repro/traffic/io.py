@@ -1,15 +1,16 @@
 """Trace serialisation.
 
 Traces can be saved to and loaded from CSV (``src,dst`` per line, with a
-commented header carrying metadata) and JSONL (one JSON object per request
-plus a metadata header line).  This lets expensive generated workloads be
+commented header carrying metadata) and JSONL (a leading metadata line, then
+one JSON object per request).  This lets expensive generated workloads be
 reused across benchmark runs and lets users plug in their own datacenter
 traces.
 
-Both formats also have chunked readers (:func:`stream_trace_csv`,
+Both formats are read by chunked readers (:func:`stream_trace_csv`,
 :func:`stream_trace_jsonl`) that yield the file as a
 :class:`~repro.traffic.stream.TraceStream` of bounded-size segments, so
-multi-GB trace files never fully load.
+multi-GB trace files never fully load; the ``load_trace_*`` functions are
+those streams materialized.
 
 Malformed inputs raise :class:`~repro.errors.TrafficError` naming the
 offending line; metadata headers are funnelled through the canonical spec
@@ -155,15 +156,7 @@ def load_trace_csv(path: PathLike) -> Trace:
 
     Ragged or non-integer rows raise :class:`TrafficError` naming the line.
     """
-    path = Path(path)
-    fh, meta, reader = _open_csv(path)
-    with fh:
-        src: list[int] = []
-        dst: list[int] = []
-        for s, d in _csv_rows(path, reader):
-            src.append(s)
-            dst.append(d)
-    return Trace(np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32), meta)
+    return stream_trace_csv(path).materialize()
 
 
 def stream_trace_csv(path: PathLike, chunk_size: Optional[int] = None) -> TraceStream:
@@ -242,25 +235,10 @@ def _jsonl_pair(path: Path, lineno: int, obj: dict) -> tuple[int, int]:
 def load_trace_jsonl(path: PathLike) -> Trace:
     """Load a trace written by :func:`save_trace_jsonl`.
 
-    Malformed records raise :class:`TrafficError` naming the line.
+    The metadata line must precede the first request record; malformed
+    records raise :class:`TrafficError` naming the line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise TrafficError(f"trace file {path} does not exist")
-    src: list[int] = []
-    dst: list[int] = []
-    meta_obj: dict | None = None
-    for lineno, obj in _jsonl_records(path):
-        if obj.get("type") == "metadata":
-            meta_obj = obj
-        else:
-            s, d = _jsonl_pair(path, lineno, obj)
-            src.append(s)
-            dst.append(d)
-    if meta_obj is None:
-        raise TrafficError(f"{path} is missing the metadata line")
-    meta = _metadata_from_header(meta_obj, path)
-    return Trace(np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32), meta)
+    return stream_trace_jsonl(path).materialize()
 
 
 def stream_trace_jsonl(path: PathLike, chunk_size: Optional[int] = None) -> TraceStream:
@@ -281,7 +259,7 @@ def stream_trace_jsonl(path: PathLike, chunk_size: Optional[int] = None) -> Trac
             meta = _metadata_from_header(obj, path)
         break
     if meta is None:
-        raise TrafficError(f"{path} must start with the metadata line to be streamed")
+        raise TrafficError(f"{path} must start with the metadata line")
 
     def factory() -> Iterator[Trace]:
         src: list[int] = []

@@ -66,22 +66,10 @@ def microsoft_trace(
     active_fraction: float = 0.35,
 ) -> Trace:
     """I.i.d. samples from a ProjecToR-style skewed traffic matrix."""
-    rng = np.random.default_rng(seed)
-    matrix = projector_style_matrix(
-        n_nodes=n_nodes, sigma=sigma, active_fraction=active_fraction, seed=seed
-    )
-    pairs = matrix.sample_pairs(n_requests, rng)
-    meta = TraceMetadata(
-        name="microsoft",
-        n_nodes=n_nodes,
-        seed=seed,
-        params={
-            "n_requests": n_requests,
-            "sigma": sigma,
-            "active_fraction": active_fraction,
-        },
-    )
-    return Trace(pairs[:, 0], pairs[:, 1], meta)
+    return microsoft_stream(
+        n_nodes=n_nodes, n_requests=n_requests, seed=seed, sigma=sigma,
+        active_fraction=active_fraction,
+    ).materialize()
 
 
 def microsoft_stream(
@@ -92,11 +80,11 @@ def microsoft_stream(
     active_fraction: float = 0.35,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`microsoft_trace` — bit-identical for any chunk size.
+    """The :func:`microsoft_trace` workload as a chunked stream.
 
-    The matrix is rebuilt at stream start (its own seeded generator, as in
-    the bulk path); sampling then consumes one persistent generator chunk by
-    chunk, which is exactly how the bulk path consumes the bitstream.
+    The matrix is rebuilt at stream start from its own seeded generator;
+    sampling then consumes one persistent generator chunk by chunk, so the
+    requests do not depend on the chunk size.
     """
     size = validate_chunk_size(chunk_size)
     meta = TraceMetadata(

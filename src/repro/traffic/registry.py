@@ -3,8 +3,10 @@
 The benchmark harness and the sweep runner describe workloads by name
 (``"facebook-database"``, ``"microsoft"``, ...), so a single declarative
 configuration can drive all of the paper's figures.  The registry is an
-instance of the generic :class:`repro.experiments.Registry`; the module-level
-functions are back-compat shims over it.
+instance of the generic :class:`repro.experiments.Registry` whose entries
+are stream factories: :func:`make_workload_stream` builds the lazy
+:class:`~repro.traffic.stream.TraceStream`, and :func:`make_workload` is
+that stream materialized.
 """
 
 from __future__ import annotations
@@ -13,51 +15,38 @@ from typing import Any, Callable
 
 from ..experiments.registry import Registry
 from .base import Trace
-from .facebook import (
-    database_stream,
-    database_trace,
-    hadoop_trace,
-    web_service_stream,
-    web_service_trace,
-)
-from .microsoft import microsoft_stream, microsoft_trace
-from .stream import TraceStream, validate_chunk_size
+from .facebook import database_stream, hadoop_stream, web_service_stream
+from .microsoft import microsoft_stream
+from .stream import TraceStream
 from .synthetic import (
     hotspot_stream,
-    hotspot_trace,
     permutation_stream,
-    permutation_trace,
     uniform_random_stream,
-    uniform_random_trace,
     zipf_pair_stream,
-    zipf_pair_trace,
 )
 
 __all__ = [
     "WORKLOADS",
-    "WORKLOAD_STREAMS",
     "available_workloads",
     "make_workload",
     "make_workload_stream",
     "register_workload",
-    "register_workload_stream",
 ]
 
-WorkloadFactory = Callable[..., Trace]
-WorkloadStreamFactory = Callable[..., TraceStream]
+WorkloadFactory = Callable[..., TraceStream]
 
 #: The workload registry — the single source of truth for workload names.
-WORKLOADS: Registry[Trace] = Registry("workload")
-
-#: Chunked generators for workloads that can stream without materializing.
-#: Workloads absent here (facebook-hadoop: its background interleave is a
-#: global argsort over the full trace) fall back to materialize-then-slice
-#: in :func:`make_workload_stream`.
-WORKLOAD_STREAMS: Registry[TraceStream] = Registry("workload stream")
+WORKLOADS: Registry[TraceStream] = Registry("workload")
 
 
 def register_workload(name: str, factory: WorkloadFactory) -> None:
-    """Register a workload generator under ``name`` (lower-cased)."""
+    """Register a workload stream factory under ``name`` (lower-cased).
+
+    ``factory(chunk_size=None, **params)`` must return a
+    :class:`~repro.traffic.stream.TraceStream` whose requests do not depend
+    on ``chunk_size`` (``None`` means the default), so that
+    :func:`make_workload` and :func:`make_workload_stream` agree.
+    """
     WORKLOADS.register(name, factory)
 
 
@@ -67,7 +56,7 @@ def available_workloads() -> list[str]:
 
 
 def make_workload(name: str, **kwargs: Any) -> Trace:
-    """Generate a workload by registered name.
+    """Generate a workload by registered name, materialized.
 
     Examples
     --------
@@ -75,12 +64,7 @@ def make_workload(name: str, **kwargs: Any) -> Trace:
     >>> len(trace)
     100
     """
-    return WORKLOADS.build(name, **kwargs)
-
-
-def register_workload_stream(name: str, factory: WorkloadStreamFactory) -> None:
-    """Register a chunked stream generator under ``name`` (lower-cased)."""
-    WORKLOAD_STREAMS.register(name, factory)
+    return WORKLOADS.build(name, **kwargs).materialize()
 
 
 def make_workload_stream(
@@ -88,32 +72,17 @@ def make_workload_stream(
 ) -> TraceStream:
     """Build a workload as a lazy :class:`~repro.traffic.stream.TraceStream`.
 
-    Workloads with a registered chunked generator produce each segment from
-    a counter-advanced RNG, bit-identical to :func:`make_workload` with the
-    same arguments for any chunk size.  Workloads without one (currently
-    ``facebook-hadoop``) are materialized once and sliced — the same stream
-    protocol without the memory bound.
+    The segments concatenate to :func:`make_workload` with the same
+    arguments, for any chunk size.
     """
-    size = validate_chunk_size(chunk_size)
-    key = name.lower()
-    if key in WORKLOAD_STREAMS:
-        return WORKLOAD_STREAMS.build(key, chunk_size=size, **kwargs)
-    return TraceStream.from_trace(make_workload(name, **kwargs), chunk_size=size)
+    return WORKLOADS.build(name, chunk_size=chunk_size, **kwargs)
 
 
-WORKLOADS.register("uniform", uniform_random_trace)
-WORKLOADS.register("zipf", zipf_pair_trace)
-WORKLOADS.register("hotspot", hotspot_trace)
-WORKLOADS.register("permutation", permutation_trace)
-WORKLOADS.register("facebook-database", database_trace)
-WORKLOADS.register("facebook-web", web_service_trace)
-WORKLOADS.register("facebook-hadoop", hadoop_trace)
-WORKLOADS.register("microsoft", microsoft_trace)
-
-WORKLOAD_STREAMS.register("uniform", uniform_random_stream)
-WORKLOAD_STREAMS.register("zipf", zipf_pair_stream)
-WORKLOAD_STREAMS.register("hotspot", hotspot_stream)
-WORKLOAD_STREAMS.register("permutation", permutation_stream)
-WORKLOAD_STREAMS.register("facebook-database", database_stream)
-WORKLOAD_STREAMS.register("facebook-web", web_service_stream)
-WORKLOAD_STREAMS.register("microsoft", microsoft_stream)
+WORKLOADS.register("uniform", uniform_random_stream)
+WORKLOADS.register("zipf", zipf_pair_stream)
+WORKLOADS.register("hotspot", hotspot_stream)
+WORKLOADS.register("permutation", permutation_stream)
+WORKLOADS.register("facebook-database", database_stream)
+WORKLOADS.register("facebook-web", web_service_stream)
+WORKLOADS.register("facebook-hadoop", hadoop_stream)
+WORKLOADS.register("microsoft", microsoft_stream)

@@ -83,12 +83,11 @@ class TraceStatisticsAccumulator:
     """Incremental :class:`TraceStatistics` over streamed trace segments.
 
     Feed contiguous segments in order via :meth:`update`;
-    :meth:`finalize` then returns statistics **bit-identical** to
-    :func:`compute_trace_statistics` on the materialized trace: the pair
-    counts are re-laid-out in the sorted-key order ``np.unique`` would have
-    produced, so the entropy and top-share reductions run over byte-identical
-    arrays, and the integer re-reference tallies stay exact (all partial sums
-    are far below 2^53, where float64 arithmetic is lossless).
+    :meth:`finalize` then returns the same statistics however the requests
+    were split into segments: the pair counts are laid out in sorted-key
+    order, so the entropy and top-share reductions run over the same arrays,
+    and the integer re-reference tallies stay exact (all partial sums are far
+    below 2^53, where float64 arithmetic is lossless).
 
     Peak memory is O(distinct pairs), not O(requests).
     """
@@ -144,8 +143,8 @@ class TraceStatisticsAccumulator:
         """The statistics of everything accumulated so far."""
         if self._n == 0:
             raise TrafficError("cannot compute statistics of an empty trace")
-        # Sorted-key layout reproduces np.unique's output order, so the
-        # float reductions below see the exact arrays the bulk path builds.
+        # Sorted-key layout makes the float reductions below independent of
+        # the order in which pairs first appeared.
         counts = np.array(
             [self._counts[k] for k in sorted(self._counts)], dtype=np.int64
         )
@@ -177,54 +176,15 @@ def compute_trace_statistics(
     Parameters
     ----------
     trace:
-        The trace to analyse; a :class:`~repro.traffic.stream.TraceStream`
-        is consumed segment by segment through
-        :class:`TraceStatisticsAccumulator` (bounded memory, bit-identical
-        result).
+        The trace to analyse.  Either form is consumed segment by segment
+        through :class:`TraceStatisticsAccumulator` (a materialized trace is
+        wrapped with :meth:`TraceStream.from_trace`), so a stream and its
+        materialized trace give the same statistics.
     window:
         Look-back window (in requests) for the re-reference rate.
     """
-    if isinstance(trace, TraceStream):
-        acc = TraceStatisticsAccumulator(trace.n_nodes, window=window)
-        for segment in trace:
-            acc.update(segment)
-        return acc.finalize()
-    if len(trace) == 0:
-        raise TrafficError("cannot compute statistics of an empty trace")
-    if window < 1:
-        raise TrafficError(f"window must be >= 1, got {window}")
-
-    n = trace.n_nodes
-    lo = np.minimum(trace.sources, trace.destinations).astype(np.int64)
-    hi = np.maximum(trace.sources, trace.destinations).astype(np.int64)
-    keys = lo * n + hi
-
-    unique, counts = np.unique(keys, return_counts=True)
-    probs = counts / counts.sum()
-    entropy = float(-(probs * np.log2(probs)).sum())
-    max_entropy = float(np.log2(len(unique))) if len(unique) > 1 else 1.0
-
-    # Temporal locality: distance to the previous occurrence of each pair.
-    last_seen: Dict[int, int] = {}
-    distances = np.full(len(keys), -1, dtype=np.int64)
-    for i, key in enumerate(keys):
-        prev = last_seen.get(int(key))
-        if prev is not None:
-            distances[i] = i - prev
-        last_seen[int(key)] = i
-    seen_before = distances >= 0
-    within_window = (distances >= 1) & (distances <= window)
-
-    return TraceStatistics(
-        n_requests=len(trace),
-        n_nodes=n,
-        n_distinct_pairs=int(len(unique)),
-        top1pct_share=_share_of_top(counts, 0.01),
-        top10pct_share=_share_of_top(counts, 0.10),
-        pair_entropy_bits=entropy,
-        normalized_entropy=entropy / max_entropy if max_entropy > 0 else 1.0,
-        rereference_rate=float(within_window.sum() / len(keys)),
-        mean_rereference_distance=(
-            float(distances[seen_before].mean()) if seen_before.any() else float("inf")
-        ),
-    )
+    stream = trace if isinstance(trace, TraceStream) else TraceStream.from_trace(trace)
+    acc = TraceStatisticsAccumulator(stream.n_nodes, window=window)
+    for segment in stream:
+        acc.update(segment)
+    return acc.finalize()

@@ -24,16 +24,18 @@ Protocol
 
 Construction
 ------------
+* Every registered workload is a stream factory
+  (:func:`repro.traffic.registry.make_workload_stream`).  The generators
+  produce each chunk from one persistent or counter-advanced RNG
+  (:func:`fork_generator`), so the requests do not depend on the chunk
+  size, and a workload's materialized trace is its stream concatenated
+  (:meth:`TraceStream.materialize`).
 * :meth:`TraceStream.from_trace` slices an existing materialized trace into
-  chunks (the universal fallback — no memory win, same protocol).
-* The workload registry exposes truly chunked generators for the synthetic
-  and temporal families via
-  :func:`repro.traffic.registry.make_workload_stream`; those produce each
-  chunk from a counter-advanced RNG (:func:`fork_generator`) so the streamed
-  requests are bit-identical to the bulk-generated trace for *any* chunk
-  size.
+  chunks (no memory win, same protocol).  ``facebook-hadoop`` streams this
+  way: its background interleave is a global argsort over the whole trace.
 * :func:`repro.traffic.io.stream_trace_csv` / ``stream_trace_jsonl`` read
-  saved trace files in bounded-memory chunks.
+  saved trace files in bounded-memory chunks; the ``load_trace_*`` readers
+  materialize them.
 
 Fan-out
 -------
@@ -70,8 +72,8 @@ SegmentSource = Union[Iterable[Trace], Callable[[], Iterator[Trace]]]
 def fork_generator(rng: np.random.Generator, offset: int) -> np.random.Generator:
     """A new generator at ``rng``'s current state advanced by ``offset`` draws.
 
-    The chunked temporal generators split one bulk RNG stream into phase
-    streams (fresh samples / repeat flags / repeat picks) by advancing forked
+    The temporal generators split one RNG bitstream into phase streams
+    (fresh samples / repeat flags / repeat picks) by advancing forked
     copies of the underlying PCG64 counter — each 53-bit double consumed by
     ``Generator.random`` advances the counter by exactly one step, so
     ``fork_generator(rng, n)`` starts where phase one ends after ``n`` draws.
@@ -152,8 +154,6 @@ class TraceStream:
         def factory() -> Iterator[Trace]:
             for start in range(0, len(trace), chunk_size):
                 yield trace[start : start + chunk_size]
-            if len(trace) == 0:
-                return
 
         return cls(factory, trace.metadata, n_requests=len(trace), chunk_size=chunk_size)
 
@@ -210,8 +210,8 @@ class TraceStream:
     def materialize(self) -> Trace:
         """Concatenate every segment into one materialized :class:`Trace`.
 
-        Convenience for offline algorithms and tests; defeats the memory
-        bound by definition.
+        This is how every materialized workload trace and loaded trace file
+        is built; it defeats the memory bound by definition.
         """
         sources: List[np.ndarray] = []
         destinations: List[np.ndarray] = []

@@ -30,31 +30,23 @@ __all__ = [
 ]
 
 
-def _finalise(
-    pairs: np.ndarray, n_nodes: int, name: str, seed: Optional[int], **params: object
-) -> Trace:
-    meta = TraceMetadata(name=name, n_nodes=n_nodes, seed=seed, params=dict(params))
-    return Trace(pairs[:, 0], pairs[:, 1], meta)
-
-
 def uniform_random_trace(
     n_nodes: int, n_requests: int, seed: Optional[int] = None
 ) -> Trace:
     """Every request picks a uniformly random rack pair — no structure at all."""
-    rng = np.random.default_rng(seed)
-    matrix = TrafficMatrix.uniform(n_nodes)
-    pairs = matrix.sample_pairs(n_requests, rng)
-    return _finalise(pairs, n_nodes, "uniform", seed, n_requests=n_requests)
+    return uniform_random_stream(
+        n_nodes=n_nodes, n_requests=n_requests, seed=seed
+    ).materialize()
 
 
 def uniform_random_stream(
     n_nodes: int, n_requests: int, seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`uniform_random_trace` — bit-identical for any chunk size.
+    """The :func:`uniform_random_trace` workload as a chunked stream.
 
-    A single persistent generator samples each chunk in sequence, which is
-    exactly how the bulk path consumes the bitstream.
+    A single persistent generator samples each chunk in sequence, so the
+    requests do not depend on the chunk size.
     """
     size = validate_chunk_size(chunk_size)
     meta = TraceMetadata(
@@ -83,22 +75,10 @@ def zipf_pair_trace(
     Pair ranks are assigned randomly; the probability of the rank-``r`` pair
     is proportional to ``r^{-exponent}``.
     """
-    if exponent <= 0:
-        raise TrafficError(f"zipf exponent must be positive, got {exponent}")
-    rng = np.random.default_rng(seed)
-    n_pairs = n_nodes * (n_nodes - 1) // 2
-    ranks = rng.permutation(n_pairs) + 1
-    weights = ranks.astype(np.float64) ** (-exponent)
-    iu = np.triu_indices(n_nodes, k=1)
-    m = np.zeros((n_nodes, n_nodes))
-    m[iu] = weights
-    matrix = TrafficMatrix(m)
-    model = TemporalModel(repeat_probability=repeat_probability, memory=32)
-    pairs = model.generate(matrix, n_requests, rng)
-    return _finalise(
-        pairs, n_nodes, "zipf", seed,
-        n_requests=n_requests, exponent=exponent, repeat_probability=repeat_probability,
-    )
+    return zipf_pair_stream(
+        n_nodes=n_nodes, n_requests=n_requests, exponent=exponent,
+        repeat_probability=repeat_probability, seed=seed,
+    ).materialize()
 
 
 def zipf_pair_stream(
@@ -109,11 +89,12 @@ def zipf_pair_stream(
     seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`zipf_pair_trace` — bit-identical for any chunk size.
+    """The :func:`zipf_pair_trace` workload as a chunked stream.
 
     The rank permutation is a prefix draw replayed at stream start; the
     temporal model then streams via counter-advanced RNG forks
-    (:meth:`~repro.traffic.temporal.TemporalModel.stream`).
+    (:meth:`~repro.traffic.temporal.TemporalModel.stream`), so the requests
+    do not depend on the chunk size.
     """
     if exponent <= 0:
         raise TrafficError(f"zipf exponent must be positive, got {exponent}")
@@ -154,25 +135,10 @@ def hotspot_trace(
     The extreme-skew control: with ``n_hot_pairs`` at most ``b·n/2`` a good
     matching algorithm should serve almost all traffic over matching edges.
     """
-    if not (0.0 < hot_fraction < 1.0):
-        raise TrafficError(f"hot_fraction must be in (0, 1), got {hot_fraction}")
-    max_pairs = n_nodes * (n_nodes - 1) // 2
-    if not (1 <= n_hot_pairs <= max_pairs):
-        raise TrafficError(f"n_hot_pairs must be in [1, {max_pairs}], got {n_hot_pairs}")
-    rng = np.random.default_rng(seed)
-    iu = np.triu_indices(n_nodes, k=1)
-    n_pairs = len(iu[0])
-    hot_idx = rng.choice(n_pairs, size=n_hot_pairs, replace=False)
-    weights = np.full(n_pairs, (1.0 - hot_fraction) / (n_pairs - n_hot_pairs) if n_pairs > n_hot_pairs else 0.0)
-    weights[hot_idx] = hot_fraction / n_hot_pairs
-    m = np.zeros((n_nodes, n_nodes))
-    m[iu] = weights
-    matrix = TrafficMatrix(m)
-    pairs = matrix.sample_pairs(n_requests, rng)
-    return _finalise(
-        pairs, n_nodes, "hotspot", seed,
-        n_requests=n_requests, n_hot_pairs=n_hot_pairs, hot_fraction=hot_fraction,
-    )
+    return hotspot_stream(
+        n_nodes=n_nodes, n_requests=n_requests, n_hot_pairs=n_hot_pairs,
+        hot_fraction=hot_fraction, seed=seed,
+    ).materialize()
 
 
 def hotspot_stream(
@@ -183,7 +149,12 @@ def hotspot_stream(
     seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`hotspot_trace` — bit-identical for any chunk size."""
+    """The :func:`hotspot_trace` workload as a chunked stream.
+
+    The hot-pair draw is a prefix replayed at stream start; one persistent
+    generator then samples each chunk, so the requests do not depend on the
+    chunk size.
+    """
     if not (0.0 < hot_fraction < 1.0):
         raise TrafficError(f"hot_fraction must be in (0, 1), got {hot_fraction}")
     max_pairs = n_nodes * (n_nodes - 1) // 2
@@ -230,14 +201,9 @@ def permutation_trace(
     demand-aware algorithm and a useful sanity check (routing cost should
     approach 1 per request).
     """
-    rng = np.random.default_rng(seed)
-    if n_nodes < 2:
-        raise TrafficError(f"need at least 2 racks, got {n_nodes}")
-    perm = rng.permutation(n_nodes)
-    partners = [(int(perm[i]), int(perm[i + 1])) for i in range(0, n_nodes - 1, 2)]
-    idx = rng.integers(0, len(partners), size=n_requests)
-    pairs = np.array([partners[i] for i in idx], dtype=np.int32)
-    return _finalise(pairs, n_nodes, "permutation", seed, n_requests=n_requests)
+    return permutation_stream(
+        n_nodes=n_nodes, n_requests=n_requests, seed=seed
+    ).materialize()
 
 
 def permutation_stream(
@@ -246,7 +212,12 @@ def permutation_stream(
     seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> TraceStream:
-    """Chunked :func:`permutation_trace` — bit-identical for any chunk size."""
+    """The :func:`permutation_trace` workload as a chunked stream.
+
+    The partner permutation is a prefix draw replayed at stream start; one
+    persistent generator then picks each chunk's pairs, so the requests do
+    not depend on the chunk size.
+    """
     if n_nodes < 2:
         raise TrafficError(f"need at least 2 racks, got {n_nodes}")
     size = validate_chunk_size(chunk_size)

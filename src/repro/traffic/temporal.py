@@ -62,36 +62,6 @@ class TemporalModel:
         self.memory = int(memory)
         self.drift_interval = int(drift_interval)
 
-    def generate(
-        self, matrix: TrafficMatrix, n_requests: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Generate an ``(n_requests, 2)`` array of rack pairs."""
-        if n_requests < 0:
-            raise TrafficError(f"n_requests must be non-negative, got {n_requests}")
-        if n_requests == 0:
-            return np.zeros((0, 2), dtype=np.int32)
-
-        # Pre-draw all i.i.d. samples and repeat decisions in bulk (the guides'
-        # "vectorise what you can" rule); only the history bookkeeping is a
-        # Python loop.
-        fresh = matrix.sample_pairs(n_requests, rng)
-        repeat_flags = rng.random(n_requests) < self.repeat_probability
-        repeat_picks = rng.integers(0, self.memory, size=n_requests)
-
-        out = np.empty((n_requests, 2), dtype=np.int32)
-        history: Deque[tuple[int, int]] = deque(maxlen=self.memory)
-        for i in range(n_requests):
-            if self.drift_interval and i > 0 and i % self.drift_interval == 0:
-                history.clear()
-            if repeat_flags[i] and history:
-                pick = repeat_picks[i] % len(history)
-                pair = history[pick]
-            else:
-                pair = (int(fresh[i, 0]), int(fresh[i, 1]))
-            out[i, 0], out[i, 1] = pair
-            history.append(pair)
-        return out
-
     def stream(
         self,
         matrix: TrafficMatrix,
@@ -99,17 +69,16 @@ class TemporalModel:
         rng: np.random.Generator,
         chunk_size: int,
     ) -> "Iterator[np.ndarray]":
-        """Yield ``(k, 2)`` pair-array chunks bit-identical to :meth:`generate`.
+        """Yield ``(k, 2)`` pair-array chunks covering ``n_requests`` requests.
 
-        :meth:`generate` draws its three bulk phases back to back from one
-        generator — ``n_requests`` doubles for the fresh samples, then
-        ``n_requests`` doubles for the repeat flags, then the repeat picks.
-        Streaming splits those phases onto three counter-advanced forks of
-        ``rng`` (:func:`~repro.traffic.stream.fork_generator` at offsets 0,
-        ``n``, ``2n``), so each chunk draws the exact values the bulk path
-        would have, for any chunk size.  ``rng`` itself is left untouched;
-        only the history deque and the global request index carry state
-        across chunks.
+        The draws are laid out as three phases of one generator's bitstream:
+        ``n_requests`` doubles for the fresh samples, then ``n_requests``
+        doubles for the repeat flags, then the repeat picks.  Each phase is
+        read from its own counter-advanced fork of ``rng``
+        (:func:`~repro.traffic.stream.fork_generator` at offsets 0, ``n``,
+        ``2n``), so every chunk draws the same values for any chunk size.
+        ``rng`` itself is left untouched; only the history deque and the
+        global request index carry state across chunks.
         """
         if n_requests < 0:
             raise TrafficError(f"n_requests must be non-negative, got {n_requests}")

@@ -13,7 +13,7 @@ SO-BMA's iterated maximum-weight b-matching:
   golden traces);
 * prefix-sharing equivalence (``solve_b_rounds`` vs per-``b`` solves);
 * demand-fingerprint memo behaviour (hits, misses, eviction, mutation
-  safety, the ``REPRO_SOLVER_CACHE`` knob);
+  safety, LRU eviction at ``_CACHE_SIZE``);
 * spec/config UX (typo suggestions, JSON round-trips) and
   ``RunResult.extra`` provenance;
 * a ``perf_smoke`` leg timing array vs nx.
@@ -38,6 +38,7 @@ from repro.matching import (
     solver_cache_clear,
     solver_cache_info,
 )
+from repro.matching import static_solver
 from repro.matching.validation import check_b_matching
 
 pytestmark = pytest.mark.solver
@@ -178,7 +179,7 @@ class TestMemo:
         assert (0, 3) not in second
 
     def test_eviction_at_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "2")
+        monkeypatch.setattr(static_solver, "_CACHE_SIZE", 2)
         for offset in range(3):
             weights = {(0, 1): 1.0 + offset}
             iterated_max_weight_b_matching(weights, 2, 1)
@@ -188,15 +189,6 @@ class TestMemo:
         # The oldest entry was evicted: solving it again is a miss.
         iterated_max_weight_b_matching({(0, 1): 1.0}, 2, 1)
         assert solver_cache_info()["misses"] == 4
-
-    def test_cache_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "0")
-        weights = {(0, 1): 2.0}
-        iterated_max_weight_b_matching(weights, 2, 1)
-        iterated_max_weight_b_matching(weights, 2, 1)
-        info = solver_cache_info()
-        assert info["currsize"] == 0
-        assert info["hits"] == 0
 
     def test_insertion_order_is_part_of_the_fingerprint(self):
         # Order is the solver's tie-breaking order, so it must key the memo.

@@ -201,7 +201,7 @@ def test_validation_observer_streams_identically():
 
 
 def test_generator_backed_stream_matches_materialized_run():
-    """A truly chunked generator stream replays identically to the bulk trace."""
+    """A chunked generator stream replays identically to its materialized trace."""
     kwargs = dict(n_nodes=12, n_requests=900, seed=23, exponent=1.4)
     from repro.traffic import make_workload
 

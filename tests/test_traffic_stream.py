@@ -1,9 +1,11 @@
 """Tests for the streaming trace protocol (repro.traffic.stream and friends).
 
-The load-bearing guarantee is *bit-identity*: for every registered workload
-and any chunk size, the concatenated stream segments equal the bulk-generated
-trace array-for-array, and the incremental statistics accumulator reproduces
-the bulk statistics float-for-float.  The engine-level counterpart lives in
+The load-bearing guarantee is *chunk independence*: for every registered
+workload and any chunk size, the concatenated stream segments equal the
+materialized trace (the default-chunk stream) array-for-array, and the
+incremental statistics accumulator gives the same statistics float-for-float.
+``tests/test_traffic_golden.py`` pins those traces against digests taken
+from independent bulk generators; the engine-level counterpart lives in
 ``tests/test_streaming_engine.py``.
 """
 
@@ -16,6 +18,7 @@ from repro.traffic import (
     Trace,
     TraceStream,
     TraceStatisticsAccumulator,
+    available_workloads,
     compute_trace_statistics,
     fork_generator,
     load_trace_csv,
@@ -30,12 +33,10 @@ from repro.traffic import (
     zipf_pair_trace,
 )
 from repro.traffic.base import TraceMetadata
-from repro.traffic.registry import WORKLOAD_STREAMS
 from repro.traffic.stream import chunk_bounds, validate_chunk_size
 
 #: Workload name -> generator kwargs, covering every registered family
-#: (facebook-hadoop has no chunked generator and exercises the
-#: materialize-then-slice fallback in make_workload_stream).
+#: (facebook-hadoop is generated whole and sliced by its stream factory).
 WORKLOADS = {
     "uniform": dict(n_nodes=12, n_requests=700),
     "zipf": dict(n_nodes=12, n_requests=700),
@@ -78,7 +79,7 @@ class TestFortGenerator:
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_stream_matches_bulk(workload, chunk_size):
-    """Streamed segments concatenate to the bulk trace, any chunk size."""
+    """Streamed segments concatenate to the materialized trace, any chunk size."""
     kwargs = dict(WORKLOADS[workload], seed=17)
     bulk = make_workload(workload, **kwargs)
     stream = make_workload_stream(workload, chunk_size=chunk_size, **kwargs)
@@ -98,11 +99,15 @@ def test_stream_matches_bulk(workload, chunk_size):
         position += len(segment)
 
 
-def test_every_streamable_workload_is_registered():
-    """All families except facebook-hadoop have a true chunked generator."""
-    assert sorted(WORKLOAD_STREAMS.names()) == sorted(
-        name for name in WORKLOADS if name != "facebook-hadoop"
-    )
+@pytest.mark.parametrize("workload", sorted(available_workloads()))
+def test_zero_requests_give_an_empty_trace(workload):
+    """Every workload at n_requests=0: no segment, an empty trace, same metadata."""
+    kwargs = dict(n_nodes=8, n_requests=0, seed=3)
+    stream = make_workload_stream(workload, **kwargs)
+    assert list(stream) == []
+    trace = make_workload(workload, **kwargs)
+    assert len(trace) == 0
+    assert trace.metadata == stream.metadata
 
 
 def test_stream_segment_timestamps_are_global():
@@ -310,11 +315,20 @@ class TestStreamIO:
         with pytest.raises(TrafficError, match=r"line 5.*malformed request record"):
             load_trace_jsonl(path)
 
-    def test_jsonl_stream_requires_leading_metadata(self, tmp_path):
-        path = tmp_path / "headless.jsonl"
-        path.write_text('{"i": 0, "src": 1, "dst": 2}\n')
-        with pytest.raises(TrafficError, match="metadata line"):
-            stream_trace_jsonl(path)
+    @pytest.mark.parametrize(
+        "reader", [stream_trace_jsonl, load_trace_jsonl], ids=["stream", "load"]
+    )
+    def test_jsonl_stream_requires_leading_metadata(self, tmp_path, reader):
+        """Both readers share one contract: the metadata line comes first."""
+        headless = tmp_path / "headless.jsonl"
+        headless.write_text('{"i": 0, "src": 1, "dst": 2}\n')
+        trailing = tmp_path / "trailing.jsonl"
+        save_trace_jsonl(self._trace(), trailing)
+        lines = trailing.read_text().splitlines()
+        trailing.write_text("\n".join(lines[1:] + lines[:1]) + "\n")
+        for path in (headless, trailing):
+            with pytest.raises(TrafficError, match="must start with the metadata line"):
+                reader(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TrafficError, match="does not exist"):

@@ -21,19 +21,24 @@ from repro.traffic import (
 )
 
 
+def _pairs(model, matrix, n_requests, rng):
+    """All of ``model.stream``'s chunks as one ``(n_requests, 2)`` array."""
+    return np.concatenate(list(model.stream(matrix, n_requests, rng, 64)))
+
+
 class TestTemporalModel:
     def test_zero_repeat_is_iid(self):
         model = TemporalModel(repeat_probability=0.0)
         matrix = TrafficMatrix.uniform(8)
-        pairs = model.generate(matrix, 200, np.random.default_rng(0))
+        pairs = _pairs(model, matrix, 200, np.random.default_rng(0))
         assert pairs.shape == (200, 2)
 
     def test_high_repeat_increases_rereference(self):
         matrix = TrafficMatrix.uniform(24)
         rng = np.random.default_rng(1)
-        bursty = TemporalModel(repeat_probability=0.8, memory=16).generate(matrix, 3000, rng)
+        bursty = _pairs(TemporalModel(repeat_probability=0.8, memory=16), matrix, 3000, rng)
         rng = np.random.default_rng(1)
-        iid = TemporalModel(repeat_probability=0.0).generate(matrix, 3000, rng)
+        iid = _pairs(TemporalModel(repeat_probability=0.0), matrix, 3000, rng)
         meta = TraceMetadata("x", 24)
         bursty_rate = compute_trace_statistics(Trace(bursty[:, 0], bursty[:, 1], meta)).rereference_rate
         iid_rate = compute_trace_statistics(Trace(iid[:, 0], iid[:, 1], meta)).rereference_rate
@@ -49,8 +54,8 @@ class TestTemporalModel:
 
     def test_zero_requests(self):
         model = TemporalModel()
-        out = model.generate(TrafficMatrix.uniform(4), 0, np.random.default_rng(0))
-        assert out.shape == (0, 2)
+        out = model.stream(TrafficMatrix.uniform(4), 0, np.random.default_rng(0), 64)
+        assert list(out) == []
 
     def test_interleave_bursts(self):
         a = np.array([[0, 1], [0, 1]])
