@@ -3,9 +3,10 @@
 # store explicitly disabled (REPRO_RUN_STORE=0, a falsey token honoured by
 # repro.store.run_store.default_store), certifying that every entry point
 # stays green and fully cold when no store is configured:
-#   * execute_experiment_spec / ExperimentRunner / run_experiments /
-#     run_specs_parallel must take their store=None default through
-#     resolve_store -> default_store -> None without behaviour changes;
+#   * ExperimentSpec.execute / execute_experiment_spec / ExperimentRunner /
+#     run_experiments / run_specs_parallel must take their store=None
+#     default through resolve_store -> default_store -> None without
+#     behaviour changes;
 #   * the store test module itself must pass — its tests always name their
 #     stores explicitly (tmp_path), so a disabled default is invisible;
 #   * the CLI must honour the disabled default (`--store DIR` still opts in,

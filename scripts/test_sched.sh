@@ -11,8 +11,10 @@
 #     worker's task, max_attempts exhaustion surfacing the original
 #     WorkerExecutionError with the failing spec intact, and the
 #     end-to-end "queue" backend with real worker subprocesses (one
-#     killed mid-task) producing bit-identical results to "serial", and
-#     every worker leaving its stats file before the parent returns;
+#     killed mid-task) producing bit-identical results to "serial",
+#     every worker leaving its stats file before the parent returns, and
+#     the queue backend with a run store (worker-side writes, the parent
+#     merge and reindex, a warm serial rerun that is all hits);
 #   * tests/test_simulation_parallel.py — the pool backend, which runs
 #     every spec through the same execution unit as serial and queue
 #     (repro.exec.runtime.run_task): bit-identity with sequential runs,

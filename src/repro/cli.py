@@ -43,7 +43,6 @@ from .paging import available_paging_policies
 from .simulation import (
     ExperimentRunner,
     aggregate_runs,
-    execute_experiment_spec,
     run_specs_parallel,
     run_sweep,
 )
@@ -316,25 +315,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if streaming:
         spec = spec.with_streaming(chunk_size=chunk_size)
     observers = (ProgressObserver(),) if args.progress else ()
-    singles = [spec.with_seed(seed) for seed in spec.repetition_seeds()]
     # Resolve the store once so the hit/miss summary reads one instance's
     # counters; None (resolved from a disabled/absent env default) must stay
     # disabled downstream, hence the False fallback.
     run_store = resolve_store(_store_arg(args))
-    store_policy = run_store if run_store is not None else False
     from .exec import resolve_backend_name, resolve_worker_count
 
     workers = resolve_worker_count(args.workers, fallback=1)
-    backend = resolve_backend_name(args.backend, workers)
-    if backend != "serial":
-        if args.progress:
-            print("note: --progress is unavailable off the serial backend "
-                  "(observers do not cross process boundaries)", file=sys.stderr)
-        runs = run_specs_parallel(singles, n_workers=workers, store=store_policy,
-                                  backend=backend, queue_dir=args.queue_dir)
-    else:
-        runs = [execute_experiment_spec(s, observers=observers, store=store_policy)
-                for s in singles]
+    if args.progress and resolve_backend_name(args.backend, workers) != "serial":
+        print("note: --progress is unavailable off the serial backend "
+              "(observers do not cross process boundaries)", file=sys.stderr)
+    runs = run_specs_parallel(
+        [spec.with_seed(seed) for seed in spec.repetition_seeds()],
+        n_workers=workers,
+        store=run_store if run_store is not None else False,
+        backend=args.backend,
+        queue_dir=args.queue_dir,
+        observers=observers,
+    )
     if run_store is not None:
         counters = run_store.counters
         print(f"store: {counters.hits} hit(s), {counters.misses} miss(es) "

@@ -95,15 +95,6 @@ class OnlineBMatchingAlgorithm(ABC):
     #: :attr:`counter_rng`.
     uses_rng: bool = False
 
-    #: Whether :meth:`serve_batch` is a hand-tuned fast path rather than the
-    #: default per-request loop.  The engine routes every non-reference
-    #: replay through ``serve_batch`` regardless (the default implementation
-    #: degrades gracefully to per-request serving); this flag only records —
-    #: for introspection and the test that certifies full batched coverage —
-    #: that the algorithm ships a tuned implementation.  Every registered
-    #: algorithm sets it.
-    supports_batch: bool = False
-
     def __init__(
         self,
         topology: Topology,
@@ -271,11 +262,12 @@ class OnlineBMatchingAlgorithm(ABC):
 
         ``requests`` is any iterable of :class:`~repro.types.Request`,
         including a :class:`~repro.traffic.base.Trace` slice.  The default
-        implementation simply loops over :meth:`serve`; algorithms that set
-        :attr:`supports_batch` override this with a loop that reads the trace
-        arrays directly, skipping Request/ServeOutcome allocation while
-        keeping the per-request semantics (cost accounting order, randomness,
-        and raised errors) exactly identical.
+        implementation simply loops over :meth:`serve`; the engine routes
+        every non-reference replay through this method, and every registered
+        algorithm overrides it with a loop that reads the trace arrays
+        directly, skipping Request/ServeOutcome allocation while keeping the
+        per-request semantics (cost accounting order, randomness, and raised
+        errors) exactly identical.
         """
         for request in requests:
             self.serve(request)

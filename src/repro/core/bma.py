@@ -49,7 +49,6 @@ class BMA(OnlineBMatchingAlgorithm):
     """Deterministic counter-based online b-matching (the paper's baseline)."""
 
     name = "bma"
-    supports_batch = True
 
     def __init__(
         self,

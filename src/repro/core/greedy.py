@@ -35,7 +35,6 @@ class GreedyBMA(OnlineBMatchingAlgorithm):
     """
 
     name = "greedy"
-    supports_batch = True
 
     def __init__(
         self,

@@ -48,7 +48,6 @@ class HybridBMA(OnlineBMatchingAlgorithm):
     """
 
     name = "hybrid"
-    supports_batch = True
     uses_rng = True
 
     def __init__(

@@ -21,7 +21,6 @@ class ObliviousRouting(OnlineBMatchingAlgorithm):
     """Never touches the matching; all traffic stays on the fixed network."""
 
     name = "oblivious"
-    supports_batch = True
 
     def _reconfigure(
         self,

@@ -101,7 +101,6 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
     """
 
     name = "predictive"
-    supports_batch = True
 
     def __init__(
         self,

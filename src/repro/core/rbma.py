@@ -56,7 +56,6 @@ class RBMA(OnlineBMatchingAlgorithm):
     """
 
     name = "rbma"
-    supports_batch = True
     uses_rng = True
 
     def __init__(

@@ -73,7 +73,6 @@ class RotorBMA(OnlineBMatchingAlgorithm):
     """
 
     name = "rotor"
-    supports_batch = True
 
     def __init__(
         self,

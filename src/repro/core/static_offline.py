@@ -54,7 +54,6 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
 
     name = "so-bma"
     requires_full_trace = True
-    supports_batch = True
 
     def __init__(
         self,

@@ -266,7 +266,6 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
     """
 
     name = "uniform"
-    supports_batch = True
     uses_rng = True
 
     def __init__(

@@ -1,8 +1,10 @@
 """Unified execution stack: plan -> scheduler -> results plane.
 
-Every execution entry point (``run_many``, ``compare_on_shared_trace``,
-``run_experiments``, ``run_sweep``, ``run_specs_parallel``, the benchmark
-harness, and the CLI) funnels through the same three layers:
+Every execution entry point (``execute_experiment_spec``/``spec.execute()``,
+``ExperimentRunner.run``/``run_many``/``compare_on_shared_trace``,
+``run_experiments``, ``run_sweep``, the benchmark harness, and the CLI,
+``repro run`` included) makes one :func:`run_specs_parallel` call, which
+funnels through the same three layers:
 
 1. **Planner** (:mod:`repro.exec.plan`): :func:`build_execution_plan`
    canonicalizes specs (objects or mappings), serves run-store hits before any

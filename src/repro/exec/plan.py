@@ -11,8 +11,7 @@ into an :class:`ExecutionPlan`:
 * **Lockstep task groups.**  Pending specs sharing a workload and a seed —
   the shape of every figure panel — are grouped into one
   :class:`PlanTask`, so any backend can generate the shared trace once and
-  replay it through each algorithm, exactly as the sequential
-  ``compare_on_shared_trace`` does.
+  replay it through each algorithm.
 * **SO-BMA pre-solve.**  For each group, the aggregate demand of its
   offline ``so-bma`` specs is solved once at the group's ``b_max`` in the
   parent, and the solved rounds travel with the task
@@ -39,7 +38,7 @@ from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
 from ..simulation.results import RunResult
-from ..simulation.runner import AnySpec, _store_eligible, as_experiment_spec
+from ..simulation.runner import AnySpec, as_experiment_spec
 from ..store.fingerprint import fingerprint_spec
 from ..store.run_store import RunStore, resolve_store
 
@@ -172,23 +171,30 @@ class ExecutionPlan:
         }
 
 
+def _store_eligible(spec: ExperimentSpec) -> bool:
+    """Whether a run of ``spec`` may interact with a run store at all.
+
+    Unseeded specs draw fresh entropy (nothing stable to address), and
+    matching-history collection embeds per-request state the store's JSON
+    contract does not cover.
+    """
+    return spec.seed is not None and not spec.simulation.collect_matching_history
+
+
 def _group_key(spec: ExperimentSpec) -> Optional[Tuple[str, str, int]]:
     """Grouping key for shared-trace execution, or ``None`` for a solo task.
 
-    Two specs share a trace exactly when workload name, generator params,
-    and seed coincide (the trace seed is spawned from the spec seed alone).
-    Unseeded specs draw fresh entropy per run and must never share;
-    non-JSON generator params cannot be compared reliably, so they stay
-    solo too.  Streaming knobs are delivery options, not content — a
-    streamed and a materialized spec of the same workload share a group.
+    Two specs share a trace exactly when their workload
+    (:meth:`~repro.experiments.specs.TrafficSpec.workload_key`) and seed
+    coincide (the trace seed is spawned from the spec seed alone).
+    Unseeded specs draw fresh entropy per run and must never share; a
+    workload without a key stays solo too.  A streamed and a materialized
+    spec of the same workload share a group.
     """
-    if spec.seed is None:
+    key = spec.traffic.workload_key()
+    if spec.seed is None or key is None:
         return None
-    try:
-        params = json.dumps(dict(spec.traffic.params), sort_keys=True)
-    except (TypeError, ValueError):
-        return None
-    return (spec.traffic.name.strip().lower(), params, spec.seed)
+    return key + (spec.seed,)
 
 
 def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...]:
@@ -256,9 +262,13 @@ def build_execution_plan(
     store=None,
     on_error: str = "raise",
     observers: Sequence[SimulationObserver] = (),
-    presolve: bool = True,
 ) -> ExecutionPlan:
     """Build the execution plan for ``specs`` (see module docstring).
+
+    Within the library only :func:`~repro.exec.scheduler.run_specs_parallel`
+    calls it, followed by :func:`~repro.exec.scheduler.execute_plan`; every
+    entry point reaches the planner through that one run path, and the
+    planner is the only place the run store is looked up.
 
     Parameters
     ----------
@@ -278,9 +288,6 @@ def build_execution_plan(
         every run, so their presence disables store read-hits and duplicate
         aliasing (writes still happen); only the serial backend can honour
         them.
-    presolve:
-        Solve shared SO-BMA demand in the parent and attach the rounds to
-        each task (default).  Disable to measure worker-side solving.
     """
     if on_error not in ON_ERROR_MODES:
         raise ConfigurationError(
@@ -296,7 +303,7 @@ def build_execution_plan(
     primary_by_fp: Dict[str, int] = {}
     pending: List[int] = []
     for i, experiment in enumerate(experiments):
-        if run_store is not None and _store_eligible(experiment, run_store):
+        if run_store is not None and _store_eligible(experiment):
             fp = fingerprint_spec(experiment)
             fingerprints[i] = fp
             if not observer_tuple:
@@ -325,7 +332,7 @@ def build_execution_plan(
             label = f"{task_specs[0].traffic.name}/seed={task_specs[0].seed}"
         else:
             label = task_specs[0].label
-        solver = _presolve_task(task_specs) if presolve else ()
+        solver = _presolve_task(task_specs)
         tasks.append(
             PlanTask(
                 task_id=f"t{k:04d}",

@@ -37,7 +37,7 @@ from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
 from ..simulation.engine import StreamingSimulation, run_simulation
 from ..simulation.results import RunResult
-from ..simulation.runner import execute_experiment_spec
+from ..simulation.runner import _simulate_spec
 from ..traffic.base import Trace
 from ..traffic.stream import TraceStream
 from .plan import PlanTask, RunFailure
@@ -51,10 +51,11 @@ __all__ = [
     "stamp_provenance",
 ]
 
-#: Per-process LRU of generated traces, keyed by (workload name, generator
-#: params, trace seed).  Figure panels run every algorithm against the same
-#: workload, so a process generates each trace once instead of once per
-#: spec.  Bounded: traces can be millions of requests.
+#: Per-process LRU of generated traces, keyed by the workload
+#: (:meth:`~repro.experiments.specs.TrafficSpec.workload_key`) and trace
+#: seed.  Figure panels run every algorithm against the same workload, so a
+#: process generates each trace once instead of once per spec.  Bounded:
+#: traces can be millions of requests.
 _TRACE_CACHE: "OrderedDict[tuple, Trace]" = OrderedDict()
 _TRACE_CACHE_MAX = 4
 
@@ -63,18 +64,14 @@ def _trace_key(spec: ExperimentSpec) -> Optional[tuple]:
     """The cache key of ``spec``'s trace, or ``None`` when it must not be cached.
 
     Unseeded specs draw fresh entropy per run (caching would turn
-    independent workloads into copies of one draw); unhashable generator
-    params cannot be keyed.
+    independent workloads into copies of one draw); a workload without a
+    key cannot be cached.
     """
     trace_seed = spec.run_seeds()[0]
-    if trace_seed is None:
+    key = spec.traffic.workload_key()
+    if trace_seed is None or key is None:
         return None
-    key = (spec.traffic.name, tuple(sorted(spec.traffic.params.items())), trace_seed)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    return key + (trace_seed,)
 
 
 def share_trace(spec: ExperimentSpec, trace: Trace) -> None:
@@ -144,10 +141,10 @@ def _failure_message(exc: Exception, spec: ExperimentSpec) -> str:
 def _run_one(
     spec: ExperimentSpec, solo: bool, observers: Sequence[SimulationObserver]
 ) -> List[RunResult]:
-    if spec.traffic.streaming and solo:
-        # The plan owns the store, so force a cold execution here.
-        return [execute_experiment_spec(spec, observers=observers, store=False)]
-    return [execute_experiment_spec(spec, trace=cached_trace(spec), observers=observers)]
+    # A solo streaming spec streams its own workload (trace=None); every
+    # other spec replays the per-process cached trace.
+    trace = None if spec.traffic.streaming and solo else cached_trace(spec)
+    return [_simulate_spec(spec, trace, observers)]
 
 
 def _import_solver_rounds(payloads: Sequence[dict]) -> None:

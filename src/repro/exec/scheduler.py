@@ -25,7 +25,8 @@ input order — the **results plane**: every computed result is stamped with
 ``extra["scheduler_backend"]`` / ``extra["attempts"]`` provenance and
 written through the plan's run store (parent-owned writes for serial/pool;
 queue workers write their own results and the parent merges).
-:func:`run_specs_parallel` is the one-call entry point: plan, then execute.
+:func:`run_specs_parallel` is the one run path every entry point takes:
+resolve workers and backend, plan, then execute.
 
 Sharding model: specs travel, objects don't.  A unit of work is a picklable
 spec (plain names and numbers); traces, topologies and algorithms are
@@ -46,6 +47,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import SimulationError, WorkerExecutionError
+from ..experiments.observers import SimulationObserver
 from ..experiments.registry import Registry
 from ..simulation.results import RunResult
 from ..simulation.runner import AnySpec
@@ -342,13 +344,17 @@ def run_specs_parallel(
     on_error: str = "raise",
     backend: Optional[str] = None,
     queue_dir: Optional[str] = None,
+    observers: Sequence[SimulationObserver] = (),
 ) -> List[Union[RunResult, RunFailure]]:
     """Execute run specs across a scheduler backend, preserving input order.
 
-    Builds an :class:`~repro.exec.plan.ExecutionPlan` (run-store hits served
-    before any dispatch, shared-workload specs grouped, offline SO-BMA
-    demand pre-solved once in the parent) and hands it to
-    :func:`execute_plan`.
+    The one run path: resolves workers and backend, builds an
+    :class:`~repro.exec.plan.ExecutionPlan` (run-store hits served before
+    any dispatch, shared-workload specs grouped, offline SO-BMA demand
+    pre-solved once in the parent) and hands it to :func:`execute_plan`.
+    Single runs (:func:`~repro.simulation.runner.execute_experiment_spec`),
+    :class:`~repro.simulation.runner.ExperimentRunner`,
+    :func:`~repro.simulation.sweep.run_experiments` and the CLI all call it.
 
     Parameters
     ----------
@@ -383,13 +389,23 @@ def run_specs_parallel(
     queue_dir:
         Queue directory for ``backend="queue"`` (a temporary directory is
         used — and cleaned up — when omitted).
+    observers:
+        Attached to every run on the serial backend; they cannot cross a
+        process boundary, so other backends drop them.  Observers bypass
+        store reads (they must see every run) but results are still written.
     """
     if not specs:
         return []
     workers = default_worker_count() if n_workers is None else resolve_worker_count(n_workers)
-    plan = build_execution_plan(specs, store=store, on_error=on_error)
+    name = resolve_backend_name(backend, workers)
+    plan = build_execution_plan(
+        specs,
+        store=store,
+        on_error=on_error,
+        observers=tuple(observers) if name == "serial" else (),
+    )
     return execute_plan(
-        plan, backend=backend, n_workers=workers, chunksize=chunksize, queue_dir=queue_dir
+        plan, backend=name, n_workers=workers, chunksize=chunksize, queue_dir=queue_dir
     )
 
 

@@ -249,6 +249,19 @@ class TrafficSpec:
         _workload_registry().resolve(self.name)
         return self
 
+    def workload_key(self) -> Optional[Tuple[str, str]]:
+        """The workload's identity: lower-cased name plus params JSON.
+
+        Specs with equal keys generate the same requests from the same seed;
+        the streaming knobs are not part of it.  ``None`` when the params
+        are not JSON, since those cannot be compared reliably.
+        """
+        try:
+            params = json.dumps(dict(self.params), sort_keys=True)
+        except (TypeError, ValueError):
+            return None
+        return (self.name.strip().lower(), params)
+
     def build(self, seed: Optional[int] = None):
         """Generate the trace: :meth:`build_stream` materialized."""
         return self.build_stream(seed).materialize()
@@ -500,7 +513,11 @@ class ExperimentSpec:
     # -- execution (delegates to repro.simulation) -----------------------
 
     def execute(self, trace=None, observers=(), validate: bool = False):
-        """Run a single repetition; returns a :class:`~repro.simulation.results.RunResult`."""
+        """Run a single repetition; returns a :class:`~repro.simulation.results.RunResult`.
+
+        See :func:`~repro.simulation.runner.execute_experiment_spec`: without
+        a ``trace`` this is a one-spec plan on the serial backend.
+        """
         from ..simulation.runner import execute_experiment_spec
 
         return execute_experiment_spec(self, trace=trace, observers=observers, validate=validate)

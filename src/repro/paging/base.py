@@ -32,32 +32,25 @@ EvictionCallback = Callable[[Hashable], None]
 
 
 def coerce_paging_rng(rng):
-    """Validate a paging ``rng=`` argument into its mode-specific form.
+    """Validate a paging ``rng=`` argument into the pager's CounterRNG.
 
-    Returns ``(generator, counter)`` where exactly one is non-``None``:
-
-    * a :class:`~repro.core.rng.CounterRNG` selects counter mode — draws are
-      pure functions of a per-draw index, no carried state;
-    * a :class:`numpy.random.Generator` selects stateful mode as-is;
-    * ``None`` or an integer seed builds a stateful ``default_rng(seed)``
-      (the legacy behaviour).
-
-    Anything else — a float, a string, a foreign RNG object — raises
-    :class:`~repro.errors.ConfigurationError` instead of being silently fed
-    to ``default_rng`` (where e.g. a bool would "work" and quietly change
-    the stream).
+    A :class:`~repro.core.rng.CounterRNG` is used as-is; ``None`` or an
+    integer seed keys ``CounterRNG(seed)``.  Every eviction draw is then a
+    pure function of its draw index, with no carried generator state.
+    Anything else — a numpy ``Generator``, a float, a string, a foreign RNG
+    object — raises :class:`~repro.errors.ConfigurationError` instead of
+    being silently reinterpreted (a bool, for instance, would quietly act
+    as seed 0 or 1).
     """
     from ..core.rng import CounterRNG  # local import: core imports paging
 
     if isinstance(rng, CounterRNG):
-        return None, rng
-    if isinstance(rng, np.random.Generator):
-        return rng, None
+        return rng
     if rng is None or (isinstance(rng, (int, np.integer)) and not isinstance(rng, bool)):
-        return np.random.default_rng(rng), None
+        return CounterRNG(rng)
     raise ConfigurationError(
-        f"paging rng must be None, an int seed, a numpy Generator, or a "
-        f"CounterRNG; got {type(rng).__name__}: {rng!r}"
+        f"paging rng must be None, an int seed, or a CounterRNG; "
+        f"got {type(rng).__name__}: {rng!r}"
     )
 
 

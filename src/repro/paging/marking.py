@@ -15,11 +15,12 @@ bound plugged into Corollary 3 of the paper.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Optional, Union
 
 from .base import PagingAlgorithm, coerce_paging_rng
+
+if TYPE_CHECKING:
+    from ..core.rng import CounterRNG
 
 __all__ = ["RandomizedMarking"]
 
@@ -32,16 +33,16 @@ class RandomizedMarking(PagingAlgorithm):
     capacity:
         Cache size ``k`` (the matching degree bound ``b`` in the reduction).
     rng:
-        ``None``, an int seed, a numpy generator (stateful mode), or a
-        :class:`~repro.core.rng.CounterRNG` (counter mode: every eviction
-        draw is a pure function of its draw index, so replay needs no
-        generator-state bookkeeping).  Anything else raises
+        ``None``, an int seed (which keys a
+        :class:`~repro.core.rng.CounterRNG`), or a ``CounterRNG``: every
+        eviction draw is a pure function of its draw index, so replay needs
+        no generator-state bookkeeping.  Anything else raises
         :class:`~repro.errors.ConfigurationError`.
     """
 
-    def __init__(self, capacity: int, rng: Optional[np.random.Generator | int] = None):
+    def __init__(self, capacity: int, rng: Optional[Union[int, CounterRNG]] = None):
         super().__init__(capacity)
-        self._rng, self._crng = coerce_paging_rng(rng)
+        self._rng = coerce_paging_rng(rng)
         self._draw_index = 0
         self._marked: set[Hashable] = set()
         self._phase_count = 0
@@ -77,11 +78,8 @@ class RandomizedMarking(PagingAlgorithm):
         # Pages are small hashable values (node-pair tuples), so set iteration
         # order is deterministic for a given request history; a uniform index
         # into that order keeps runs reproducible without sorting.
-        if self._crng is not None:
-            idx = self._crng.integers(len(unmarked), self._draw_index)
-            self._draw_index += 1
-        else:
-            idx = int(self._rng.integers(len(unmarked)))
+        idx = self._rng.integers(len(unmarked), self._draw_index)
+        self._draw_index += 1
         return unmarked[idx]
 
     def _on_hit(self, page: Hashable) -> None:

@@ -9,11 +9,12 @@ from randomness alone.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Optional, Union
 
 from .base import PagingAlgorithm, coerce_paging_rng
+
+if TYPE_CHECKING:
+    from ..core.rng import CounterRNG
 
 __all__ = ["RandomEvictionPaging"]
 
@@ -22,24 +23,20 @@ class RandomEvictionPaging(PagingAlgorithm):
     """Evict a uniformly random cached page.
 
     ``rng`` follows the same contract as
-    :class:`~repro.paging.marking.RandomizedMarking`: ``None``/int seed/
-    numpy generator for stateful mode, a
-    :class:`~repro.core.rng.CounterRNG` for counter mode; anything else
-    raises :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.paging.marking.RandomizedMarking`: ``None``, an int seed
+    or a :class:`~repro.core.rng.CounterRNG`; anything else raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
-    def __init__(self, capacity: int, rng: Optional[np.random.Generator | int] = None):
+    def __init__(self, capacity: int, rng: Optional[Union[int, CounterRNG]] = None):
         super().__init__(capacity)
-        self._rng, self._crng = coerce_paging_rng(rng)
+        self._rng = coerce_paging_rng(rng)
         self._draw_index = 0
 
     def _evict_victim(self) -> Hashable:
         candidates = sorted(self._cache, key=repr)
-        if self._crng is not None:
-            idx = self._crng.integers(len(candidates), self._draw_index)
-            self._draw_index += 1
-        else:
-            idx = int(self._rng.integers(len(candidates)))
+        idx = self._rng.integers(len(candidates), self._draw_index)
+        self._draw_index += 1
         return candidates[idx]
 
     def _on_reset(self) -> None:

@@ -10,9 +10,7 @@ builds, because R-BMA instantiates one paging instance per rack lazily.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..experiments.registry import Registry
 from .base import PagingAlgorithm
@@ -21,6 +19,9 @@ from .lfu import LFUPaging
 from .lru import LRUPaging
 from .marking import RandomizedMarking
 from .random_eviction import RandomEvictionPaging
+
+if TYPE_CHECKING:
+    from ..core.rng import CounterRNG
 
 __all__ = [
     "PAGING_POLICIES",
@@ -31,29 +32,29 @@ __all__ = [
 ]
 
 #: Signature of a paging factory: capacity and an optional RNG.
-PagingFactory = Callable[[int, Optional[np.random.Generator]], PagingAlgorithm]
+PagingFactory = Callable[[int, Optional["CounterRNG"]], PagingAlgorithm]
 
 #: The paging-policy registry; entries are *factories*, not instances.
 PAGING_POLICIES: Registry[PagingAlgorithm] = Registry("paging policy")
 
 
-def _marking(capacity: int, rng: Optional[np.random.Generator]) -> PagingAlgorithm:
+def _marking(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
     return RandomizedMarking(capacity, rng=rng)
 
 
-def _random(capacity: int, rng: Optional[np.random.Generator]) -> PagingAlgorithm:
+def _random(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
     return RandomEvictionPaging(capacity, rng=rng)
 
 
-def _lru(capacity: int, rng: Optional[np.random.Generator]) -> PagingAlgorithm:
+def _lru(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
     return LRUPaging(capacity)
 
 
-def _fifo(capacity: int, rng: Optional[np.random.Generator]) -> PagingAlgorithm:
+def _fifo(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
     return FIFOPaging(capacity)
 
 
-def _lfu(capacity: int, rng: Optional[np.random.Generator]) -> PagingAlgorithm:
+def _lfu(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
     return LFUPaging(capacity)
 
 

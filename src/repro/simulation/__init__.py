@@ -8,8 +8,9 @@ evenly spaced checkpoints — exactly the series plotted in the paper's figures
 Experiments are described declaratively by
 :class:`~repro.experiments.specs.ExperimentSpec`;
 :func:`execute_experiment_spec`, :class:`ExperimentRunner`,
-:func:`run_experiments`, :func:`run_sweep` and :func:`run_specs_parallel`
-execute them through the plan -> scheduler stack in :mod:`repro.exec`.
+:func:`run_experiments` and :func:`run_sweep` all execute them through one
+run path, :func:`run_specs_parallel` (the plan -> scheduler -> results plane
+stack in :mod:`repro.exec`).
 """
 
 from .results import AggregateResult, CheckpointSeries, RunResult, aggregate_runs

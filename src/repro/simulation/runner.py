@@ -1,13 +1,19 @@
 """Experiment execution: specs in, results out.
 
 The canonical description of a run is an
-:class:`~repro.experiments.specs.ExperimentSpec`;
-:func:`execute_experiment_spec` turns one repetition of a spec into a
-:class:`~repro.simulation.results.RunResult` (stamped with the originating
-spec for provenance).  :class:`ExperimentRunner` layers the paper's
+:class:`~repro.experiments.specs.ExperimentSpec`.  Every entry point here
+runs through the one run path, :func:`repro.exec.run_specs_parallel`
+(plan -> scheduler -> results plane, which owns run-store lookups and
+writes): :func:`execute_experiment_spec` runs one repetition of a spec as a
+one-spec serial plan, and :class:`ExperimentRunner` layers the paper's
 methodology on top: repetitions with spawned seeds, averaging, and shared
 traces for algorithm comparisons.  Every entry point also accepts a spec's
 mapping form (:meth:`ExperimentSpec.from_dict`).
+
+:func:`_simulate_spec` is the compute body every backend ends in (through
+:func:`repro.exec.runtime.run_task`): it builds the topology and algorithm
+(and the stream, when not handed a trace), replays them with
+:func:`run_simulation`, and stamps the spec.
 """
 
 from __future__ import annotations
@@ -16,10 +22,8 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
-from ..experiments.observers import SimulationObserver
+from ..experiments.observers import SimulationObserver, ValidationObserver
 from ..experiments.specs import ExperimentSpec, spawn_seeds
-from ..store.fingerprint import fingerprint_spec
-from ..store.run_store import RunStore, resolve_store
 from ..traffic.base import Trace
 from ..traffic.stream import TraceStream
 from .engine import run_simulation
@@ -47,18 +51,26 @@ def as_experiment_spec(spec: AnySpec) -> ExperimentSpec:
     )
 
 
-def _store_eligible(spec: ExperimentSpec, store: Optional[RunStore]) -> bool:
-    """Whether a run of ``spec`` may interact with ``store`` at all.
+def _simulate_spec(
+    spec: ExperimentSpec,
+    trace: Optional[Union[Trace, TraceStream]] = None,
+    observers: Sequence[SimulationObserver] = (),
+    validate: bool = False,
+) -> RunResult:
+    """Compute one repetition of ``spec`` on ``trace``: no store, no scheduler.
 
-    Unseeded specs draw fresh entropy (nothing stable to address), and
-    matching-history collection embeds per-request state the store's JSON
-    contract does not cover.
+    ``trace=None`` streams the workload from the spec (bounded memory).
     """
-    return (
-        store is not None
-        and spec.seed is not None
-        and not spec.simulation.collect_matching_history
+    trace_seed, algo_seed = spec.run_seeds()
+    if trace is None:
+        trace = spec.build_stream(trace_seed)
+    topology = spec.build_topology(trace)
+    algorithm = spec.build_algorithm(topology, algo_seed)
+    sim_config = replace(spec.simulation, seed=spec.seed)
+    result = run_simulation(
+        algorithm, trace, sim_config, validate=validate, observers=observers
     )
+    return replace(result, spec=spec.to_dict())
 
 
 def execute_experiment_spec(
@@ -75,6 +87,14 @@ def execute_experiment_spec(
     but fully reproducible.  The returned result carries ``spec.to_dict()``
     in its ``spec`` field and ``spec.seed`` as its recorded seed.
 
+    Without an explicit ``trace`` the run is a one-spec plan on the serial
+    backend (:func:`repro.exec.run_specs_parallel`), exactly like every
+    other entry point: the result carries ``extra["scheduler_backend"]`` and
+    ``extra["attempts"]``, a materialized trace stays in the per-process
+    trace cache, and an error raised while the run executes arrives as
+    :class:`~repro.errors.WorkerExecutionError` with the spec's JSON in the
+    message.  Spec validation errors raise unwrapped, before planning.
+
     Parameters
     ----------
     spec:
@@ -83,54 +103,37 @@ def execute_experiment_spec(
     trace:
         Optionally a pre-generated trace — or a
         :class:`~repro.traffic.stream.TraceStream` — so several algorithms
-        can share the exact same workload, as the paper's figures require.
-        If omitted the workload is generated from the spec: lazily as a
-        stream when ``spec.traffic.streaming`` is set (bounded memory,
-        bit-identical result and store fingerprint), materialized otherwise.
+        can share the exact same workload.  The run is then computed
+        directly and the store is never consulted, because this function
+        cannot prove the trace matches the spec.  If omitted the workload
+        is generated from the spec: lazily as a stream when
+        ``spec.traffic.streaming`` is set (bounded memory, bit-identical
+        result and store fingerprint), materialized otherwise.
     observers, validate:
-        Forwarded to :func:`~repro.simulation.engine.run_simulation`.
+        Attached to the run; ``validate`` adds a
+        :class:`~repro.experiments.observers.ValidationObserver`.
     store:
         Run-store policy (see :func:`repro.store.resolve_store`): ``None``
         defers to the ``REPRO_RUN_STORE`` environment default, ``False``
         forces a cold run, a path/:class:`~repro.store.StoreConfig`/
-        :class:`~repro.store.RunStore` selects a store explicitly.  With a
-        store active and no explicit ``trace``, the store is checked before
-        computing — a hit returns the stored result (bit-identical to the
-        cold run that produced it, re-stamped with this spec's provenance)
-        without any simulation work — and a cold result is written back
-        after.  Hits are bypassed when observers are attached or
-        ``validate`` is set (those ask for the run's side effects, not just
-        its result).  An explicit ``trace`` disables the store here because
-        this function cannot prove the trace matches the spec; the runner's
-        shared-trace paths do their own store handling with that knowledge.
+        :class:`~repro.store.RunStore` selects a store explicitly.  The
+        planner serves a hit (bit-identical to the cold run that produced
+        it, re-stamped with this spec's provenance) without any simulation
+        work and writes a cold result back.  Observers and ``validate``
+        bypass reads but still write; unseeded specs and
+        matching-history specs are never stored.
     """
     spec.validate()
-    run_store = resolve_store(store) if trace is None else None
     observers = tuple(observers)
-    eligible = _store_eligible(spec, run_store)
-    fingerprint: Optional[str] = None
-    if eligible:
-        fingerprint = fingerprint_spec(spec)
-        if not observers and not validate:
-            cached = run_store.get(fingerprint)
-            if cached is not None:
-                return replace(cached, spec=spec.to_dict())
-    trace_seed, algo_seed = spec.run_seeds()
-    if trace is None:
-        trace = (
-            spec.build_stream(trace_seed)
-            if spec.traffic.streaming
-            else spec.build_trace(trace_seed)
-        )
-    topology = spec.build_topology(trace)
-    algorithm = spec.build_algorithm(topology, algo_seed)
-    sim_config = replace(spec.simulation, seed=spec.seed)
-    result = run_simulation(
-        algorithm, trace, sim_config, validate=validate, observers=observers
+    if trace is not None:
+        return _simulate_spec(spec, trace, observers, validate)
+    from ..exec import run_specs_parallel
+
+    if validate:
+        observers += (ValidationObserver(),)
+    [result] = run_specs_parallel(
+        [spec], n_workers=1, store=store, backend="serial", observers=observers
     )
-    result = replace(result, spec=spec.to_dict())
-    if eligible:
-        run_store.put(result, fingerprint=fingerprint)
     return result
 
 
@@ -139,9 +142,13 @@ class ExperimentRunner:
 
     The runner drives the repeat/seed policy: each repetition gets a seed
     spawned from ``base_seed`` via :class:`numpy.random.SeedSequence` (the
-    paper repeats every simulation five times and averages).  A spec's own ``repeats``/``seed`` fields are superseded by the runner's
-    policy here (use :meth:`ExperimentSpec.run` or
+    paper repeats every simulation five times and averages).  A spec's own
+    ``repeats``/``seed`` fields are superseded by the runner's policy here
+    (use :meth:`ExperimentSpec.run` or
     :func:`~repro.simulation.sweep.run_experiments` for spec-driven runs).
+    :meth:`run` and :meth:`compare_on_shared_trace` are :meth:`run_many`,
+    which makes one :func:`~repro.exec.scheduler.run_specs_parallel` call
+    for the whole grid.
 
     Parameters
     ----------
@@ -183,58 +190,7 @@ class ExperimentRunner:
 
     def run(self, spec: AnySpec) -> AggregateResult:
         """Run one configuration for all repetitions and average the results."""
-        experiment = as_experiment_spec(spec)
-        runs = [
-            execute_experiment_spec(
-                experiment.with_seed(seed),
-                observers=self.observers,
-                store=self.store,
-            )
-            for seed in self.repetition_seeds()
-        ]
-        return aggregate_runs(runs)
-
-    def _execute_grid(
-        self,
-        experiments: Sequence[ExperimentSpec],
-        n_workers: Optional[int],
-        backend: Optional[str],
-        queue_dir: Optional[str],
-    ) -> List[RunResult]:
-        """Plan and execute the repetition-major (seed × spec) grid.
-
-        The shared engine behind :meth:`run_many` and
-        :meth:`compare_on_shared_trace`: builds an
-        :class:`~repro.exec.plan.ExecutionPlan` (store hits served before
-        dispatch, specs sharing a workload and seed grouped into one task,
-        offline SO-BMA demand pre-solved once) and runs it on the resolved
-        scheduler backend.  Observers ride along only on the serial
-        backend — they cannot cross a process boundary — matching the
-        long-standing pool semantics.
-        """
-        from ..exec import (
-            build_execution_plan,
-            execute_plan,
-            resolve_backend_name,
-            resolve_worker_count,
-        )
-
-        workers = resolve_worker_count(n_workers, fallback=1)
-        name = resolve_backend_name(backend, workers)
-        seeds = self.repetition_seeds()
-        # Repetition-major: specs sharing a workload and a repetition seed
-        # land consecutively, grouping into one shared-trace task.
-        grid = [
-            experiment.with_seed(seed)
-            for seed in seeds
-            for experiment in experiments
-        ]
-        plan = build_execution_plan(
-            grid,
-            store=self.store,
-            observers=self.observers if name == "serial" else (),
-        )
-        return execute_plan(plan, backend=name, n_workers=workers, queue_dir=queue_dir)
+        return self.run_many([spec])[0]
 
     def run_many(
         self,
@@ -245,24 +201,33 @@ class ExperimentRunner:
     ) -> List[AggregateResult]:
         """Run several configurations, optionally sharded over a scheduler backend.
 
-        With ``n_workers > 1`` (or an explicit ``backend``) the individual
-        (spec × repetition) runs are distributed by
-        :func:`~repro.exec.scheduler.execute_plan`; results are
-        bit-identical to sequential execution (each worker rebuilds its
-        trace deterministically from the spec) but observers are not shipped
-        off the serial backend.
+        The repetition-major (seed × spec) grid goes through
+        :func:`~repro.exec.scheduler.run_specs_parallel`: store hits are
+        served before dispatch, specs sharing a workload and seed run as one
+        shared-trace task, and offline SO-BMA demand is pre-solved once.
+        ``n_workers`` defaults to ``REPRO_WORKERS``, else 1.  With
+        ``n_workers > 1`` (or an explicit ``backend``) the individual runs
+        are distributed; results are bit-identical to sequential execution
+        (each worker rebuilds its trace deterministically from the spec) but
+        observers ride along only on the serial backend.
         """
         if not specs:
             return []
+        from ..exec import resolve_worker_count, run_specs_parallel
+
         experiments = [as_experiment_spec(spec) for spec in specs]
-        flat = self._execute_grid(experiments, n_workers, backend, queue_dir)
-        n_seeds = self.repetitions
-        return [
-            aggregate_runs(
-                [flat[r * len(experiments) + i] for r in range(n_seeds)]
-            )
-            for i in range(len(experiments))
-        ]
+        # Repetition-major: specs sharing a workload and a repetition seed
+        # land consecutively, grouping into one shared-trace task.
+        flat = run_specs_parallel(
+            [e.with_seed(seed) for seed in self.repetition_seeds() for e in experiments],
+            n_workers=resolve_worker_count(n_workers, fallback=1),
+            store=self.store,
+            backend=backend,
+            queue_dir=queue_dir,
+            observers=self.observers,
+        )
+        n = len(experiments)
+        return [aggregate_runs(flat[i::n]) for i in range(n)]
 
     def compare_on_shared_trace(
         self,
@@ -273,10 +238,13 @@ class ExperimentRunner:
     ) -> Dict[str, AggregateResult]:
         """Run several algorithm specs on the *same* generated workloads.
 
-        All specs must name the same workload and workload parameters; per
-        repetition one trace is generated and every algorithm replays it —
-        the setup behind each panel of the paper's figures.  Returns a dict
-        keyed by ``"<algorithm> (b: <b>)"``.
+        All specs must share one workload
+        (:meth:`~repro.experiments.specs.TrafficSpec.workload_key`: name up
+        to case and JSON generator params; the streaming knobs may differ);
+        per repetition one trace is generated and every algorithm replays
+        it — the setup behind each panel of the paper's figures.  This is
+        :meth:`run_many` keyed by label: a dict keyed by
+        ``"<algorithm> (b: <b>)"``.
 
         SO-BMA specs benefit twice from the static-solver memo in
         :mod:`repro.matching.static_solver`: within a repetition, several
@@ -309,16 +277,11 @@ class ExperimentRunner:
         if not specs:
             raise ConfigurationError("compare_on_shared_trace needs at least one spec")
         experiments = [as_experiment_spec(spec) for spec in specs]
-        if any(e.traffic != experiments[0].traffic for e in experiments[1:]):
+        keys = {e.traffic.workload_key() for e in experiments}
+        if len(keys) > 1 or (None in keys and len(experiments) > 1):
             raise ConfigurationError(
-                "compare_on_shared_trace requires all specs to share the same workload"
+                "compare_on_shared_trace requires all specs to share the same "
+                "workload (name and JSON generator params)"
             )
-        flat = self._execute_grid(experiments, n_workers, backend, queue_dir)
-        per_spec_runs: Dict[int, List[RunResult]] = {i: [] for i in range(len(experiments))}
-        for j, result in enumerate(flat):
-            per_spec_runs[j % len(experiments)].append(result)
-        results: Dict[str, AggregateResult] = {}
-        for i in range(len(experiments)):
-            agg = aggregate_runs(per_spec_runs[i])
-            results[agg.label] = agg
-        return results
+        aggregates = self.run_many(experiments, n_workers, backend, queue_dir)
+        return {agg.label: agg for agg in aggregates}

@@ -3,8 +3,9 @@
 A sweep is nothing but a list of :class:`~repro.experiments.specs.ExperimentSpec`
 objects — usually produced by :func:`~repro.experiments.specs.expand_grid` —
 executed by :func:`run_experiments`, which handles per-spec repetitions
-(seeds spawned from each spec's base seed), optional process-pool fan-out,
-and aggregation.  :func:`run_sweep` keeps the classic
+(seeds spawned from each spec's base seed) and aggregation, and runs the
+expanded grid with one :func:`~repro.exec.scheduler.run_specs_parallel`
+call.  :func:`run_sweep` keeps the classic
 :class:`~repro.config.SweepConfig` entry point, now implemented as a grid
 expansion over ``algorithm.name`` × ``algorithm.b`` × ``algorithm.alpha``.
 """
@@ -79,22 +80,17 @@ def run_experiments(
         group_sizes.append(len(seeds))
         expanded.extend(experiment.with_seed(seed) for seed in seeds)
 
-    from ..exec import (
-        build_execution_plan,
-        execute_plan,
-        resolve_backend_name,
-        resolve_worker_count,
-    )
+    from ..exec import resolve_worker_count, run_specs_parallel
 
-    workers = resolve_worker_count(n_workers, fallback=1)
-    name = resolve_backend_name(backend, workers)
-    plan = build_execution_plan(
+    flat = run_specs_parallel(
         expanded,
+        n_workers=resolve_worker_count(n_workers, fallback=1),
         store=store,
         on_error=on_error,
-        observers=tuple(observers) if name == "serial" else (),
+        backend=backend,
+        queue_dir=queue_dir,
+        observers=observers,
     )
-    flat = execute_plan(plan, backend=name, n_workers=workers, queue_dir=queue_dir)
 
     results: List = []
     cursor = 0

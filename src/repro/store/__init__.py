@@ -22,14 +22,16 @@ Layers (bottom up):
   recomputation history (runtime CIs, determinism and runtime regression
   flags) and cross-seed configuration spreads.
 
-The execution layer lives in :mod:`repro.simulation` and :mod:`repro.exec`
-(``store=`` keyword on
+The store has one lookup path and one write path, both in :mod:`repro.exec`:
+the planner (:func:`~repro.exec.plan.build_execution_plan`) looks cells up
+before dispatch and the results plane writes computed cells back.  Every
+``store=`` keyword (on
 :func:`~repro.simulation.runner.execute_experiment_spec`,
 :class:`~repro.simulation.runner.ExperimentRunner`,
 :func:`~repro.simulation.sweep.run_experiments`, and
-:func:`~repro.exec.scheduler.run_specs_parallel`); the CLI surface is
-``repro runs list|show|stats|gc`` plus ``--store``/``--no-store`` on the
-simulation commands.
+:func:`~repro.exec.scheduler.run_specs_parallel`) reaches them through
+``run_specs_parallel``; the CLI surface is ``repro runs list|show|stats|gc``
+plus ``--store``/``--no-store`` on the simulation commands.
 """
 
 from .fingerprint import (

@@ -277,16 +277,15 @@ def test_backend_recorded_in_spec_roundtrip():
 def test_every_registered_algorithm_is_batched():
     """No registered algorithm may fall back to the default per-request loop.
 
-    ``supports_batch`` marks a hand-tuned ``serve_batch``; since PR 3 every
-    registered algorithm ships one, so the engine's batched path never
-    degenerates to per-request serving for library algorithms.
+    Every registered algorithm ships its own ``serve_batch``, so the
+    engine's batched path never degenerates to per-request serving for
+    library algorithms.
     """
     topo = TOPOLOGIES.build("leaf-spine", n_racks=8)
     for name in ALGORITHM_NAMES:
         algo = ALGORITHMS.build(name, topo, MatchingConfig(b=3, alpha=4.0), 0)
-        assert algo.supports_batch, f"{name} still takes the per-request fallback"
         assert "serve_batch" in type(algo).__dict__, (
-            f"{name} sets supports_batch but inherits the default serve_batch"
+            f"{name} inherits the default per-request serve_batch"
         )
 
 

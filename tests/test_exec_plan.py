@@ -182,10 +182,6 @@ class TestPresolve:
         execute_plan(plan, backend="serial")
         assert built == []  # the pre-solve's trace served both specs
 
-    def test_presolve_can_be_disabled(self):
-        plan = build_execution_plan([_so_bma_spec()], store=False, presolve=False)
-        assert plan.describe()["presolved"] == 0
-
 
 # --------------------------------------------------------------------------- #
 # Serial backend: reference semantics

@@ -30,11 +30,20 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.doctor import audit_store
 from repro.errors import ConfigurationError, WorkerExecutionError
-from repro.exec import WorkQueue, build_execution_plan, execute_plan, run_worker
+from repro.exec import (
+    WorkQueue,
+    build_execution_plan,
+    execute_plan,
+    run_specs_parallel,
+    run_worker,
+)
 from repro.exec.queue import _collect_outcomes
 from repro.exec.scheduler import _ResultsPlane
 from repro.experiments import ExperimentSpec
+from repro.simulation import runner as runner_mod
+from repro.store import RunStore, fingerprint_spec
 
 SEED = 2023
 
@@ -317,3 +326,34 @@ def test_queue_workers_write_their_stats_before_exiting(tmp_path):
     stats = sorted(p.name for p in (queue_dir / "workers").iterdir())
     assert stats == ["local-0.json", "local-1.json"]
     assert not list(queue_dir.rglob(".*.tmp-*"))
+
+
+@pytest.mark.sched
+def test_queue_backend_with_a_run_store(tmp_path, monkeypatch):
+    """Queue workers write the store themselves and the parent merges: every
+    cell is stored exactly once, the merged index is clean, and a warm
+    serial rerun serves every cell from disk without simulating."""
+    specs = [_spec(name, seed=seed) for seed in (1, 2) for name in ("rbma", "bma")]
+    serial = run_specs_parallel(specs, n_workers=1, store=False)
+    store = RunStore(tmp_path / "store")
+    results = run_specs_parallel(
+        specs, n_workers=2, store=store, backend="queue", queue_dir=str(tmp_path / "queue")
+    )
+    for seq, q in zip(serial, results):
+        assert q.extra["scheduler_backend"] == "queue"
+        _assert_series_identical(seq, q)
+
+    fingerprints = {fingerprint_spec(spec) for spec in specs}
+    assert len(store) == len(fingerprints)
+    for fp in fingerprints:
+        assert len(store.get_payload(fp)["history"]) == 1
+
+    def _boom(*_args, **_kwargs):
+        raise AssertionError("simulated despite a warm store")
+
+    monkeypatch.setattr(runner_mod, "run_simulation", _boom)
+    monkeypatch.setattr(ExperimentSpec, "build_trace", _boom)
+    warm = run_specs_parallel(specs, n_workers=1, store=store, backend="serial")
+    assert [w.to_dict() for w in warm] == [q.to_dict() for q in results]
+    assert store.counters.hits == len(specs)
+    assert audit_store(store).clean()

@@ -110,7 +110,7 @@ _AFTER = [5, 0, 6, 1, 7, 2, 0, 5]
 def _policy_state(pager):
     """Everything a policy keeps, minus its RNG objects (compared by draws)."""
     return copy.deepcopy(
-        {name: value for name, value in vars(pager).items() if name not in ("_rng", "_crng")}
+        {name: value for name, value in vars(pager).items() if name != "_rng"}
     )
 
 

@@ -11,6 +11,7 @@ from repro.paging import (
     available_paging_policies,
     make_paging_factory,
 )
+from repro.core.rng import CounterRNG
 from repro.errors import ConfigurationError
 
 
@@ -108,7 +109,7 @@ class TestPagingRegistry:
     def test_factories_produce_working_algorithms(self):
         for name in available_paging_policies():
             factory = make_paging_factory(name)
-            algo = factory(3, np.random.default_rng(0))
+            algo = factory(3, CounterRNG(0))
             algo.request("p")
             assert "p" in algo
             assert algo.capacity == 3

@@ -141,21 +141,23 @@ class TestCoordinateContract:
 # --------------------------------------------------------------------------- #
 class TestPagingRngContract:
     def test_coercion_forms(self):
-        gen, crng = coerce_paging_rng(None)
-        assert isinstance(gen, np.random.Generator) and crng is None
-        gen, crng = coerce_paging_rng(5)
-        assert isinstance(gen, np.random.Generator) and crng is None
-        explicit = np.random.default_rng(9)
-        assert coerce_paging_rng(explicit) == (explicit, None)
+        assert isinstance(coerce_paging_rng(None), CounterRNG)
+        for seed in (5, np.int64(5)):
+            keyed = coerce_paging_rng(seed)
+            assert isinstance(keyed, CounterRNG) and keyed.key == CounterRNG(5).key
         counter = CounterRNG(3)
-        assert coerce_paging_rng(counter) == (None, counter)
+        assert coerce_paging_rng(counter) is counter
 
-    @pytest.mark.parametrize("bad", [1.5, "seed", True, np.float64(2.0), object()])
+    @pytest.mark.parametrize(
+        "bad", [1.5, "seed", True, np.float64(2.0), object(), np.random.default_rng(0)]
+    )
     def test_loose_rng_rejected(self, bad):
-        """Floats, strings, bools, foreign objects: loud ConfigurationError.
+        """Floats, strings, bools, generators, foreign objects: loud
+        ConfigurationError.
 
-        ``default_rng`` would silently accept e.g. ``True`` (as seed 1) and
-        quietly change the stream; the pagers must refuse instead.
+        A bool would otherwise act as seed 0 or 1 and quietly change the
+        stream, and a stateful ``Generator`` is not a pager RNG mode any
+        more; the pagers must refuse instead.
         """
         with pytest.raises(ConfigurationError, match="paging rng must be"):
             coerce_paging_rng(bad)

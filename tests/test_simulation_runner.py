@@ -1,5 +1,7 @@
 """Tests for the declarative runner, sweeps, and the parallel executor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SweepConfig
@@ -20,6 +22,12 @@ def _spec(algorithm="rbma", b=2, topology="fat-tree", seed=None):
         simulation={"checkpoints": 5},
         seed=seed,
     )
+
+
+def _without_wall_clock(aggregate):
+    data = aggregate.to_dict()
+    data["series"].pop("elapsed_seconds")
+    return {k: v for k, v in data.items() if not k.startswith("elapsed_seconds")}
 
 
 class TestExecuteRunSpec:
@@ -83,6 +91,21 @@ class TestExperimentRunner:
                                simulation={"checkpoints": 5}, seed=None)
         with pytest.raises(ConfigurationError):
             runner.compare_on_shared_trace([_spec(), other])
+
+    @pytest.mark.parametrize("name, streaming", [("zipf", True), ("ZIPF", False)])
+    def test_compare_accepts_specs_sharing_a_workload(self, name, streaming):
+        """A streamed spec, or a name in another case, is the same workload."""
+        first = _spec(algorithm="rbma")
+        second = replace(
+            _spec(algorithm="bma"),
+            traffic=replace(first.traffic, name=name, streaming=streaming,
+                            chunk_size=64 if streaming else None),
+        )
+        runner = ExperimentRunner(repetitions=2, base_seed=2, store=False)
+        results = runner.compare_on_shared_trace([first, second])
+        for spec in (first, second):
+            alone = runner.compare_on_shared_trace([spec])[spec.label]
+            assert _without_wall_clock(results[spec.label]) == _without_wall_clock(alone)
 
     def test_repetition_validation(self):
         with pytest.raises(ConfigurationError):
