@@ -21,19 +21,20 @@ Implementation note (relevant to the paper's execution-time figures): the
 original artifact keeps all of BMA's bookkeeping — per-pair counters,
 usefulness, and the matching itself — as edge attributes of a NetworkX demand
 graph ("We implemented all algorithms in Python leveraging the NetworkX
-library").  We mirror that choice here: every decision walks the NetworkX
-adjacency structure of the affected endpoints.  This is exactly what makes
-BMA noticeably slower than R-BMA (whose per-node caches are plain Python
-sets) and more sensitive to the cache size ``b``, reproducing the runtime
-comparison in the paper.  The algorithmic decisions themselves are
-independent of this storage choice.
+library").  We keep the same structure without the library: the demand graph
+is the dict-of-dicts an ``nx.Graph`` keeps as its adjacency (``{node:
+{neighbour: edge data}}``, one data dict shared by both directions), and
+every decision walks the adjacency of the affected endpoints in insertion
+order.  This is what makes BMA noticeably slower than R-BMA (whose per-node
+caches are plain Python sets) and more sensitive to the cache size ``b``,
+reproducing the runtime comparison in the paper.  The algorithmic decisions
+themselves are independent of this storage choice.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..config import MatchingConfig
@@ -57,10 +58,9 @@ class BMA(OnlineBMatchingAlgorithm):
         rng: Optional[np.random.Generator | int] = None,
     ):
         super().__init__(topology, config, rng)
-        # Demand graph holding BMA's bookkeeping as NetworkX edge attributes,
-        # mirroring the original implementation (see module docstring).
-        self._demand = nx.Graph()
-        self._demand.add_nodes_from(range(topology.n_racks))
+        # Demand graph holding BMA's bookkeeping as edge data, mirroring the
+        # original implementation (see module docstring).
+        self._demand: dict[int, dict[int, dict]] = {u: {} for u in range(topology.n_racks)}
         self._insertion_clock = 0
 
     # ------------------------------------------------------------------ #
@@ -68,12 +68,12 @@ class BMA(OnlineBMatchingAlgorithm):
     # ------------------------------------------------------------------ #
     def counter(self, pair: NodePair) -> float:
         """Accumulated fixed-network cost of ``pair`` since its last reset."""
-        data = self._demand.get_edge_data(*pair)
+        data = self._demand.get(pair[0], {}).get(pair[1])
         return float(data["counter"]) if data else 0.0
 
     def usefulness(self, pair: NodePair) -> int:
         """Requests served by matched edge ``pair`` since it was added."""
-        data = self._demand.get_edge_data(*pair)
+        data = self._demand.get(pair[0], {}).get(pair[1])
         return int(data["usefulness"]) if data else 0
 
     # ------------------------------------------------------------------ #
@@ -92,14 +92,14 @@ class BMA(OnlineBMatchingAlgorithm):
             demand[u][v]["usefulness"] += 1
             return (), ()
 
-        if demand.has_edge(u, v):
-            data = demand[u][v]
+        data = demand[u].get(v)
+        if data is not None:
             data["counter"] += length * request.size
         else:
-            demand.add_edge(
-                u, v, counter=length * request.size, usefulness=0, matched=False, inserted=0
-            )
-            data = demand[u][v]
+            data = {
+                "counter": length * request.size, "usefulness": 0, "matched": False, "inserted": 0
+            }
+            demand[u][v] = demand[v][u] = data
         if data["counter"] < self.config.alpha:
             return (), ()
         return self._saturate(pair, data)
@@ -108,7 +108,7 @@ class BMA(OnlineBMatchingAlgorithm):
         """Bring a saturated pair into the matching, evicting where needed."""
         added: list[NodePair] = []
         removed: list[NodePair] = []
-        adj = self._demand._adj
+        adj = self._demand
         for endpoint in pair:
             if self.matching.degree(endpoint) >= self.config.b:
                 victim = self._select_victim(endpoint)
@@ -128,13 +128,12 @@ class BMA(OnlineBMatchingAlgorithm):
         return tuple(added), tuple(removed)
 
     def serve_batch(self, requests) -> None:
-        """Batched replay: demand-graph bookkeeping without NetworkX wrappers.
+        """Batched replay: the same demand-graph bookkeeping, inlined.
 
-        Operates on the *same* demand graph as :meth:`serve` — it reads and
-        writes ``Graph._adj`` (the dict-of-dicts NetworkX itself maintains),
-        so eviction scans and counter resets see identical state in identical
-        order; only the per-request wrapper objects (Request, ServeOutcome,
-        AtlasView) are skipped.
+        Operates on the *same* demand graph as :meth:`serve`, so eviction
+        scans and counter resets see identical state in identical order;
+        only the per-request wrapper objects (Request, ServeOutcome) are
+        skipped.
         """
         matching = self.matching
         edge_keys = getattr(matching, "edge_keys", None)
@@ -148,7 +147,7 @@ class BMA(OnlineBMatchingAlgorithm):
         los = lo.tolist()
         his = hi.tolist()
 
-        adj = self._demand._adj
+        adj = self._demand
         saturate = self._saturate
         alpha = self.config.alpha
         b = self.config.b
@@ -198,12 +197,12 @@ class BMA(OnlineBMatchingAlgorithm):
     def _select_victim(self, endpoint: int) -> NodePair:
         """Matched edge at ``endpoint`` with least usefulness (ties: oldest).
 
-        Walks the NetworkX adjacency of the endpoint, as the original
+        Walks the demand-graph adjacency of the endpoint, as the original
         implementation does, filtering for matched edges.
         """
         best: NodePair | None = None
         best_key: tuple[int, int] | None = None
-        for neighbor, data in self._demand._adj[endpoint].items():
+        for neighbor, data in self._demand[endpoint].items():
             if not data.get("matched"):
                 continue
             key = (data["usefulness"], data["inserted"])
@@ -215,11 +214,10 @@ class BMA(OnlineBMatchingAlgorithm):
 
     def _reset_incident_counters(self, endpoint: int) -> None:
         """Zero the counters of every pending pair incident to ``endpoint``."""
-        for _neighbor, data in self._demand._adj[endpoint].items():
+        for _neighbor, data in self._demand[endpoint].items():
             if not data.get("matched"):
                 data["counter"] = 0.0
 
     def _reset_policy_state(self) -> None:
-        self._demand = nx.Graph()
-        self._demand.add_nodes_from(range(self.topology.n_racks))
+        self._demand = {u: {} for u in range(self.topology.n_racks)}
         self._insertion_clock = 0

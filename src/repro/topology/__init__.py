@@ -7,10 +7,12 @@ request is *not* served by a reconfigurable matching edge.
 All topologies expose the same interface (:class:`~repro.topology.base.Topology`):
 a set of ``n`` racks identified by ``0 .. n-1`` and a dense, precomputed
 rack-to-rack distance matrix, so the simulation hot path never touches a
-graph library.
+graph library.  The built-in topologies are plain node and edge lists
+(:class:`~repro.topology.base.EdgeList`); NetworkX is imported only to
+wire an ``expander`` or when ``Topology.graph`` is read.
 """
 
-from .base import Topology, build_distance_matrix
+from .base import EdgeList, Topology, build_distance_matrix
 from .fattree import FatTreeTopology
 from .leafspine import LeafSpineTopology
 from .star import StarTopology
@@ -21,6 +23,7 @@ from .expander import ExpanderTopology
 from .registry import available_topologies, make_topology, register_topology
 
 __all__ = [
+    "EdgeList",
     "Topology",
     "build_distance_matrix",
     "FatTreeTopology",

@@ -1,37 +1,65 @@
 """Topology abstraction and shared distance-matrix machinery.
 
-A :class:`Topology` wraps a NetworkX graph of the fixed (non-reconfigurable)
-network.  The graph may contain auxiliary switch nodes (aggregation, spine,
-core); only *rack* nodes are endpoints of traffic.  Distances between racks
-are computed once with a vectorised BFS (``scipy.sparse.csgraph``) and stored
-in a dense numpy matrix so that per-request lookups are O(1).
+A :class:`Topology` holds the fixed (non-reconfigurable) network as a node
+list and an edge list (an :class:`EdgeList`, or any graph object with
+``nodes()`` and ``edges()`` such as an ``nx.Graph``).  The network may
+contain auxiliary switch nodes (aggregation, spine, core); only *rack* nodes
+are endpoints of traffic.  Distances between racks are computed once by a
+multi-source BFS in numpy and stored in a dense matrix so that per-request
+lookups are O(1).  NetworkX is imported only when :attr:`Topology.graph` is
+read.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from ..errors import TopologyError
 from ..types import NodePair, canonical_pair
 
-__all__ = ["Topology", "build_distance_matrix"]
+__all__ = ["EdgeList", "Topology", "build_distance_matrix"]
 
 
-def build_distance_matrix(
-    graph: nx.Graph, rack_nodes: Sequence[Hashable]
-) -> np.ndarray:
+class EdgeList:
+    """A fixed network as a node list plus an edge list.
+
+    Its ``nodes()`` and ``edges()`` are the part of the ``nx.Graph``
+    interface that :class:`Topology` and :func:`build_distance_matrix` read,
+    so the built-in topologies need no graph library.
+    """
+
+    __slots__ = ("_nodes", "_edges")
+
+    def __init__(self, nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]):
+        self._nodes = list(nodes)
+        self._edges = list(edges)
+
+    def nodes(self) -> list[Hashable]:
+        return self._nodes
+
+    def edges(self) -> list[tuple[Hashable, Hashable]]:
+        return self._edges
+
+
+def build_distance_matrix(graph: Any, rack_nodes: Sequence[Hashable]) -> np.ndarray:
     """Compute the all-pairs shortest-path hop counts between rack nodes.
+
+    A breadth-first search runs from every rack at once: one frontier row
+    per rack advances one level per step through a float32 matmul with the
+    dense adjacency matrix, which runs on BLAS (an integer matmul does not).
+    The adjacency matrix takes ``4 * N**2`` bytes for ``N`` graph nodes,
+    switches included; a fat tree has about 2.5 nodes per rack, so this is
+    about 3x the size of the returned matrix.
 
     Parameters
     ----------
     graph:
-        The fixed network, an undirected unweighted graph.  It must be
-        connected at least on the component containing all racks.
+        The fixed network, an undirected unweighted graph: an
+        :class:`EdgeList` or ``nx.Graph`` (only ``nodes()`` and ``edges()``
+        are read).  It must be connected at least on the component
+        containing all racks.
     rack_nodes:
         The graph nodes acting as racks, in the order in which they map to
         rack ids ``0 .. n-1``.
@@ -48,24 +76,31 @@ def build_distance_matrix(
     """
     if len(rack_nodes) < 2:
         raise TopologyError("a topology needs at least two racks")
-    node_list = list(graph.nodes())
-    index = {node: i for i, node in enumerate(node_list)}
+    index = {node: i for i, node in enumerate(graph.nodes())}
     try:
-        rack_idx = np.array([index[r] for r in rack_nodes], dtype=np.intp)
+        racks = np.array([index[r] for r in rack_nodes], dtype=np.intp)
     except KeyError as exc:  # pragma: no cover - defensive
         raise TopologyError(f"rack node {exc} not present in graph") from exc
 
-    adjacency = nx.to_scipy_sparse_array(graph, nodelist=node_list, format="csr", dtype=np.int8)
-    adjacency = csr_matrix(adjacency)
-    # Single vectorised BFS from every rack; unweighted=True uses BFS rather
-    # than Dijkstra, which is both faster and exact for hop counts.
-    dist_from_racks = shortest_path(
-        adjacency, directed=False, unweighted=True, indices=rack_idx
-    )
-    dist = np.asarray(dist_from_racks)[:, rack_idx]
+    adjacency = np.zeros((len(index), len(index)), dtype=np.float32)
+    ends = np.array([(index[u], index[v]) for u, v in graph.edges()], dtype=np.intp)
+    if ends.size:
+        adjacency[ends[:, 0], ends[:, 1]] = 1.0
+        adjacency[ends[:, 1], ends[:, 0]] = 1.0
+
+    seen = np.zeros((len(racks), len(index)), dtype=bool)
+    seen[np.arange(len(racks)), racks] = True
+    frontier = seen
+    dist = np.where(seen[:, racks], 0.0, np.inf)
+    level = 0
+    while frontier.any() and np.isinf(dist).any():
+        level += 1
+        frontier = (frontier.astype(np.float32) @ adjacency > 0) & ~seen
+        seen |= frontier
+        dist[frontier[:, racks]] = level
     if np.isinf(dist).any():
         raise TopologyError("fixed network does not connect all racks")
-    return dist.astype(np.float64)
+    return dist
 
 
 class Topology:
@@ -74,16 +109,17 @@ class Topology:
     Parameters
     ----------
     graph:
-        Undirected NetworkX graph of the fixed network (racks plus any
-        internal switches).
+        The fixed network (racks plus any internal switches): an
+        :class:`EdgeList`, or an undirected ``nx.Graph``, of which only
+        ``nodes()`` and ``edges()`` are read.
     rack_nodes:
         Graph nodes that act as racks / ToR switches, in rack-id order.
     name:
         Human-readable topology name used in results and reports.
     """
 
-    def __init__(self, graph: nx.Graph, rack_nodes: Sequence[Hashable], name: str = "custom"):
-        if graph.number_of_nodes() == 0:
+    def __init__(self, graph: Any, rack_nodes: Sequence[Hashable], name: str = "custom"):
+        if not graph.nodes():
             raise TopologyError("topology graph is empty")
         self._graph = graph
         self._rack_nodes = list(rack_nodes)
@@ -104,8 +140,19 @@ class Topology:
         return len(self._rack_nodes)
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying fixed-network graph (read-only by convention)."""
+    def graph(self) -> Any:
+        """The fixed network as an ``nx.Graph`` (read-only by convention).
+
+        A graph passed in is returned as is.  An :class:`EdgeList` is turned
+        into an ``nx.Graph`` on first access, with its node and edge order.
+        """
+        if isinstance(self._graph, EdgeList):
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(self._graph.nodes())
+            graph.add_edges_from(self._graph.edges())
+            self._graph = graph
         return self._graph
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from ..errors import TopologyError
@@ -44,6 +43,8 @@ class ExpanderTopology(Topology):
             raise TopologyError(
                 f"n_racks * degree must be even for a regular graph, got {n_racks}*{degree}"
             )
+        import networkx as nx
+
         rng = np.random.default_rng(seed)
         # Retry until the sampled regular graph is connected (overwhelmingly
         # likely on the first attempt for degree >= 3).

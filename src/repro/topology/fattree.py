@@ -20,39 +20,31 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import networkx as nx
-
 from ..errors import TopologyError
-from .base import Topology
+from .base import EdgeList, Topology
 
 __all__ = ["FatTreeTopology"]
 
 
-def _fat_tree_graph(k: int) -> tuple[nx.Graph, list[str]]:
+def _fat_tree_graph(k: int) -> tuple[EdgeList, list[str]]:
     """Build the k-ary fat-tree switch graph and return it with its ToR list."""
     if k < 2 or k % 2 != 0:
         raise TopologyError(f"fat-tree arity k must be an even integer >= 2, got {k}")
-    g = nx.Graph()
     half = k // 2
-    core = [f"core-{i}-{j}" for i in range(half) for j in range(half)]
-    g.add_nodes_from(core, layer="core")
-
+    nodes = [f"core-{i}-{j}" for i in range(half) for j in range(half)]
+    links: list[tuple[str, str]] = []
     tor_nodes: list[str] = []
     for pod in range(k):
         aggs = [f"agg-{pod}-{a}" for a in range(half)]
         edges = [f"edge-{pod}-{e}" for e in range(half)]
-        g.add_nodes_from(aggs, layer="aggregation")
-        g.add_nodes_from(edges, layer="edge")
+        nodes += aggs
+        nodes += edges
         tor_nodes.extend(edges)
         # Full bipartite connection between edge and aggregation inside a pod.
-        for agg in aggs:
-            for edge in edges:
-                g.add_edge(agg, edge)
+        links += [(agg, edge) for agg in aggs for edge in edges]
         # Aggregation switch a of every pod connects to core group a.
-        for a, agg in enumerate(aggs):
-            for j in range(half):
-                g.add_edge(agg, f"core-{a}-{j}")
-    return g, tor_nodes
+        links += [(agg, f"core-{a}-{j}") for a, agg in enumerate(aggs) for j in range(half)]
+    return EdgeList(nodes, links), tor_nodes
 
 
 class FatTreeTopology(Topology):

@@ -9,10 +9,8 @@ online algorithms from distance heterogeneity.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
-from .base import Topology
+from .base import EdgeList, Topology
 
 __all__ = ["LeafSpineTopology"]
 
@@ -35,14 +33,9 @@ class LeafSpineTopology(Topology):
             raise TopologyError(f"need at least 2 racks, got {n_racks}")
         if n_spines < 1:
             raise TopologyError(f"need at least 1 spine switch, got {n_spines}")
-        g = nx.Graph()
         leaves = [f"leaf-{i}" for i in range(n_racks)]
         spines = [f"spine-{j}" for j in range(n_spines)]
-        g.add_nodes_from(leaves, layer="leaf")
-        g.add_nodes_from(spines, layer="spine")
-        for leaf in leaves:
-            for spine in spines:
-                g.add_edge(leaf, spine)
+        g = EdgeList(leaves + spines, [(leaf, spine) for leaf in leaves for spine in spines])
         self._n_spines = n_spines
         super().__init__(g, leaves, name=f"leaf-spine(racks={n_racks}, spines={n_spines})")
 

@@ -9,10 +9,8 @@ and ablations rather than in the headline experiments.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
-from .base import Topology
+from .base import EdgeList, Topology
 
 __all__ = ["RingTopology"]
 
@@ -23,5 +21,6 @@ class RingTopology(Topology):
     def __init__(self, n_racks: int):
         if n_racks < 3:
             raise TopologyError(f"a ring needs at least 3 racks, got {n_racks}")
-        g = nx.cycle_graph(n_racks)
-        super().__init__(g, list(range(n_racks)), name=f"ring(racks={n_racks})")
+        racks = list(range(n_racks))
+        g = EdgeList(racks, [(i, (i + 1) % n_racks) for i in racks])
+        super().__init__(g, racks, name=f"ring(racks={n_racks})")

@@ -10,10 +10,8 @@ length 1 — :class:`StarTopology` supports both variants through
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
-from .base import Topology
+from .base import EdgeList, Topology
 
 __all__ = ["StarTopology"]
 
@@ -35,13 +33,9 @@ class StarTopology(Topology):
     def __init__(self, n_racks: int, hub_is_rack: bool = False):
         if n_racks < 2:
             raise TopologyError(f"need at least 2 racks, got {n_racks}")
-        g = nx.Graph()
         hub = "hub"
         leaves = [f"rack-{i}" for i in range(n_racks)]
-        g.add_node(hub, layer="hub")
-        g.add_nodes_from(leaves, layer="rack")
-        for leaf in leaves:
-            g.add_edge(hub, leaf)
+        g = EdgeList([hub] + leaves, [(hub, leaf) for leaf in leaves])
         if hub_is_rack:
             racks = [hub] + leaves
             name = f"star(hub+leaves={n_racks})"

@@ -8,10 +8,8 @@ distance heterogeneity.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
-from .base import Topology
+from .base import EdgeList, Topology
 
 __all__ = ["TorusTopology"]
 
@@ -29,13 +27,13 @@ class TorusTopology(Topology):
     def __init__(self, rows: int, cols: int):
         if rows < 2 or cols < 2:
             raise TopologyError(f"torus dimensions must be >= 2, got {rows}x{cols}")
-        g = nx.Graph()
         nodes = [(r, c) for r in range(rows) for c in range(cols)]
-        g.add_nodes_from(nodes)
-        for r in range(rows):
-            for c in range(cols):
-                g.add_edge((r, c), ((r + 1) % rows, c))
-                g.add_edge((r, c), (r, (c + 1) % cols))
+        edges = [
+            link
+            for r, c in nodes
+            for link in (((r, c), ((r + 1) % rows, c)), ((r, c), (r, (c + 1) % cols)))
+        ]
+        g = EdgeList(nodes, edges)
         self._rows = rows
         self._cols = cols
         super().__init__(g, nodes, name=f"torus({rows}x{cols})")

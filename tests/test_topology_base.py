@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Topology, build_distance_matrix
+from repro.topology import (
+    EdgeList,
+    FatTreeTopology,
+    HypercubeTopology,
+    Topology,
+    build_distance_matrix,
+)
+
+
+def _nx_distances(graph, racks) -> np.ndarray:
+    """Rack-to-rack hop counts from NetworkX's own BFS."""
+    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    return np.array([[lengths[u][v] for v in racks] for u in racks], dtype=np.float64)
 
 
 def _path_graph_topology(n: int) -> Topology:
@@ -40,6 +52,42 @@ class TestBuildDistanceMatrix:
         g = nx.path_graph(3)
         with pytest.raises(TopologyError):
             build_distance_matrix(g, [0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_networkx_bfs_on_random_graphs(self, seed):
+        # Sparse random graphs with a connecting path, racks a shuffled
+        # subset of the nodes, so switches sit between some racks.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 60))
+        g = nx.gnp_random_graph(n, 3.0 / n, seed=seed)
+        g.add_edges_from(nx.utils.pairwise(rng.permutation(n).tolist()))
+        racks = rng.permutation(n)[: max(2, n // 2)].tolist()
+        dist = build_distance_matrix(g, racks)
+        assert dist.dtype == np.float64
+        np.testing.assert_array_equal(dist, _nx_distances(g, racks))
+
+    def test_edge_list_matches_graph(self):
+        g = nx.petersen_graph()
+        wiring = EdgeList(g.nodes(), g.edges())
+        np.testing.assert_array_equal(
+            build_distance_matrix(wiring, [0, 3, 7, 9]), build_distance_matrix(g, [0, 3, 7, 9])
+        )
+
+    def test_disconnected_edge_list_rejected(self):
+        with pytest.raises(TopologyError):
+            build_distance_matrix(EdgeList(range(4), [(0, 1), (2, 3)]), [0, 3])
+
+    def test_large_sizes_still_build(self):
+        # The dense float32 adjacency is N**2 for N graph nodes (about 3x
+        # the distance matrix on a fat tree); sizes that built with a sparse
+        # BFS must still build.
+        fat = FatTreeTopology(n_racks=1000)
+        assert fat.distance_matrix.shape == (1000, 1000)
+        assert set(np.unique(fat.distance_matrix).tolist()) == {0.0, 2.0, 4.0}
+        cube = HypercubeTopology(dimension=10)
+        xor = np.arange(1024)[:, None] ^ np.arange(1024)[None, :]
+        hamming = sum((xor >> bit) & 1 for bit in range(10)).astype(np.float64)
+        np.testing.assert_array_equal(cube.distance_matrix, hamming)
 
 
 class TestTopology:
@@ -99,6 +147,21 @@ class TestTopology:
     def test_empty_graph_rejected(self):
         with pytest.raises(TopologyError):
             Topology(nx.Graph(), [], name="empty")
+        with pytest.raises(TopologyError):
+            Topology(EdgeList([], []), [], name="empty")
+
+    def test_graph_passed_in_is_returned(self):
+        g = nx.path_graph(4)
+        assert Topology(g, list(range(4))).graph is g
+
+    def test_edge_list_graph_built_on_first_access(self):
+        topo = Topology(EdgeList(["a", "b", "c"], [("b", "c"), ("a", "b")]), ["a", "c"])
+        assert topo.distance(0, 1) == 2
+        graph = topo.graph
+        assert isinstance(graph, nx.Graph)
+        assert list(graph.nodes()) == ["a", "b", "c"]
+        assert {frozenset(e) for e in graph.edges()} == {frozenset("bc"), frozenset("ab")}
+        assert topo.graph is graph
 
     def test_distance_matrix_shape(self):
         topo = _path_graph_topology(7)

@@ -1,10 +1,13 @@
 """Tests for the non-fat-tree topologies and the registry."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.topology import (
     ExpanderTopology,
+    FatTreeTopology,
     HypercubeTopology,
     LeafSpineTopology,
     RingTopology,
@@ -13,6 +16,82 @@ from repro.topology import (
     available_topologies,
     make_topology,
 )
+from repro.topology.registry import TOPOLOGIES
+
+#: Every registered topology at several sizes, both star modes and a seeded
+#: expander: (registry name, constructor parameters).
+_DIFFERENTIAL_CASES = [
+    *[("fat-tree", {"n_racks": n}) for n in (2, 8, 16, 64, 100)],
+    ("fat-tree", {"k": 6}),
+    *[("leaf-spine", {"n_racks": n, "n_spines": s}) for n, s in ((2, 1), (16, 4), (64, 3))],
+    *[("star", {"n_racks": n}) for n in (2, 8, 64)],
+    *[("star", {"n_racks": n, "hub_is_rack": True}) for n in (2, 8, 64)],
+    *[("ring", {"n_racks": n}) for n in (3, 8, 16, 101)],
+    *[("torus", {"rows": r, "cols": c}) for r, c in ((2, 2), (2, 5), (3, 7), (8, 8))],
+    *[("hypercube", {"dimension": d}) for d in (1, 2, 3, 6)],
+    *[("expander", {"n_racks": n, "degree": d, "seed": 11}) for n, d in ((8, 3), (64, 4), (100, 5))],
+]
+
+
+class TestDistancesAgainstNetworkx:
+    def test_cases_cover_every_registered_topology(self):
+        covered = {TOPOLOGIES.canonical(name) for name, _ in _DIFFERENTIAL_CASES}
+        assert covered == {TOPOLOGIES.canonical(name) for name in available_topologies()}
+
+    @pytest.mark.parametrize(
+        "name,params",
+        _DIFFERENTIAL_CASES,
+        ids=["-".join([n, *(f"{k}={v}" for k, v in p.items())]) for n, p in _DIFFERENTIAL_CASES],
+    )
+    def test_distance_matrix_matches_all_pairs_bfs(self, name, params):
+        topo = make_topology(name, **params)
+        lengths = dict(nx.all_pairs_shortest_path_length(topo.graph))
+        racks = topo.rack_nodes
+        expected = [[lengths[u][v] for v in racks] for u in racks]
+        assert topo.distance_matrix.dtype == np.float64
+        np.testing.assert_array_equal(topo.distance_matrix, np.array(expected, dtype=np.float64))
+
+
+def _edge_set(graph) -> set:
+    return {frozenset(edge) for edge in graph.edges()}
+
+
+class TestGraphMatchesNetworkxGenerators:
+    """The lazily built ``.graph`` has the nodes and edges the topologies
+    were once built from with NetworkX generators."""
+
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_ring_is_cycle_graph(self, n):
+        graph, expected = RingTopology(n_racks=n).graph, nx.cycle_graph(n)
+        assert list(graph.nodes()) == list(expected.nodes())
+        assert _edge_set(graph) == _edge_set(expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_hypercube_is_hypercube_graph(self, d):
+        topo, expected = HypercubeTopology(dimension=d), nx.hypercube_graph(d)
+        assert list(topo.graph.nodes()) == list(expected.nodes())
+        assert _edge_set(topo.graph) == _edge_set(expected)
+        assert topo.rack_nodes == sorted(expected.nodes())
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (5, 5)])
+    def test_torus_is_periodic_grid(self, rows, cols):
+        graph = TorusTopology(rows=rows, cols=cols).graph
+        expected = nx.grid_2d_graph(rows, cols, periodic=True)
+        assert list(graph.nodes()) == list(expected.nodes())
+        assert _edge_set(graph) == _edge_set(expected)
+
+    def test_star_and_leaf_spine_are_complete_bipartite(self):
+        star = StarTopology(n_racks=5).graph
+        assert list(star.nodes()) == ["hub"] + [f"rack-{i}" for i in range(5)]
+        assert nx.is_isomorphic(star, nx.star_graph(5))
+        leaf_spine = LeafSpineTopology(n_racks=6, n_spines=3).graph
+        assert nx.is_isomorphic(leaf_spine, nx.complete_bipartite_graph(6, 3))
+
+    def test_fat_tree_switch_counts(self):
+        graph = FatTreeTopology(k=4).graph
+        assert graph.number_of_nodes() == 4 + 4 * 4  # (k/2)^2 core + k pods of k switches
+        assert graph.number_of_edges() == 4**3 // 2
+        assert list(graph.nodes())[:4] == [f"core-{i}-{j}" for i in range(2) for j in range(2)]
 
 
 class TestLeafSpine:
