@@ -3,16 +3,22 @@
 This is the ``"array"`` solver-backend kernel behind
 :func:`repro.matching.static_solver.iterated_max_weight_b_matching`: a port
 of the Galil (1986) primal-dual blossom method — the same algorithm NetworkX
-ships as ``max_weight_matching`` — onto flat, int-indexed structures:
+ships as ``max_weight_matching`` — onto flat, int-indexed lists:
 
-* edges live in three parallel arrays (``endpoint_u``, ``endpoint_v``,
-  ``weight``) addressed by a machine-int edge id, with per-vertex adjacency
-  lists of edge ids — no ``nx.Graph``, no AtlasView, no per-edge attribute
-  dicts on the hot ``slack`` path;
-* vertices are ``0..n-1`` and non-trivial blossoms are ints ``>= n``
-  allocated in creation order, so the blossom bookkeeping is dicts over
-  small ints instead of object graphs;
-* the per-stage ``allowedge`` set becomes a flat per-edge flag array.
+* edges live in parallel lists (``endpoint_u``, ``endpoint_v``, ``weight2``
+  = twice the weight, which is exact) addressed by an edge id, with
+  per-vertex adjacency lists of ``(edge id, neighbour)`` — no ``nx.Graph``,
+  no AtlasView, no per-edge attribute dicts on the hot slack path;
+* vertices are ``0..n-1`` and non-trivial blossoms get ids ``n, n+1, ...``
+  in creation order.  Every per-vertex-or-blossom field (``label``,
+  ``labeledge``, ``bestedge``, ``blossomparent``, ``blossombase``,
+  ``childs``, ``bedges``, ``mybestedges``) is one list indexed by that id,
+  with ``None`` where NetworkX has no key; ``add_blossom`` appends a slot
+  to each and expanding a blossom clears its slots.  ``mate``/``matek``
+  are per-vertex lists with ``-1`` for "single".  Ids are never reused.
+* the per-stage ``allowedge`` set is a flat per-edge flag list, and the
+  per-stage resets of ``label``, ``labeledge``, ``bestedge`` and
+  ``allowedge`` are one slice assignment each.
 
 Output fidelity
 ---------------
@@ -22,20 +28,34 @@ The port is deliberately *behaviour-identical* to NetworkX 3.x
 insertion order, the delta2/delta3/delta4 scans in vertex-then-creation
 order, blossom leaf enumeration — iterates in the exact order the NetworkX
 implementation does, and all dual-variable arithmetic performs the same
-operations on the same values.  Given the same vertex count and the same
-edge list *in the same order*, the two implementations therefore return the
-same matching, not merely one of equal weight.  The differential harness in
-``tests/test_solver_backends.py`` certifies this, and it is what makes
-SO-BMA figure costs bit-identical across solver backends.
+operations on the same values.  The scan orders matter because the delta
+minima and the least-slack ``bestedge`` candidates break ties by "first
+seen wins": any other order can pick a different, equal-weight matching.
+The live blossoms are the keys of the creation-ordered ``blossomdual`` dict,
+so "vertices, then blossoms" is ``range(n)`` followed by that dict.  Given
+the same vertex count and the same edge list *in the same order*, the two
+implementations therefore return the same matching, not merely one of equal
+weight.  ``tests/test_blossom_kernel.py`` and ``tests/test_solver_backends.py``
+certify this, and it is what makes SO-BMA figure costs bit-identical across
+solver backends.
 
 Like the NetworkX implementation, integer edge weights are processed in
 exact integer arithmetic and float weights in IEEE double arithmetic, so
 ties resolve identically.
+
+Why not numpy
+-------------
+The algorithm's work is many short neighbour scans (on a 100-rack figure
+panel, tens of thousands of scans of about 40 edges), each followed by
+per-edge Python branching on labels and least-slack candidates.  A numpy
+slack vector per scan costs more in call overhead than the Python
+arithmetic it replaces, and the branching would still run in Python.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..types import NodePair
 
@@ -76,7 +96,10 @@ def max_weight_matching_arrays(
     nedge = len(edges)
     endpoint_u: List[int] = [0] * nedge
     endpoint_v: List[int] = [0] * nedge
-    weight_of: List[float] = [0] * nedge
+    # weight2[k] = 2 * weight of edge k.  Doubling is exact in both integer
+    # and IEEE arithmetic, so ``du + dv - weight2[k]`` is bit-identical to
+    # NetworkX's ``du + dv - 2 * weight``.
+    weight2: List[float] = [0] * nedge
     # adjacency[v] holds (edge id, neighbour) pairs in edge insertion order —
     # the same neighbour order a NetworkX adjacency dict would iterate in.
     adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
@@ -100,7 +123,7 @@ def max_weight_matching_arrays(
         seen_pairs.add(pair_key)
         endpoint_u[k] = i
         endpoint_v[k] = j
-        weight_of[k] = wt
+        weight2[k] = 2 * wt
         adjacency[i].append((k, j))
         adjacency[j].append((k, i))
         if wt > maxweight:
@@ -111,34 +134,34 @@ def max_weight_matching_arrays(
     # in integer arithmetic throughout, exactly as NetworkX does.
     dualvar = [maxweight] * n
 
-    # mate[v] = partner vertex of a matched vertex (absent when single);
+    # mate[v] = partner vertex of a matched vertex (_NO_NODE when single);
     # matek[v] = the id of the matching edge at v (the port's substitute for
     # recovering edge data from vertex pairs).
-    mate: Dict[int, int] = {}
-    matek: Dict[int, int] = {}
+    mate: List[int] = [_NO_NODE] * n
+    matek: List[int] = [_NO_NODE] * n
 
-    # Blossom bookkeeping.  Non-trivial blossoms get ids n, n+1, ... in
-    # creation order (never reused), so iterating the plain dicts below
-    # visits vertices first and then blossoms in creation order — the same
-    # order the NetworkX dict-of-objects version iterates, which matters for
-    # delta tie-breaking.
-    next_blossom_id = n
-    childs: Dict[int, List[int]] = {}
-    bedges: Dict[int, List[Tuple[int, int, int]]] = {}
-    mybestedges: Dict[int, object] = {}
-    label: Dict[int, object] = {}
-    labeledge: Dict[int, object] = {}
+    # Per-vertex-or-blossom fields, indexed by id: slots 0..n-1 are the
+    # vertices, and add_blossom appends one slot per list for each new
+    # blossom (ids n, n+1, ... in creation order, never reused).  ``None``
+    # stands where the NetworkX dicts have no key.
+    label: List[Optional[int]] = [None] * n
+    labeledge: List[Optional[Tuple[int, int, int]]] = [None] * n
+    bestedge: List[Optional[Tuple[int, int, int]]] = [None] * n
+    blossomparent: List[Optional[int]] = [None] * n
+    blossombase: List[int] = list(range(n))
+    childs: List[Optional[List[int]]] = [None] * n
+    bedges: List[Optional[List[Tuple[int, int, int]]]] = [None] * n
+    mybestedges: List[Optional[list]] = [None] * n
     inblossom: List[int] = list(range(n))
-    blossomparent: Dict[int, object] = {v: None for v in range(n)}
-    blossombase: Dict[int, int] = {v: v for v in range(n)}
-    bestedge: Dict[int, object] = {}
+    # The live blossoms' duals, keyed in creation order: its keys are the
+    # blossom half of every "vertices, then blossoms" scan.
     blossomdual: Dict[int, float] = {}
     allowedge: List[bool] = [False] * nedge
     queue: List[int] = []
 
     def slack(k: int):
         """2 * slack of edge ``k`` (does not work inside blossoms)."""
-        return dualvar[endpoint_u[k]] + dualvar[endpoint_v[k]] - 2 * weight_of[k]
+        return dualvar[endpoint_u[k]] + dualvar[endpoint_v[k]] - weight2[k]
 
     def leaves(b: int):
         """The blossom's leaf vertices, in NetworkX's stack order."""
@@ -153,7 +176,7 @@ def max_weight_matching_arrays(
     def assign_label(w: int, t: int, v: int, k: int) -> None:
         """Label the top-level blossom of ``w`` with ``t`` via edge (v, w, k)."""
         b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
+        assert label[w] is None and label[b] is None
         label[w] = label[b] = t
         if v != _NO_NODE:
             labeledge[w] = labeledge[b] = (v, w, k)
@@ -185,7 +208,7 @@ def max_weight_matching_arrays(
             label[b] = 5
             # Trace one step back.
             if labeledge[b] is None:
-                assert blossombase[b] not in mate
+                assert mate[blossombase[b]] == _NO_NODE
                 v = _NO_NODE
             else:
                 assert labeledge[b][0] == mate[blossombase[b]]
@@ -202,18 +225,21 @@ def max_weight_matching_arrays(
 
     def add_blossom(base: int, v: int, w: int, k: int) -> None:
         """Construct a new S-blossom with the given base through edge (v, w, k)."""
-        nonlocal next_blossom_id
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
-        b = next_blossom_id
-        next_blossom_id += 1
-        blossombase[b] = base
-        blossomparent[b] = None
+        b = len(blossombase)
+        path: List[int] = []
+        edgs = [(v, w, k)]
+        blossombase.append(base)
+        blossomparent.append(None)
+        childs.append(path)
+        bedges.append(edgs)
+        mybestedges.append(None)
+        label.append(None)
+        labeledge.append(None)
+        bestedge.append(None)
         blossomparent[bb] = b
-        childs[b] = path = []
-        bedges[b] = edgs = [(v, w, k)]
-        mybestedges[b] = None
         # Trace back from v to base.
         while bv != bb:
             blossomparent[bv] = b
@@ -268,7 +294,7 @@ def max_weight_matching_arrays(
                 bj = inblossom[j]
                 if (
                     bj != b
-                    and label.get(bj) == 1
+                    and label[bj] == 1
                     and ((bj not in bestedgeto) or slack(kk) < slack(bestedgeto[bj][2]))
                 ):
                     bestedgeto[bj] = edge
@@ -276,7 +302,6 @@ def max_weight_matching_arrays(
         mybestedges[b] = list(bestedgeto.values())
         mybestedge = None
         mybestslack = None
-        bestedge[b] = None
         for edge in mybestedges[b]:
             kslack = slack(edge[2])
             if mybestedge is None or kslack < mybestslack:
@@ -299,7 +324,7 @@ def max_weight_matching_arrays(
                 else:
                     inblossom[s] = s
             # Relabel sub-blossoms when expanding a T-blossom mid-stage.
-            if (not endstage) and label.get(b) == 2:
+            if (not endstage) and label[b] == 2:
                 entrychild = inblossom[labeledge[b][1]]
                 j = childs[b].index(entrychild)
                 if j & 1:
@@ -332,32 +357,28 @@ def max_weight_matching_arrays(
                 j += jstep
                 while childs[b][j] != entrychild:
                     bv = childs[b][j]
-                    if label.get(bv) == 1:
+                    if label[bv] == 1:
                         j += jstep
                         continue
                     if bv >= n:
                         for v in leaves(bv):
-                            if label.get(v):
+                            if label[v]:
                                 break
                     else:
                         v = bv
-                    if label.get(v):
+                    if label[v]:
                         assert label[v] == 2
                         assert inblossom[v] == bv
                         label[v] = None
                         label[mate[blossombase[bv]]] = None
                         assign_label(v, 2, labeledge[v][0], labeledge[v][2])
                     j += jstep
-            # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
+            # Retire the expanded blossom: clear its slots (ids are never
+            # reused, and nothing points at b any more).
+            label[b] = labeledge[b] = bestedge[b] = None
+            blossomparent[b] = childs[b] = bedges[b] = mybestedges[b] = None
+            blossombase[b] = _NO_NODE
             del blossomdual[b]
-            del childs[b]
-            del bedges[b]
-            del mybestedges[b]
 
         stack = [_recurse(b, endstage)]
         while stack:
@@ -421,9 +442,9 @@ def max_weight_matching_arrays(
             while 1:
                 bs = inblossom[s]
                 assert label[bs] == 1
-                assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
-                    labeledge[bs][0] == mate[blossombase[bs]]
-                )
+                assert (
+                    labeledge[bs] is None and mate[blossombase[bs]] == _NO_NODE
+                ) or (labeledge[bs][0] == mate[blossombase[bs]])
                 if bs >= n:
                     augment_blossom(bs, s)
                 mate[s] = j
@@ -451,7 +472,7 @@ def max_weight_matching_arrays(
         for k in range(nedge):
             i = endpoint_u[k]
             j = endpoint_v[k]
-            s = dualvar[i] + dualvar[j] - 2 * weight_of[k]
+            s = dualvar[i] + dualvar[j] - weight2[k]
             iblossoms = [i]
             jblossoms = [j]
             while blossomparent[iblossoms[-1]] is not None:
@@ -465,11 +486,11 @@ def max_weight_matching_arrays(
                     break
                 s += 2 * blossomdual[bi]
             assert s >= 0
-            if mate.get(i) == j or mate.get(j) == i:
+            if mate[i] == j or mate[j] == i:
                 assert mate[i] == j and mate[j] == i
                 assert s == 0
         for v in range(n):
-            assert (v in mate) or dualvar[v] + vdualoffset == 0
+            assert mate[v] != _NO_NODE or dualvar[v] + vdualoffset == 0
         for b in blossomdual:
             if blossomdual[b] > 0:
                 assert len(bedges[b]) % 2 == 1
@@ -478,18 +499,18 @@ def max_weight_matching_arrays(
 
     # Main loop: one stage per augmentation.
     while 1:
-        label.clear()
-        labeledge.clear()
-        bestedge.clear()
+        unlabelled = [None] * len(label)
+        label[:] = unlabelled
+        labeledge[:] = unlabelled
+        bestedge[:] = unlabelled
         for b in blossomdual:
             mybestedges[b] = None
-        for k in range(nedge):
-            allowedge[k] = False
+        allowedge[:] = [False] * nedge
         queue[:] = []
 
         # Label single blossoms/vertices with S and put them in the queue.
         for v in range(n):
-            if (v not in mate) and label.get(inblossom[v]) is None:
+            if mate[v] == _NO_NODE and label[inblossom[v]] is None:
                 assign_label(v, 1, _NO_NODE, -1)
 
         augmented = 0
@@ -497,10 +518,13 @@ def max_weight_matching_arrays(
             # Substage: grow the structure until augmentation or a dual update.
             while queue and not augmented:
                 v = queue.pop()
-                assert label[inblossom[v]] == 1
+                # v's dual is fixed within a substage; its top-level blossom
+                # changes only in add_blossom, after which it is re-read.
+                bv = inblossom[v]
+                assert label[bv] == 1
+                dv = dualvar[v]
 
                 for k, w in adjacency[v]:
-                    bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
@@ -508,34 +532,48 @@ def max_weight_matching_arrays(
                     if not allowedge[k]:
                         # Inlined slack(k): addition is commutative, so
                         # summing from v's side is bit-identical.
-                        kslack = dualvar[v] + dualvar[w] - 2 * weight_of[k]
-                        if kslack <= 0:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        if label.get(bw) is None:
-                            # w is free; label w with T and its mate with S.
-                            assign_label(w, 2, v, k)
-                        elif label.get(bw) == 1:
-                            # w is an S-vertex: new blossom or augmenting path.
-                            base = scan_blossom(v, w)
-                            if base != _NO_NODE:
-                                add_blossom(base, v, w, k)
-                            else:
-                                augment_matching(v, w, k)
-                                augmented = 1
-                                break
-                        elif label.get(w) is None:
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labeledge[w] = (v, w, k)
-                    elif label.get(bw) == 1:
-                        # Track the least-slack edge to a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(bestedge[bv][2]):
-                            bestedge[bv] = (v, w, k)
-                    elif label.get(w) is None:
-                        # Track the least-slack edge reaching the free vertex w.
-                        if bestedge.get(w) is None or kslack < slack(bestedge[w][2]):
-                            bestedge[w] = (v, w, k)
+                        kslack = dv + dualvar[w] - weight2[k]
+                        if kslack > 0:
+                            if label[bw] == 1:
+                                # Track the least-slack edge to a different
+                                # S-blossom.
+                                best = bestedge[bv]
+                                if best is None or kslack < (
+                                    dualvar[endpoint_u[best[2]]]
+                                    + dualvar[endpoint_v[best[2]]]
+                                    - weight2[best[2]]
+                                ):
+                                    bestedge[bv] = (v, w, k)
+                            elif label[w] is None:
+                                # Track the least-slack edge reaching the
+                                # free vertex w.
+                                best = bestedge[w]
+                                if best is None or kslack < (
+                                    dualvar[endpoint_u[best[2]]]
+                                    + dualvar[endpoint_v[best[2]]]
+                                    - weight2[best[2]]
+                                ):
+                                    bestedge[w] = (v, w, k)
+                            continue
+                        allowedge[k] = True
+                    lbw = label[bw]
+                    if lbw is None:
+                        # w is free; label w with T and its mate with S.
+                        assign_label(w, 2, v, k)
+                    elif lbw == 1:
+                        # w is an S-vertex: new blossom or augmenting path.
+                        base = scan_blossom(v, w)
+                        if base != _NO_NODE:
+                            add_blossom(base, v, w, k)
+                            bv = inblossom[v]
+                        else:
+                            augment_matching(v, w, k)
+                            augmented = 1
+                            break
+                    elif label[w] is None:
+                        assert lbw == 2
+                        label[w] = 2
+                        labeledge[w] = (v, w, k)
 
             if augmented:
                 break
@@ -552,19 +590,20 @@ def max_weight_matching_arrays(
             # delta2: minimum slack on any edge from an S-vertex to a
             # free one.
             for v in range(n):
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(bestedge[v][2])
+                if label[inblossom[v]] is None and bestedge[v] is not None:
+                    kk = bestedge[v][2]
+                    d = dualvar[endpoint_u[kk]] + dualvar[endpoint_v[kk]] - weight2[kk]
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 2
                         deltaedge = bestedge[v]
 
             # delta3: half the minimum slack between a pair of S-blossoms.
-            for b in blossomparent:
+            for b in chain(range(n), blossomdual):
                 if (
                     blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
+                    and label[b] == 1
+                    and bestedge[b] is not None
                 ):
                     kslack = slack(bestedge[b][2])
                     if allinteger:
@@ -581,7 +620,7 @@ def max_weight_matching_arrays(
             for b in blossomdual:
                 if (
                     blossomparent[b] is None
-                    and label.get(b) == 2
+                    and label[b] == 2
                     and (deltatype == -1 or blossomdual[b] < delta)
                 ):
                     delta = blossomdual[b]
@@ -596,16 +635,16 @@ def max_weight_matching_arrays(
 
             # Update dual variables according to delta.
             for v in range(n):
-                vlabel = label.get(inblossom[v])
+                vlabel = label[inblossom[v]]
                 if vlabel == 1:
                     dualvar[v] -= delta
                 elif vlabel == 2:
                     dualvar[v] += delta
             for b in blossomdual:
                 if blossomparent[b] is None:
-                    if label.get(b) == 1:
+                    if label[b] == 1:
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         blossomdual[b] -= delta
 
             # Take action at the point where the minimum delta occurred.
@@ -625,8 +664,9 @@ def max_weight_matching_arrays(
                 expand_blossom(deltablossom, False)
 
         # Paranoia check that the matching is symmetric.
-        for v in mate:
-            assert mate[mate[v]] == v
+        for v in range(n):
+            if mate[v] != _NO_NODE:
+                assert mate[mate[v]] == v
 
         if not augmented:
             break
@@ -635,10 +675,10 @@ def max_weight_matching_arrays(
         for b in list(blossomdual.keys()):
             if b not in blossomdual:
                 continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+            if blossomparent[b] is None and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
     if allinteger:
         verify_optimum()
 
-    return {(v, mate[v]) for v in mate if v < mate[v]}
+    return {(v, w) for v, w in enumerate(mate) if v < w}

@@ -31,9 +31,9 @@ The per-round blossom solve is pluggable through :data:`SOLVER_BACKENDS`
     that imports NetworkX, and it does so when it runs.
 ``"array"`` (default)
     :func:`repro.matching.blossom.max_weight_matching_arrays` — the same
-    Galil algorithm on flat int-indexed arrays, behaviour-identical to the
+    Galil algorithm on flat int-indexed lists, behaviour-identical to the
     NetworkX implementation (same matchings, not merely equal weight), about
-    2x faster per round before memoisation.
+    3x faster per round before memoisation (``BENCH_solver.json``).
 
 Demand-fingerprint memoisation
 ------------------------------
@@ -118,15 +118,13 @@ def greedy_b_matching(
     """
     if b < 1:
         raise SolverError(f"b must be >= 1, got {b}")
-    canon = _canonical_weights(weights)
+    canon = _validated_canonical_weights(weights, n_nodes)
     degrees = [0] * n_nodes
     chosen: Set[NodePair] = set()
     # Sort by weight descending; ties broken by the pair itself so the result
     # is deterministic across runs and platforms.
     for pair, _w in sorted(canon.items(), key=lambda kv: (-kv[1], kv[0])):
         u, v = pair
-        if u >= n_nodes or v >= n_nodes:
-            raise SolverError(f"pair {pair} out of range for n={n_nodes}")
         if degrees[u] < b and degrees[v] < b:
             chosen.add(pair)
             degrees[u] += 1
@@ -253,10 +251,11 @@ def _validated_canonical_weights(
 
 def _sweep_state(
     weights: Mapping[NodePair, float], n_nodes: int, backend: str
-) -> _SweepState:
-    """The (possibly cached) sweep state for this demand and backend."""
+) -> Tuple[str, _SweepState]:
+    """This demand's fingerprint and its (possibly cached) sweep state on ``backend``."""
     canon = _validated_canonical_weights(weights, n_nodes)
-    key = (backend, n_nodes, _demand_fingerprint(canon, n_nodes))
+    fingerprint = _demand_fingerprint(canon, n_nodes)
+    key = (backend, n_nodes, fingerprint)
     state = _SOLVE_CACHE.get(key)
     if state is None:
         _CACHE_STATS["misses"] += 1
@@ -268,7 +267,7 @@ def _sweep_state(
     while len(_SOLVE_CACHE) > _CACHE_SIZE:
         _SOLVE_CACHE.popitem(last=False)
         _CACHE_STATS["evictions"] += 1
-    return state
+    return fingerprint, state
 
 
 def _extend_state(state: _SweepState, b: int, backend: str, n_nodes: int) -> None:
@@ -333,7 +332,7 @@ def iterated_max_weight_b_matching(
     if b < 1:
         raise SolverError(f"b must be >= 1, got {b}")
     effective = resolve_solver_backend(backend)
-    state = _sweep_state(weights, n_nodes, effective)
+    _, state = _sweep_state(weights, n_nodes, effective)
     _extend_state(state, b, effective, n_nodes)
     chosen = _prefix_result(state, b)
     check_b_matching(chosen, n_nodes, b)
@@ -356,7 +355,7 @@ def solve_b_rounds(
     if b_max < 1:
         raise SolverError(f"b_max must be >= 1, got {b_max}")
     effective = resolve_solver_backend(backend)
-    state = _sweep_state(weights, n_nodes, effective)
+    _, state = _sweep_state(weights, n_nodes, effective)
     _extend_state(state, b_max, effective, n_nodes)
     results = [_prefix_result(state, k) for k in range(1, b_max + 1)]
     for k, chosen in enumerate(results, start=1):
@@ -383,8 +382,7 @@ def export_solver_rounds(
     if b_max < 1:
         raise SolverError(f"b_max must be >= 1, got {b_max}")
     effective = resolve_solver_backend(backend)
-    canon = _validated_canonical_weights(weights, n_nodes)
-    state = _sweep_state(weights, n_nodes, effective)
+    fingerprint, state = _sweep_state(weights, n_nodes, effective)
     _extend_state(state, b_max, effective, n_nodes)
     rounds: List[List[List[int]]] = []
     prev: Set[NodePair] = set()
@@ -395,7 +393,7 @@ def export_solver_rounds(
         "version": 1,
         "backend": effective,
         "n_nodes": int(n_nodes),
-        "fingerprint": _demand_fingerprint(canon, n_nodes),
+        "fingerprint": fingerprint,
         "rounds": rounds,
         "remaining": [[int(u), int(v), float(w)] for (u, v), w in state.remaining.items()],
         "exhausted": bool(state.exhausted),

@@ -14,6 +14,8 @@ from repro.matching import (
 )
 from repro.matching.validation import check_b_matching
 
+pytestmark = pytest.mark.solver
+
 
 def _random_weights(n_nodes: int, n_pairs: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
@@ -55,6 +57,15 @@ class TestGreedy:
     def test_rejects_out_of_range_pair(self):
         with pytest.raises(SolverError):
             greedy_b_matching({(0, 9): 1.0}, 4, b=1)
+
+    def test_rejects_negative_rack_id(self):
+        # -1 must not wrap around to the last rack's degree counter; the
+        # blossom path rejects the same pair.
+        weights = {(-1, 2): 5.0, (0, 1): 1.0}
+        with pytest.raises(SolverError, match="out of range"):
+            greedy_b_matching(weights, 3, b=1)
+        with pytest.raises(SolverError, match="out of range"):
+            iterated_max_weight_b_matching(weights, 3, b=1)
 
 
 class TestIteratedBlossom:

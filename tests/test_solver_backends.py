@@ -282,10 +282,11 @@ class TestSpecAndProvenance:
 def test_array_solver_outpaces_nx():
     """Timing canary: the array kernel must beat the NetworkX blossom path.
 
-    Loose threshold (the array kernel wins this instance by ~1.8x on an idle
-    machine) so scheduler noise cannot flake CI while a regression that
-    erases the win still fails.  ``BENCH_solver.json`` records the full
-    figure-panel numbers; this is only the canary.
+    The array kernel wins this instance by ~3x on an idle machine; the
+    bound asks for 1/0.6 ~ 1.7x, loose enough that scheduler noise cannot
+    flake CI, tight enough that losing the list-based kernel's win fails.
+    ``BENCH_solver.json`` records the full figure-panel numbers; this is
+    only the canary.
     """
     rng = np.random.default_rng(5)
     n = 60
@@ -302,7 +303,7 @@ def test_array_solver_outpaces_nx():
             iterated_max_weight_b_matching(weights, n, 2, backend=backend)
             best = min(best, time.perf_counter() - started)
         timings[backend] = best
-    assert timings["array"] < timings["nx"] * 0.9, (
+    assert timings["array"] < timings["nx"] * 0.6, (
         f"array solver took {timings['array']:.3f}s vs nx {timings['nx']:.3f}s "
         "— expected a clear win; the flat-array blossom kernel has regressed"
     )
