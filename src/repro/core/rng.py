@@ -21,8 +21,15 @@ generator state at all.
 
 :meth:`CounterRNG.integers` drives NumPy's own C Philox implementation by
 resetting the bit generator's state to the draw coordinates before each
-draw, so per-draw cost stays at C speed.  Every randomized algorithm draws
-from one (see :attr:`repro.core.base.OnlineBMatchingAlgorithm.counter_rng`).
+draw.  For a bound ``1 <= n < 2**32`` it then reads one raw 64-bit Philox
+word and applies Lemire's bounded reduction
+(https://arxiv.org/abs/1805.10941) in Python, exactly as NumPy's
+``Generator.integers`` does for such bounds: the low 32 bits first, the high
+32 bits on a rejection.  Two rejections in a row (probability below
+``n / 2**32`` each) and every other bound fall back to
+``Generator.integers`` at the same coordinates, so every draw equals NumPy's
+answer.  Every randomized algorithm draws from one (see
+:attr:`repro.core.base.OnlineBMatchingAlgorithm.counter_rng`).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 __all__ = ["CounterRNG", "derive_key"]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 # --------------------------------------------------------------------------- #
@@ -125,12 +133,34 @@ class CounterRNG:
         the number of eviction draws made so far, which every replay order
         reproduces identically); ``counter`` distinguishes multiple draws
         at the same index.
+
+        The result always equals ``Generator.integers(n)`` at the same
+        Philox state.  For a Python ``int`` bound ``1 <= n < 2**32`` it is
+        computed here from one raw Philox word with NumPy's 32-bit Lemire
+        reduction: the low half first, then the high half if the low half
+        is rejected.  If both are rejected, and for any other bound (numpy
+        integers, bools, ``n >= 2**32``, ``n <= 0``), the state is reset
+        and ``Generator.integers`` draws (or raises).
         """
         state = self._state
         ctr = state["state"]["counter"]
         ctr[1] = counter & _MASK64
         ctr[2] = index & _MASK64
-        self._bitgen.state = state
+        bitgen = self._bitgen
+        bitgen.state = state
+        if type(n) is int and 0 < n <= _MASK32:
+            word = bitgen.random_raw()
+            # Lemire: m = x * n is accepted unless its low 32 bits fall
+            # below 2**32 mod n; checking against n first skips the modulo.
+            m = (word & _MASK32) * n
+            leftover = m & _MASK32
+            if leftover >= n or leftover >= (_MASK32 + 1) % n:
+                return m >> 32
+            m = (word >> 32) * n
+            leftover = m & _MASK32
+            if leftover >= n or leftover >= (_MASK32 + 1) % n:
+                return m >> 32
+            bitgen.state = state
         return int(self._gen.integers(n))
 
     def stream(self, stream_id: int) -> "CounterRNG":

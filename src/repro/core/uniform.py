@@ -99,9 +99,12 @@ class PerNodePagingMatcher:
     def process(self, pair: NodePair) -> Tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         """Forward ``pair`` to both endpoints' pagers and update the matching.
 
-        Returns the matching edges added and removed during this step.  Most
-        forwarded requests are paging hits at both endpoints and find the
-        pair already matched; that path allocates nothing.
+        Returns the matching edges added and removed during this step.  Each
+        endpoint's pager serves the pair through ``hit``, or on a miss
+        through ``miss``, whose evicted pages are marked for removal; no
+        :class:`~repro.paging.base.PagingResult` is built.  Most forwarded
+        requests are paging hits at both endpoints and find the pair
+        already matched; that path allocates nothing.
         """
         matching = self.matching
         pagers = self._pagers
@@ -111,7 +114,7 @@ class PerNodePagingMatcher:
             if pager is None:
                 pager = self.pager(endpoint)
             if not pager.hit(pair):
-                for evicted in pager.request(pair).evicted:
+                for evicted in pager.miss(pair):
                     # A page evicted from an endpoint's cache corresponds to
                     # a matching edge that may no longer be matched: mark it.
                     matching.mark_for_removal(*evicted)

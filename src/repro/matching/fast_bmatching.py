@@ -7,8 +7,15 @@ the reference :class:`~repro.matching.bmatching.BMatching`:
   ``u < v``), so hot-path membership tests hash a single machine int instead
   of a tuple, and ``min()`` over keys equals the lexicographic minimum over
   canonical pairs (the reference pruning order);
-* per-node degrees live in a numpy integer array, read without re-validating
-  the node on every access;
+* per-node degrees live in a plain Python list (a list read and an int
+  comparison cost a fraction of a numpy scalar read);
+* ``add``, ``remove``, ``mark_for_removal``, ``unmark``, ``in`` and
+  ``degree`` skip :func:`~repro.types.canonical_pair` and the node-range
+  check when handed a canonical in-range pair (or an in-range node), which
+  is what the hot paths pass; other arguments take the reference calls in
+  the reference order, so errors keep their types and messages.  A pair
+  with an out-of-range node is never an edge, even where its int key would
+  alias one;
 * marked (lazily removed) edges are kept in a *per-node marked index*, so
   :meth:`prune_to_capacity` selects victims without re-scanning or re-sorting
   the incident set on every iteration.
@@ -23,9 +30,7 @@ randomized operation sequences and full trace replays.  Hot loops inside
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Set
-
-import numpy as np
+from typing import FrozenSet, Iterator, List, Set, Tuple
 
 from ..errors import DegreeConstraintError, MatchingError
 from ..types import NodePair, canonical_pair
@@ -54,7 +59,7 @@ class FastBMatching:
             raise MatchingError(f"degree bound b must be >= 1, got {b}")
         self._n = int(n_nodes)
         self._b = int(b)
-        self._degree = np.zeros(self._n, dtype=np.int64)
+        self._degree: List[int] = [0] * self._n
         self._edge_keys: Set[int] = set()
         self._incident: List[Set[int]] = [set() for _ in range(self._n)]
         self._marked_keys: Set[int] = set()
@@ -82,11 +87,6 @@ class FastBMatching:
     def edge_keys(self) -> Set[int]:
         """Live set of int-encoded edges (hot-path read access; do not mutate)."""
         return self._edge_keys
-
-    @property
-    def degree_array(self) -> np.ndarray:
-        """Live numpy array of per-node degrees (hot-path read access)."""
-        return self._degree
 
     # ------------------------------------------------------------------ #
     # Read access
@@ -131,13 +131,21 @@ class FastBMatching:
         return iter([(k // n, k % n) for k in self._edge_keys])
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
+        n = self._n
+        if type(pair) is tuple and len(pair) == 2:
+            u, v = pair
+            if 0 <= u < v < n:
+                return u * n + v in self._edge_keys
         u, v = canonical_pair(*pair)
-        return u * self._n + v in self._edge_keys
+        if 0 <= u and v < n:
+            return u * n + v in self._edge_keys
+        return False
 
     def degree(self, node: int) -> int:
         """Number of matching edges incident to ``node``."""
-        self._check_node(node)
-        return int(self._degree[node])
+        if not 0 <= node < self._n:
+            self._check_node(node)
+        return self._degree[node]
 
     def edges_at(self, node: int) -> FrozenSet[NodePair]:
         """Matching edges incident to ``node``."""
@@ -148,7 +156,7 @@ class FastBMatching:
     def is_full(self, node: int) -> bool:
         """Whether ``node`` has reached its degree bound."""
         self._check_node(node)
-        return int(self._degree[node]) >= self._b
+        return self._degree[node] >= self._b
 
     def has_capacity(self, u: int, v: int) -> bool:
         """Whether the pair ``{u, v}`` could be added without pruning."""
@@ -170,66 +178,78 @@ class FastBMatching:
     # ------------------------------------------------------------------ #
     def add(self, u: int, v: int) -> NodePair:
         """Insert the edge ``{u, v}`` (same contract as the reference kernel)."""
-        pair = canonical_pair(u, v)
-        self._check_node(pair[0])
-        self._check_node(pair[1])
-        key = pair[0] * self._n + pair[1]
+        n = self._n
+        if not 0 <= u < v < n:
+            u, v = canonical_pair(u, v)
+            self._check_node(u)
+            self._check_node(v)
+        key = u * n + v
         if key in self._edge_keys:
-            raise MatchingError(f"edge {pair} is already in the matching")
-        for endpoint in pair:
-            if self._degree[endpoint] >= self._b:
+            raise MatchingError(f"edge {(u, v)} is already in the matching")
+        degree = self._degree
+        for endpoint in (u, v):
+            if degree[endpoint] >= self._b:
                 raise DegreeConstraintError(
-                    f"adding {pair} would exceed degree bound b={self._b} at node {endpoint}"
+                    f"adding {(u, v)} would exceed degree bound b={self._b} at node {endpoint}"
                 )
         self._edge_keys.add(key)
-        self._incident[pair[0]].add(key)
-        self._incident[pair[1]].add(key)
-        self._degree[pair[0]] += 1
-        self._degree[pair[1]] += 1
+        self._incident[u].add(key)
+        self._incident[v].add(key)
+        degree[u] += 1
+        degree[v] += 1
         self._additions += 1
-        return pair
+        return (u, v)
 
     def remove(self, u: int, v: int) -> NodePair:
         """Remove the edge ``{u, v}`` (whether marked or not)."""
-        pair = canonical_pair(u, v)
-        key = pair[0] * self._n + pair[1]
+        n = self._n
+        if 0 <= u < v < n:
+            key = u * n + v
+        else:
+            u, v, key = self._checked_key(u, v)
         if key not in self._edge_keys:
-            raise MatchingError(f"edge {pair} is not in the matching")
+            raise MatchingError(f"edge {(u, v)} is not in the matching")
         self._edge_keys.discard(key)
-        self._incident[pair[0]].discard(key)
-        self._incident[pair[1]].discard(key)
-        self._degree[pair[0]] -= 1
-        self._degree[pair[1]] -= 1
+        self._incident[u].discard(key)
+        self._incident[v].discard(key)
+        self._degree[u] -= 1
+        self._degree[v] -= 1
         if key in self._marked_keys:
             self._marked_keys.discard(key)
-            self._marked_at[pair[0]].discard(key)
-            self._marked_at[pair[1]].discard(key)
+            self._marked_at[u].discard(key)
+            self._marked_at[v].discard(key)
         self._removals += 1
-        return pair
+        return (u, v)
 
     def mark_for_removal(self, u: int, v: int) -> bool:
         """Mark the edge ``{u, v}`` for lazy removal; no-op if absent.
 
         Returns whether the edge was present (and is now marked).
         """
-        pair = canonical_pair(u, v)
-        key = pair[0] * self._n + pair[1]
+        n = self._n
+        if 0 <= u < v < n:
+            key = u * n + v
+        else:
+            u, v, key = self._checked_key(u, v)
         if key not in self._edge_keys:
             return False
         if key not in self._marked_keys:
             self._marked_keys.add(key)
-            self._marked_at[pair[0]].add(key)
-            self._marked_at[pair[1]].add(key)
+            self._marked_at[u].add(key)
+            self._marked_at[v].add(key)
         return True
 
     def unmark(self, u: int, v: int) -> bool:
         """Clear the removal mark from edge ``{u, v}``; returns whether it was marked."""
-        pair = canonical_pair(u, v)
-        key = pair[0] * self._n + pair[1]
+        n = self._n
+        if 0 <= u < v < n:
+            key = u * n + v
+        else:
+            u, v, key = self._checked_key(u, v)
         if key in self._marked_keys:
             self._marked_keys.discard(key)
-            self._marked_at[pair[0]].discard(key)
-            self._marked_at[pair[1]].discard(key)
+            self._marked_at[u].discard(key)
+            self._marked_at[v].discard(key)
             return True
         return False
 
@@ -281,6 +301,15 @@ class FastBMatching:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _checked_key(self, u: int, v: int) -> Tuple[int, int, int]:
+        """``(u, v, key)`` of a pair not given canonical and in range.
+
+        ``canonical_pair`` raises as in the reference kernel; a pair with an
+        out-of-range node gets key ``-1``, which is never an edge.
+        """
+        u, v = canonical_pair(u, v)
+        return u, v, (u * self._n + v if 0 <= u and v < self._n else -1)
+
     def _check_node(self, node: int) -> None:
         if not (0 <= node < self._n):
             raise MatchingError(f"node {node} out of range for n={self._n}")

@@ -9,10 +9,18 @@ manages a cache of at most ``capacity`` pages.  On a request to page ``p``:
 
 The matching reduction (Theorem 2 of the paper) additionally needs to know
 *which* pages were evicted on each request so that the corresponding matching
-edges can be dropped; :class:`PagingResult` reports that.  Most requests the
-reduction forwards are hits, which evict nothing, so it serves them through
-:meth:`PagingAlgorithm.hit` (a bool, no result object) and calls
-:meth:`PagingAlgorithm.request` only on a miss.
+edges can be dropped; :class:`PagingResult` reports that.
+
+A request is served in two halves, and :meth:`PagingAlgorithm.request` is
+exactly "try :meth:`~PagingAlgorithm.hit`, else :meth:`~PagingAlgorithm.miss`":
+
+* :meth:`~PagingAlgorithm.hit` serves a cached page (a bool, no result
+  object) and changes nothing on an uncached one;
+* :meth:`~PagingAlgorithm.miss` fetches an uncached page, evicting as the
+  policy chooses, and returns the evicted pages as a tuple.
+
+Most requests the reduction forwards are hits, which evict nothing, so it
+calls the two halves directly and never builds a :class:`PagingResult`.
 """
 
 from __future__ import annotations
@@ -100,8 +108,8 @@ class PagingAlgorithm(ABC):
     miss with a full cache) and may override :meth:`_on_hit` /
     :meth:`_on_fetch` to maintain their bookkeeping.  A subclass that checks
     every request (as :class:`~repro.paging.belady.BeladyPaging` checks its
-    known sequence) must do so in :meth:`hit` as well as :meth:`request`:
-    callers may serve a hit through :meth:`hit` alone.
+    known sequence) must do so in :meth:`hit` and :meth:`miss`, the two
+    entry points every request goes through (:meth:`request` included).
     """
 
     def __init__(self, capacity: int):
@@ -135,10 +143,8 @@ class PagingAlgorithm(ABC):
 
         On a hit this does all of a hit's bookkeeping (statistics and
         :meth:`_on_hit`) and returns True.  On a miss it returns False and
-        changes nothing; the caller then serves the miss with
-        :meth:`request`.  :meth:`request` calls this first, so a hit is
-        served the same way whichever entry point is used, without
-        building a :class:`PagingResult`.
+        changes nothing; the caller then serves the miss with :meth:`miss`.
+        This is the only hit bookkeeping: :meth:`request` calls it first.
         """
         if page not in self._cache:
             return False
@@ -148,31 +154,46 @@ class PagingAlgorithm(ABC):
         self._on_hit(page)
         return True
 
-    def request(self, page: Hashable) -> PagingResult:
-        """Serve a request to ``page`` and return what happened.
+    def miss(self, page: Hashable) -> Tuple[Hashable, ...]:
+        """Fetch the uncached ``page`` and return the pages evicted for it.
 
-        On a miss the page is always fetched (no bypassing), evicting a
-        victim chosen by the concrete policy if the cache is full.
+        The page is always fetched (no bypassing), evicting victims chosen
+        by the concrete policy while the cache is full; statistics count one
+        request and one miss.  Raises :class:`~repro.errors.PagingError`,
+        changing nothing, if ``page`` is cached: serve it with :meth:`hit`.
         """
-        if self.hit(page):
-            return PagingResult(page=page, hit=True)
-
-        self.stats.requests += 1
-        self.stats.misses += 1
+        cache = self._cache
+        if page in cache:
+            raise PagingError(
+                f"{type(self).__name__}.miss: page {page!r} is cached; serve it with hit()"
+            )
+        stats = self.stats
+        stats.requests += 1
+        stats.misses += 1
         evicted: list[Hashable] = []
-        while len(self._cache) >= self._capacity:
+        while len(cache) >= self._capacity:
             victim = self._evict_victim()
-            if victim not in self._cache:
+            if victim not in cache:
                 raise PagingError(
                     f"{type(self).__name__} chose eviction victim {victim!r} not in cache"
                 )
-            self._cache.remove(victim)
+            cache.remove(victim)
             self._on_evict(victim)
-            self.stats.evictions += 1
+            stats.evictions += 1
             evicted.append(victim)
-        self._cache.add(page)
+        cache.add(page)
         self._on_fetch(page)
-        return PagingResult(page=page, hit=False, evicted=tuple(evicted))
+        return tuple(evicted)
+
+    def request(self, page: Hashable) -> PagingResult:
+        """Serve a request to ``page`` and return what happened.
+
+        A cached page is served by :meth:`hit`, an uncached one by
+        :meth:`miss`; this adds only the :class:`PagingResult`.
+        """
+        if self.hit(page):
+            return PagingResult(page=page, hit=True)
+        return PagingResult(page=page, hit=False, evicted=self.miss(page))
 
     def serve_sequence(self, pages: Iterable[Hashable]) -> int:
         """Serve a whole sequence and return the number of misses incurred."""

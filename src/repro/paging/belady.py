@@ -10,7 +10,7 @@ ratios of the online policies.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Hashable, Sequence
+from typing import Hashable, Sequence, Tuple
 
 from ..errors import PagingError
 from .base import PagingAlgorithm
@@ -27,8 +27,8 @@ class BeladyPaging(PagingAlgorithm):
         Cache size.
     sequence:
         The complete request sequence this instance will be driven with.
-        Requests must be issued (via :meth:`request`, or :meth:`hit` for a
-        cached page) in exactly this order; deviating raises
+        Requests must be issued (via :meth:`request`, or :meth:`hit` and
+        :meth:`miss`) in exactly this order; deviating raises
         :class:`~repro.errors.PagingError`.
     """
 
@@ -48,12 +48,12 @@ class BeladyPaging(PagingAlgorithm):
         self._advance(page)
         return super().hit(page)
 
-    def request(self, page: Hashable):  # type: ignore[override]
-        # A cached page advances the cursor in hit(), which the base
-        # request() calls first; only a miss is checked here.
+    def miss(self, page: Hashable) -> Tuple[Hashable, ...]:
+        # A cached page is refused by the base miss() and must not consume
+        # the sequence; every other request is checked here or in hit().
         if page not in self._cache:
             self._advance(page)
-        return super().request(page)
+        return super().miss(page)
 
     def _advance(self, page: Hashable) -> None:
         """Check ``page`` against the known sequence and move the cursor past it."""

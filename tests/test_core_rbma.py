@@ -236,16 +236,16 @@ class TestEventSkippingReplay:
 
             def factory(capacity, rng):
                 pager = marking(capacity, rng)
-                request = pager.request
+                miss = pager.miss
 
-                def request_or_fail(page):
+                def miss_or_fail(page):
                     if page not in pager:
                         budget[0] -= 1
                         if budget[0] < 0:
                             raise PagingError(f"injected miss failure at {page}")
-                    return request(page)
+                    return miss(page)
 
-                pager.request = request_or_fail
+                pager.miss = miss_or_fail
                 return pager
 
             return factory

@@ -137,6 +137,55 @@ def test_seeded_long_op_sequences_agree(seed):
     _run_lockstep(ops)
 
 
+#: Arguments the hot paths never pass: reversed pairs, self-pairs, nodes just
+#: and far out of range (at n = 7 the int keys of (0, 9), (1, 10) and
+#: (-1, 10) equal those of the edges (1, 2), (2, 3) and (0, 3)), and numpy
+#: integers.  The fast kernel must take the reference path for all of them.
+_AWKWARD_PAIRS = [
+    (1, 2), (2, 1), (3, 3), (0, 0), (-1, 2), (2, -1), (0, N_NODES), (N_NODES, 0),
+    (0, 9), (9, 0), (1, 10), (10, 1), (-1, 10), (-7, -3), (N_NODES, N_NODES),
+    (np.int64(1), np.int64(2)), (np.int64(2), np.int64(1)), (np.int64(4), np.int64(4)),
+]
+_AWKWARD_NODES = [0, N_NODES - 1, -1, N_NODES, 100, -100, np.int64(3), np.int64(-1), True]
+#: A matching with marked and unmarked edges for the awkward calls to hit.
+_SETUP = [("add", (0, 1)), ("add", (1, 2)), ("add", (2, 3)), ("add", (0, 3)),
+          ("mark_for_removal", (2, 3))]
+_OP_INDEX = {name: i for i, (name, _) in enumerate(_OPS)}
+
+
+@pytest.mark.parametrize("op", ["add", "remove", "mark_for_removal", "unmark", "contains"])
+def test_awkward_pair_arguments_agree(op):
+    """Same returns, exception types and messages, and state, as BMatching."""
+    ops = [(_OP_INDEX[name], args) for name, args in _SETUP]
+    for pair in _AWKWARD_PAIRS:
+        ops += [(_OP_INDEX[op], pair), (_OP_INDEX["contains"], pair)]
+        ops += [(_OP_INDEX[name], args) for name, args in _SETUP if name == "add"]
+    _run_lockstep(ops)
+
+
+def test_awkward_degree_arguments_agree():
+    ops = [(_OP_INDEX[name], args) for name, args in _SETUP]
+    ops += [(_OP_INDEX["degree"], (node,)) for node in _AWKWARD_NODES]
+    _run_lockstep(ops)
+
+
+_HOT_OPS = [_OP_INDEX[name] for name in
+            ("add", "remove", "mark_for_removal", "unmark", "contains", "degree")]
+_wide_node = st.integers(min_value=-2 * N_NODES, max_value=3 * N_NODES)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_HOT_OPS),
+                          st.tuples(st.integers(0, N_NODES - 1),
+                                    st.integers(0, N_NODES - 1))),
+                min_size=10, max_size=40),
+       st.lists(st.tuples(st.sampled_from(_HOT_OPS), st.tuples(_wide_node, _wide_node)),
+                min_size=1, max_size=40))
+def test_fast_branches_agree_on_wide_node_ranges(valid_ops, wide_ops):
+    """In-range ops build a matching; then any node values, far ones included."""
+    _run_lockstep(valid_ops + wide_ops)
+
+
 def test_copy_and_convert_roundtrip():
     """copy() stays within a backend; convert_matching hops between them."""
     rng = np.random.default_rng(3)

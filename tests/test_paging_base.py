@@ -142,6 +142,30 @@ class TestHitContract:
         assert pager.hit(99) is False
         assert _policy_state(pager) == before
 
+    def test_request_equals_hit_then_miss(self, policy):
+        by_request, by_halves = _make(policy), _make(policy)
+        for pager in (by_request, by_halves):
+            pager.serve_sequence(_WARMUP)
+        misses = 0
+        for page in _AFTER + _WARMUP:
+            result = by_request.request(page)
+            if by_halves.hit(page):
+                assert result == PagingResult(page=page, hit=True)
+            else:
+                misses += 1
+                assert result == PagingResult(page=page, hit=False, evicted=by_halves.miss(page))
+            assert _policy_state(by_halves) == _policy_state(by_request)
+        assert misses >= len(set(_AFTER) - set(_WARMUP))
+
+    def test_miss_on_cached_page_raises_and_changes_nothing(self, policy):
+        pager = _make(policy)
+        pager.serve_sequence(_WARMUP)
+        before = _policy_state(pager)
+        for page in sorted(pager.cache):
+            with pytest.raises(PagingError, match="is cached"):
+                pager.miss(page)
+            assert _policy_state(pager) == before
+
 
 class TestBeladyHitPath:
     SEQUENCE = ["a", "b", "a", "c", "a", "b", "d", "a"]
@@ -171,6 +195,19 @@ class TestBeladyHitPath:
         with pytest.raises(PagingError):
             algo.hit("a")  # cached, but "b" expected: the hit path checks too
 
+    def test_out_of_order_uncached_page_rejected_by_miss(self):
+        algo = BeladyPaging(2, ["a", "b", "c"])
+        assert algo.miss("a") == ()
+        before = _policy_state(algo)
+        with pytest.raises(PagingError, match="expected request 'b'"):
+            algo.miss("c")  # uncached, but "b" expected: the miss path checks
+        assert _policy_state(algo) == before
+        with pytest.raises(PagingError, match="is cached"):
+            algo.miss("a")  # refused without consuming the sequence
+        assert _policy_state(algo) == before
+        assert algo.miss("b") == ()
+        assert algo._cursor == 2
+
     def test_matcher_cannot_bypass_the_sequence_check(self):
         # Every node's pager knows the pairs it will see; pagers are created
         # lazily, in the order the nodes first appear.
@@ -183,7 +220,7 @@ class TestBeladyHitPath:
 
         matcher = PerNodePagingMatcher(make_matching(4, 2, "fast"), factory, rng=0)
         for pair in pairs:
-            matcher.process(pair)  # hits go through hit(), misses through request()
+            matcher.process(pair)  # hits go through hit(), misses through miss()
         assert matcher.pager(0)._cursor == len(pairs)
         cached = sorted(matcher.pager(0).cache)[0]
         with pytest.raises(PagingError):

@@ -84,6 +84,91 @@ class TestBitIdentity:
             _numpy_reference_draw(*crng.key, index, counter, n)
 
 
+class _CountingGenerator:
+    """Stands in for ``CounterRNG._gen``: counts the draws left to NumPy."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = 0
+
+    def integers(self, n):
+        self.calls += 1
+        return self.gen.integers(n)
+
+
+def _lemire_branch(k0: int, k1: int, index: int, counter: int, n: int) -> str:
+    """Which half of the raw Philox word NumPy's 32-bit Lemire accepts."""
+    bitgen = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
+    state = bitgen.state
+    state["state"]["counter"] = [0, counter, index, 0]
+    bitgen.state = state
+    word = bitgen.random_raw()
+    threshold = 2**32 % n
+    if ((word & 0xFFFFFFFF) * n) & 0xFFFFFFFF >= threshold:
+        return "low"
+    if ((word >> 32) * n) & 0xFFFFFFFF >= threshold:
+        return "high"
+    return "numpy"
+
+
+class TestDrawBranches:
+    """Every branch of :meth:`CounterRNG.integers`, each against NumPy.
+
+    ``n = 2**31 + 1`` rejects a 32-bit half about half the time, so the
+    first few dozen indices reach all three Lemire outcomes: the low half
+    accepted, the low half rejected and the high half accepted, and both
+    rejected (NumPy draws).
+    """
+
+    N_REJECTING = 2**31 + 1
+
+    def _draws(self, crng, bounds, indices):
+        counting = _CountingGenerator(crng._gen)
+        crng._gen = counting
+        for n in bounds:
+            for index in indices:
+                before = counting.calls
+                got = crng.integers(n, index, 2)
+                assert got == _numpy_reference_draw(*crng.key, index, 2, n), (n, index)
+                yield n, index, counting.calls - before
+
+    def test_each_lemire_branch_matches_numpy(self):
+        crng = CounterRNG(2023, 7)
+        hits = {"low": 0, "high": 0, "numpy": 0}
+        for n, index, numpy_calls in self._draws(
+            crng, (self.N_REJECTING, 2**32 - 1, 3), range(64)
+        ):
+            branch = _lemire_branch(*crng.key, index, 2, n)
+            hits[branch] += 1
+            assert numpy_calls == (branch == "numpy"), (n, index, branch)
+        assert min(hits.values()) >= 1, hits
+
+    def test_bound_one_draws_zero_without_numpy(self):
+        crng = CounterRNG(5)
+        for _, _, numpy_calls in self._draws(crng, (1,), range(16)):
+            assert numpy_calls == 0
+        assert crng.integers(1, 3) == 0
+
+    @pytest.mark.parametrize(
+        "n",
+        [2**32, 2**32 + 1, 2**40 + 3, np.int64(5), np.int64(N_REJECTING),
+         np.uint32(7), True],
+        ids=["2^32", "2^32+1", "2^40+3", "int64", "int64-rejecting", "uint32", "bool"],
+    )
+    def test_other_bounds_go_to_numpy(self, n):
+        crng = CounterRNG(11, 3)
+        for _, _, numpy_calls in self._draws(crng, (n,), range(24)):
+            assert numpy_calls == 1
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_bound_raises_like_numpy(self, n):
+        with pytest.raises(ValueError) as ours:
+            CounterRNG(11).integers(n, 0)
+        with pytest.raises(ValueError) as numpys:
+            _numpy_reference_draw(*CounterRNG(11).key, 0, 0, n)
+        assert str(ours.value) == str(numpys.value)
+
+
 # --------------------------------------------------------------------------- #
 # The coordinate contract
 # --------------------------------------------------------------------------- #
