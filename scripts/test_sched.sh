@@ -13,15 +13,15 @@
 #     end-to-end "queue" backend with real worker subprocesses (one
 #     killed mid-task) producing bit-identical results to "serial",
 #     every worker leaving its stats file before the parent returns, and
-#     the queue backend with a run store (worker-side writes, the parent
-#     merge and reindex, a warm serial rerun that is all hits);
+#     the queue backend with a run store (worker-side writes listed by
+#     the parent with no index file, a warm serial rerun that is all hits);
 #   * tests/test_simulation_parallel.py — the pool backend, which runs
 #     every spec through the same execution unit as serial and queue
 #     (repro.exec.runtime.run_task): bit-identity with sequential runs,
 #     the per-process trace cache, and failure context across the
 #     process boundary;
 #   * tests/test_store_transfer.py — runs export/import tarballs with
-#     the identical-or-error conflict policy and index rebuild.
+#     the identical-or-error conflict policy, listed with no rebuild step.
 # sched-marked subprocess tests auto-skip when os.cpu_count() < 2; set
 # REPRO_FORCE_SCHED=1 to force them on a single-core host.
 # Extra pytest arguments are passed through.

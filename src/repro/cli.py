@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="work-queue directory to audit")
     p_doc.add_argument("--fix", action="store_true",
                        help="apply the safe repairs (reap stale tmp files, "
-                            "quarantine corrupt entries, rebuild the index, "
+                            "quarantine corrupt entries, remove a legacy index, "
                             "drop orphaned leases, requeue expired claims)")
     p_doc.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the report as JSON instead of text")
@@ -474,7 +474,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
             f"({len(matches)} matches: {listing})"
         )
     payload = store.get_payload(matches[0].fingerprint)
-    assert payload is not None  # the index row came from this entry file
+    assert payload is not None  # find() just read this entry file
     result = payload["result"]
     print(f"fingerprint:    {payload['fingerprint']}")
     print(f"written at:     {payload['written_at']} "

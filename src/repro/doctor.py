@@ -14,7 +14,7 @@ atomic renames, so every crash mode leaves a recognisable artefact behind:
 :func:`audit_store` and :func:`audit_queue` walk a directory and report
 every such artefact as a :class:`Finding`; with ``fix=True`` the safe
 repairs run inline (reap stale tmp files, quarantine corrupt store entries,
-drop orphaned leases, requeue expired claims, rebuild the store index) and
+drop orphaned leases, requeue expired claims, remove a legacy store index) and
 each finding records whether it was fixed.  The CLI front-end is
 ``repro doctor [--store DIR] [--queue DIR] [--fix]``.
 """
@@ -121,12 +121,12 @@ def audit_store(
     fix: bool = False,
     tmp_max_age_seconds: Optional[float] = None,
 ) -> DoctorReport:
-    """Audit a run store: stale tmp files, corrupt entries, stale index.
+    """Audit a run store: stale tmp files, corrupt entries, a legacy index.
 
     With ``fix=True``: reaps the tmp files, quarantines the corrupt entries
     (via the store's own quarantine path, so counters and warnings behave
-    exactly as they would mid-run), and rebuilds the index when it
-    disagrees with the entry files on disk.
+    exactly as they would mid-run), and removes an ``index.json`` left by
+    an older store format (:meth:`RunStore.reindex`).
     """
     max_age = (
         store.TMP_MAX_AGE_SECONDS if tmp_max_age_seconds is None else tmp_max_age_seconds
@@ -168,43 +168,17 @@ def audit_store(
             )
         )
 
-    index_entries: Optional[int] = None
-    if store.index_path.exists():
-        try:
-            index_payload = json.loads(store.index_path.read_text(encoding="utf-8"))
-            index_entries = len(index_payload.get("entries", {}))
-        except (OSError, json.JSONDecodeError) as exc:
-            fixed = False
-            if fix:
-                store.reindex()
-                fixed = True
-            report.findings.append(
-                Finding(
-                    area="store",
-                    kind="corrupt_index",
-                    path=_rel(store.index_path, store.root),
-                    detail=f"unreadable index ({exc}); derived state, safe to rebuild",
-                    fixable=True,
-                    fixed=fixed,
-                )
-            )
-    if index_entries is not None and index_entries != entries_on_disk:
-        fixed = False
+    if store.legacy_index_path.exists():
         if fix:
             store.reindex()
-            fixed = True
         report.findings.append(
             Finding(
                 area="store",
-                kind="stale_index",
-                path=_rel(store.index_path, store.root),
-                detail=(
-                    f"index lists {index_entries} entr"
-                    f"{'y' if index_entries == 1 else 'ies'} but "
-                    f"{entries_on_disk} healthy entry file(s) exist"
-                ),
+                kind="legacy_index",
+                path=_rel(store.legacy_index_path, store.root),
+                detail="index.json left by an older store format",
                 fixable=True,
-                fixed=fixed,
+                fixed=fix,
             )
         )
 

@@ -747,7 +747,6 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
     workers = [_spawn_worker(root, k, poll) for k in range(options.workers)]
     done: Set[str] = set()
     deadline = time.time() + options.timeout if options.timeout else None
-    merged_any = False
     try:
         while done != expected:
             if deadline is not None and time.time() > deadline:
@@ -758,7 +757,6 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
             dead = {proc.pid for proc, _log in workers if proc.poll() is not None}
             queue.requeue_expired(dead_pids=dead or None)
             progressed = _collect_outcomes(queue, plane, done)
-            merged_any = merged_any or progressed
             if done == expected:
                 break
             if workers and len(dead) == len(workers):
@@ -768,8 +766,7 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
                     worker_id=f"parent-{os.getpid()}",
                     poll_interval=min(poll, 0.05),
                 )
-                progressed = _collect_outcomes(queue, plane, done)
-                merged_any = merged_any or progressed
+                _collect_outcomes(queue, plane, done)
                 if done != expected:
                     missing = sorted(expected - done)
                     raise SimulationError(
@@ -796,9 +793,5 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
                     proc.kill()
                     proc.wait(timeout=5.0)
             log.close()
-        if merged_any and plan.store is not None:
-            # Workers wrote entries under their own index snapshots; rebuild
-            # the parent's index from the entry files (entries authoritative).
-            plan.store.reindex()
         if own_dir:
             shutil.rmtree(root, ignore_errors=True)

@@ -88,7 +88,6 @@ ENV_FAULTS_SEED = "REPRO_FAULTS_SEED"
 #: instrumented modules must keep calling them from the documented spots.
 FAULT_SITES: Dict[str, str] = {
     "store.write": "run-store entry writes (put, tarball import)",
-    "store.index_write": "run-store index.json writes",
     "store.read": "run-store entry reads (get, scan, history)",
     "queue.claim": "task-claim rename in the work queue",
     "queue.task_write": "task enqueue/requeue writes",

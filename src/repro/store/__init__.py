@@ -15,8 +15,8 @@ Layers (bottom up):
   invariance contract (key order, float int-ness, schema version, backend
   provenance).
 * :mod:`~repro.store.run_store` — the file-backed store itself: atomic
-  sharded ``runs/<fp[:2]>/<fp>.json`` writes, a timestamped index,
-  ``put``/``get``/``contains``/``list_runs``/``delete``/``gc``, and the
+  sharded ``runs/<fp[:2]>/<fp>.json`` writes (the shard tree is its only
+  state), ``put``/``get``/``contains``/``list_runs``/``delete``/``gc``, and the
   ``REPRO_RUN_STORE`` environment default.
 * :mod:`~repro.store.statistics` — cross-run statistics: per-fingerprint
   recomputation history (runtime CIs, determinism and runtime regression

@@ -3,8 +3,8 @@
 Layout (everything under one root directory)::
 
     <root>/
-      index.json                  # timestamped catalogue, one row per entry
       runs/<fp[:2]>/<fp>.json     # sharded entry files, fp = fingerprint_spec
+      quarantine/                 # corrupt entry files, sidelined on access
 
 Each entry file holds the full :class:`~repro.simulation.results.RunResult`
 (via ``to_dict``) together with provenance — the originating spec's plain
@@ -14,21 +14,22 @@ recomputation), which feeds :mod:`repro.store.statistics`.
 
 Durability rules:
 
-* **Writes are atomic.**  Entry files and the index are written to a
-  temporary sibling and moved into place with :func:`os.replace`, so a
-  crashed process can never leave a half-written JSON file behind.
-* **The index is a cache, not the truth.**  The sharded entry files are
-  authoritative; a missing or corrupt ``index.json`` is silently rebuilt by
-  scanning them (:meth:`RunStore.reindex`).
-* **Single-writer semantics.**  Concurrent readers are always safe
-  (atomic replace); concurrent writers are last-writer-wins on the index
-  row.  The execution layer funnels all writes through the parent process
-  (pool workers return results, they never touch the store), so this is
-  the contract sweeps actually need.
+* **Writes are atomic.**  Entry files are written to a temporary sibling
+  and moved into place with :func:`os.replace`, so a crashed process can
+  never leave a half-written JSON file behind.
+* **The shard tree is the only state.**  ``list_runs``, ``find``, ``len``
+  and ``gc`` scan the entry files, so a ``put`` of a new fingerprint is one
+  rename onto a fresh name and touches nothing else.  An ``index.json``
+  catalogue left by an older store format is never read;
+  :meth:`RunStore.reindex` (and ``repro doctor --fix``) removes it.
+* **Concurrent writers.**  Readers are always safe (atomic replace).
+  Queue workers write the store themselves: distinct fingerprints land in
+  distinct fresh-named entry files, so they never contend, and two writers
+  of the same fingerprint are last-writer-wins on its entry.
 
 Failure semantics (all exercisable via :mod:`repro.faults`):
 
-* **Transient IO errors retry.**  Entry/index reads and writes go through
+* **Transient IO errors retry.**  Entry reads and writes go through
   :mod:`repro.ioutil`'s bounded retry with exponential backoff
   (``REPRO_IO_RETRIES`` / ``REPRO_IO_BACKOFF``).
 * **Corrupt entries quarantine, never abort.**  Every entry carries a
@@ -59,7 +60,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from .._version import __version__
 from ..errors import ConfigurationError
@@ -87,8 +88,8 @@ ENV_RUN_STORE = "REPRO_RUN_STORE"
 #: Env values that explicitly disable the default store (case-insensitive).
 _FALSEY_TOKENS = frozenset({"", "0", "off", "false", "no", "none", "disabled"})
 
-#: On-disk format version of entry files and the index (independent of the
-#: fingerprint schema: bumping this forces a reindex, not a recompute).
+#: On-disk format version of entry files (independent of the fingerprint
+#: schema: bumping it changes how entries are read, not what they key).
 STORE_FORMAT = 1
 
 
@@ -99,8 +100,8 @@ class StoreConfig:
     Attributes
     ----------
     root:
-        Directory holding ``index.json`` and the ``runs/`` shard tree;
-        created on first use.
+        Directory holding the ``runs/`` shard tree (and ``quarantine/``);
+        created on first write.
     shard_width:
         Number of leading fingerprint hex digits used as the shard
         directory name.  Two digits = 256 shards, plenty below a million
@@ -167,8 +168,8 @@ def reset_store_counters() -> None:
 
 @dataclass(frozen=True)
 class RunEntry:
-    """One index row: enough to list and triage a stored run without
-    opening its (potentially large) entry file."""
+    """One listing row: the summary of one entry file that ``list_runs``
+    returns, enough to list and triage a stored run."""
 
     fingerprint: str
     written_at: str
@@ -182,39 +183,6 @@ class RunEntry:
     total_cost: float
     total_elapsed_seconds: float
     runs: int = 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "written_at": self.written_at,
-            "algorithm": self.algorithm,
-            "workload": self.workload,
-            "topology": self.topology,
-            "b": self.b,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "n_requests": self.n_requests,
-            "total_cost": self.total_cost,
-            "total_elapsed_seconds": self.total_elapsed_seconds,
-            "runs": self.runs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunEntry":
-        return cls(
-            fingerprint=data["fingerprint"],
-            written_at=data["written_at"],
-            algorithm=data["algorithm"],
-            workload=data["workload"],
-            topology=data["topology"],
-            b=int(data["b"]),
-            alpha=float(data["alpha"]),
-            seed=data.get("seed"),
-            n_requests=int(data["n_requests"]),
-            total_cost=float(data["total_cost"]),
-            total_elapsed_seconds=float(data["total_elapsed_seconds"]),
-            runs=int(data.get("runs", 1)),
-        )
 
 
 def _utcnow_iso() -> str:
@@ -288,7 +256,6 @@ class RunStore:
             config = StoreConfig(root=Path(config))
         self.config = config
         self.counters = StoreCounters()
-        self._index: Optional[Dict[str, RunEntry]] = None
         self._warned_unwritable = False
 
     # -- layout ----------------------------------------------------------
@@ -302,7 +269,11 @@ class RunStore:
         return self.config.root / "runs"
 
     @property
-    def index_path(self) -> Path:
+    def legacy_index_path(self) -> Path:
+        """Where a store written by an older format kept its catalogue.
+
+        Nothing reads it; :meth:`reindex` removes it.
+        """
         return self.config.root / "index.json"
 
     @property
@@ -326,28 +297,10 @@ class RunStore:
     def _key(self, ref: Union[str, ExperimentSpec, Mapping[str, Any]]) -> str:
         return ref if isinstance(ref, str) else self.fingerprint(ref)
 
-    # -- index -----------------------------------------------------------
-
-    def _load_index(self) -> Dict[str, RunEntry]:
-        if self._index is not None:
-            return self._index
-        try:
-            raw = json.loads(self.index_path.read_text())
-            entries = {
-                fp: RunEntry.from_dict(row)
-                for fp, row in raw.get("entries", {}).items()
-            }
-        except FileNotFoundError:
-            entries = self._scan() if self.runs_dir.exists() else {}
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            # The index is derived state: a torn, stale, or unreadable file
-            # (e.g. from a killed writer on a non-atomic filesystem) is
-            # rebuilt, never trusted over the entry files themselves.
-            entries = self._scan()
-        self._index = entries
-        return entries
+    # -- scan ------------------------------------------------------------
 
     def _scan(self) -> Dict[str, RunEntry]:
+        """Every healthy entry file's row, keyed by fingerprint."""
         entries: Dict[str, RunEntry] = {}
         if not self.runs_dir.exists():
             return entries
@@ -355,7 +308,7 @@ class RunStore:
             try:
                 payload = read_json(path, site="store.read")
                 if not _checksum_ok(payload):
-                    continue  # doctor/get quarantine it; never index it
+                    continue  # doctor/get quarantine it; never list it
                 entries[payload["fingerprint"]] = self._entry_from_payload(payload)
             except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
                 continue  # a torn file is unreadable, not fatal to the rest
@@ -378,25 +331,6 @@ class RunStore:
             total_elapsed_seconds=float(result["total_elapsed_seconds"]),
             runs=len(payload.get("history", ())) or 1,
         )
-
-    def _write_index(self) -> None:
-        entries = self._load_index()
-        try:
-            atomic_write_json(
-                self.index_path,
-                {
-                    "format": STORE_FORMAT,
-                    "schema_version": SCHEMA_VERSION,
-                    "updated_at": _utcnow_iso(),
-                    "entries": {fp: entry.to_dict() for fp, entry in entries.items()},
-                },
-                site="store.index_write",
-            )
-        except OSError as exc:
-            # The index is derived state: failing to refresh it degrades
-            # `list_runs` freshness for *other* processes (this one keeps
-            # its in-memory copy) and is rebuilt by the next reader anyway.
-            self._note_write_failure("index write", exc)
 
     def _note_write_failure(self, what: str, exc: OSError) -> None:
         """Count a persistent write failure and warn once per store."""
@@ -443,20 +377,21 @@ class RunStore:
             RuntimeWarning,
             stacklevel=4,
         )
-        # Drop it from the cached index (and best-effort from the on-disk
-        # one) so listings stop advertising an entry that no longer loads.
-        entries = self._load_index()
-        stem = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
-        if entries.pop(stem, None) is not None:
-            self._write_index()
         return destination
 
     def reindex(self) -> int:
-        """Rebuild ``index.json`` from the entry files; returns the entry count."""
-        self._index = self._scan()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._write_index()
-        return len(self._index)
+        """Migrate a store written by an older format; returns the entry count.
+
+        Older stores kept a derived ``index.json`` catalogue beside
+        ``runs/`` and rewrote it on every put.  Nothing reads it any more:
+        this removes a leftover one and returns the number of healthy
+        entries a scan finds.
+        """
+        try:
+            self.legacy_index_path.unlink()
+        except FileNotFoundError:
+            pass
+        return len(self._scan())
 
     # -- core operations -------------------------------------------------
 
@@ -468,7 +403,7 @@ class RunStore:
         return self.contains(ref)
 
     def __len__(self) -> int:
-        return len(self._load_index())
+        return len(self._scan())
 
     def get_payload(
         self, ref: Union[str, ExperimentSpec, Mapping[str, Any]]
@@ -576,32 +511,27 @@ class RunStore:
             # it, only the cache is lost.
             self._note_write_failure(f"entry {fingerprint[:12]} write", exc)
             return fingerprint
-        entries = self._load_index()
-        entries[fingerprint] = self._entry_from_payload(payload)
-        self._write_index()
         self.counters.writes += 1
         _GLOBAL_COUNTERS.writes += 1
         return fingerprint
 
     def delete(self, ref: Union[str, ExperimentSpec, Mapping[str, Any]]) -> bool:
         """Remove one entry; returns whether anything was deleted."""
-        fingerprint = self._key(ref)
-        path = self.entry_path(fingerprint)
-        entries = self._load_index()
-        removed = entries.pop(fingerprint, None) is not None
         try:
-            path.unlink()
-            removed = True
+            self.entry_path(self._key(ref)).unlink()
         except FileNotFoundError:
-            pass
-        if removed:
-            self._write_index()
-        return removed
+            return False
+        return True
 
     def list_runs(self) -> List[RunEntry]:
-        """All index rows, newest write first (ties broken by fingerprint)."""
+        """Every healthy entry, newest write first (ties broken by fingerprint).
+
+        Each call scans the shard tree: entry files that are torn or fail
+        their checksum are skipped (``get`` and ``repro doctor`` quarantine
+        them).
+        """
         return sorted(
-            self._load_index().values(),
+            self._scan().values(),
             key=lambda e: (e.written_at, e.fingerprint),
             reverse=True,
         )
@@ -671,7 +601,8 @@ class RunStore:
 
 
 #: Per-process cache of env-configured default stores, keyed by the env
-#: value, so repeated execution calls share one instance (and its index).
+#: value, so repeated execution calls share one instance (its counters and
+#: its warn-once state).
 _DEFAULT_STORES: Dict[str, RunStore] = {}
 
 

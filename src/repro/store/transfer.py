@@ -1,7 +1,6 @@
 """Moving run stores between machines: tarball export / import.
 
-A store is just its sharded entry files (the index is derived state), so a
-portable snapshot is a gzipped tar of those files plus a small manifest.
+A store is just its sharded entry files, so a portable snapshot is a gzipped tar of those files plus a small manifest.
 :func:`export_store` writes one; :func:`import_store` merges one into an
 existing store under an *identical-or-error* conflict policy: a fingerprint
 present on both sides must carry the same result payload — same content
@@ -169,8 +168,8 @@ def import_store(store: RunStore, tarball) -> Dict[str, Any]:
     aborts the whole import with :class:`~repro.errors.SimulationError`
     (listing the conflicting fingerprints) before a single file is written;
     only then are new entries written and identical duplicates' histories
-    merged.  Ends with :meth:`RunStore.reindex` so the index reflects the
-    imported entry files.  Returns ``{"imported", "merged", "unchanged"}``
+    merged.  Each write is one entry file; listings read the shard tree, so
+    the imported entries show up with nothing else to refresh.  Returns ``{"imported", "merged", "unchanged"}``
     counts.
     """
     entries = _read_members(Path(tarball))
@@ -211,5 +210,4 @@ def import_store(store: RunStore, tarball) -> Dict[str, Any]:
         payload["checksum"] = entry_checksum(payload)
         _atomic_write_json(path, payload)
         merged += 1
-    store.reindex()
     return {"imported": imported, "merged": merged, "unchanged": unchanged}

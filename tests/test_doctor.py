@@ -2,11 +2,12 @@
 
 Every anomaly class the doctor knows (see :mod:`repro.doctor`) is seeded
 deliberately here — stale tmp siblings, torn and checksum-failing store
-entries, a stale or unreadable index, orphaned leases, expired claims,
-half-written task files — then the audit must find exactly it, ``--fix``
-must repair what is safely repairable, and a second audit must come back
-clean.  The CLI front-end's exit codes (0 clean, 1 findings, 2 usage
-errors) are part of the contract: chaos CI gates on them.
+entries, an ``index.json`` left by an older store format, orphaned
+leases, expired claims, half-written task files — then the audit must
+find exactly it, ``--fix`` must repair what is safely repairable, and a
+second audit must come back clean.  The CLI front-end's exit codes (0
+clean, 1 findings, 2 usage errors) are part of the contract: chaos CI
+gates on them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -114,21 +116,32 @@ class TestStoreAudit:
         kinds = [f.kind for f in report.findings]
         assert "corrupt_entry" in kinds
 
-    def test_unreadable_index_found_and_rebuilt(self, tmp_path):
-        store, fp = _populated_store(tmp_path)
-        store.index_path.write_text("{ torn")
+    def _assert_legacy_index_fixed(self, store, healthy_entries):
         report = audit_store(store)
-        assert "corrupt_index" in [f.kind for f in report.findings]
+        assert [f.kind for f in report.findings] == ["legacy_index"]
+        [finding] = report.findings
+        assert finding.path == "index.json" and finding.fixable
+        assert "older store format" in finding.detail
+        assert report.info["entries"] == healthy_entries
         fixed = audit_store(store, fix=True)
-        assert fixed.clean()
-        assert json.loads(store.index_path.read_text())["format"] == 1
+        assert [f.fixed for f in fixed.findings] == [True]
+        assert not store.legacy_index_path.exists()
+        after = audit_store(store)
+        assert after.clean() and after.info["entries"] == healthy_entries
 
-    def test_stale_index_found_and_rebuilt(self, tmp_path):
+    def test_torn_legacy_index_found_and_removed(self, tmp_path):
+        store, _fp = _populated_store(tmp_path)
+        store.legacy_index_path.write_text("{ torn")
+        self._assert_legacy_index_fixed(store, healthy_entries=1)
+
+    def test_stale_legacy_index_found_and_removed(self, tmp_path):
         store, fp = _populated_store(tmp_path)
+        store.legacy_index_path.write_text(json.dumps(
+            {"format": 1, "entries": {e.fingerprint: asdict(e)
+                                      for e in store.list_runs()}}
+        ))
         store.entry_path(fp).unlink()  # entry removed behind the index's back
-        report = audit_store(store)
-        assert "stale_index" in [f.kind for f in report.findings]
-        assert audit_store(store, fix=True).clean()
+        self._assert_legacy_index_fixed(store, healthy_entries=0)
 
 
 class TestQueueAudit:

@@ -330,9 +330,10 @@ def test_queue_workers_write_their_stats_before_exiting(tmp_path):
 
 @pytest.mark.sched
 def test_queue_backend_with_a_run_store(tmp_path, monkeypatch):
-    """Queue workers write the store themselves and the parent merges: every
-    cell is stored exactly once, the merged index is clean, and a warm
-    serial rerun serves every cell from disk without simulating."""
+    """Queue workers write the store themselves: every cell is stored
+    exactly once, the parent lists every worker's entry with no index file
+    to rebuild, and a warm serial rerun serves every cell from disk
+    without simulating."""
     specs = [_spec(name, seed=seed) for seed in (1, 2) for name in ("rbma", "bma")]
     serial = run_specs_parallel(specs, n_workers=1, store=False)
     store = RunStore(tmp_path / "store")
@@ -345,6 +346,8 @@ def test_queue_backend_with_a_run_store(tmp_path, monkeypatch):
 
     fingerprints = {fingerprint_spec(spec) for spec in specs}
     assert len(store) == len(fingerprints)
+    assert {e.fingerprint for e in store.list_runs()} == fingerprints
+    assert not (tmp_path / "store" / "index.json").exists()
     for fp in fingerprints:
         assert len(store.get_payload(fp)["history"]) == 1
 

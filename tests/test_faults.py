@@ -294,7 +294,7 @@ class TestStoreHardening:
         monkeypatch.setenv("REPRO_IO_BACKOFF", "0")
         store = RunStore(tmp_path)
         result = _spec().execute()
-        with injected_faults("store.write:osfail@1.0,store.index_write:osfail@1.0"):
+        with injected_faults("store.write:osfail@1.0"):
             with pytest.warns(RuntimeWarning, match="not writable"):
                 fp = store.put(result)
             # Degraded, not dead: the put reported the fingerprint, nothing
@@ -334,9 +334,7 @@ class TestStoreHardening:
         payload = json.loads(path.read_text())
         payload["result"]["total_routing_cost"] = -1.0
         path.write_text(json.dumps(payload))
-        (tmp_path / "index.json").unlink()
-        fresh = RunStore(tmp_path)  # index rebuild goes through _scan
-        assert len(fresh) == 0
+        assert len(RunStore(tmp_path)) == 0  # listings go through _scan
 
 
 # --------------------------------------------------------------------------- #
@@ -345,7 +343,7 @@ class TestStoreHardening:
 
 
 _TRANSIENT_PLAN = (
-    "store.write:osfail@0.15,store.read:osfail@0.15,store.index_write:osfail@0.2,"
+    "store.write:osfail@0.15,store.read:osfail@0.15,"
     "queue.task_write:osfail@0.1,queue.heartbeat:osfail@0.2,"
     "queue.result_write:osfail@0.1,queue.claim:delay@0.3"
 )

@@ -13,7 +13,10 @@ The contract under test (see :mod:`repro.store`):
 """
 
 import json
-from dataclasses import replace
+import os
+import shutil
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from repro.store import (
     store_statistics,
 )
 from repro.store.run_store import _atomic_write_json
+from repro.store.transfer import export_store, import_store
 
 pytestmark = pytest.mark.store
 
@@ -73,6 +77,15 @@ def _permuted(data):
     if isinstance(data, list):
         return [_permuted(item) for item in data]
     return data
+
+
+def _file_snapshot(root):
+    """``{relative path: (size, mtime_ns)}`` of every file under ``root``."""
+    return {
+        p.relative_to(root): (p.stat().st_size, p.stat().st_mtime_ns)
+        for p in root.rglob("*")
+        if p.is_file()
+    }
 
 
 def _forbid_simulation(monkeypatch, message="simulation ran on a warm store"):
@@ -294,17 +307,30 @@ class TestRunStore:
         assert [e.fingerprint for e in store.find(fps[0][:12])] == [fps[0]]
         assert store.find("nonexistent") == []
 
-    def test_index_is_rebuilt_when_missing_or_corrupt(self, tmp_path):
+    def test_put_of_a_new_fingerprint_is_one_rename_onto_a_fresh_name(
+        self, tmp_path, monkeypatch
+    ):
         store = RunStore(tmp_path)
-        fp = store.put(_spec().execute())
-        (tmp_path / "index.json").unlink()
-        fresh = RunStore(tmp_path)
-        assert [e.fingerprint for e in fresh.list_runs()] == [fp]
-        (tmp_path / "index.json").write_text("{ torn")
-        corrupt = RunStore(tmp_path)
-        assert len(corrupt) == 1
-        assert corrupt.reindex() == 1
-        assert json.loads((tmp_path / "index.json").read_text())["format"] == 1
+        result = _spec().execute()
+        for k in range(5):
+            store.put(result, fingerprint=f"{k:02x}" * 20)
+        before = _file_snapshot(tmp_path)
+        renames = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            renames.append((Path(dst), Path(dst).exists()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        fp = store.put(result, fingerprint="ff" * 20)
+        [(destination, existed)] = renames
+        assert destination == store.entry_path(fp) and not existed
+        after = _file_snapshot(tmp_path)
+        # One new file, the entry itself; nothing else created or changed,
+        # in runs/ or outside it.
+        assert set(after) - set(before) == {destination.relative_to(tmp_path)}
+        assert {k: after[k] for k in before} == before
 
     def test_corrupt_entry_file_quarantines_as_a_miss(self, tmp_path):
         store = RunStore(tmp_path)
@@ -357,6 +383,102 @@ class TestRunStore:
             store2.gc(max_entries=-1)
         with pytest.raises(ConfigurationError):
             store2.gc(max_age_days=-0.5)
+
+
+class TestLegacyIndexCompatibility:
+    """Stores written before the shard tree became the only state carry an
+    ``index.json`` catalogue.  Whether it is torn or stale, every reader
+    must give exactly what the same shard tree gives with no index."""
+
+    @pytest.fixture
+    def trees(self, tmp_path):
+        bare = RunStore(tmp_path / "bare")
+        for seed in (1, 2, 3, 4, 5):
+            bare.put(_spec(seed=seed).execute())
+        rows = {e.fingerprint: asdict(e) for e in bare.list_runs()}
+        deleted, omitted = sorted(rows)[:2]
+        bare.delete(deleted)
+        torn = tmp_path / "torn"
+        shutil.copytree(bare.root, torn)
+        (torn / "index.json").write_text("{ torn")
+        stale = tmp_path / "stale"
+        shutil.copytree(bare.root, stale)
+        del rows[omitted]  # lists a deleted entry, omits a present one
+        (stale / "index.json").write_text(json.dumps({
+            "format": 1,
+            "schema_version": SCHEMA_VERSION,
+            "updated_at": "2020-01-01T00:00:00+00:00",
+            "entries": rows,
+        }))
+        return bare.root, {"torn": torn, "stale": stale}
+
+    def test_list_find_and_len_ignore_the_index(self, trees):
+        bare, legacy = trees
+        expected = RunStore(bare)
+        assert len(expected) == 4
+        for root in legacy.values():
+            store = RunStore(root)
+            assert store.list_runs() == expected.list_runs()
+            assert len(store) == len(expected)
+            for entry in expected.list_runs():
+                prefix = entry.fingerprint[:6]
+                assert store.find(prefix) == expected.find(prefix)
+            assert store.find("") == expected.find("")
+
+    def test_gc_matches_the_bare_tree(self, trees):
+        bare, legacy = trees
+        expected = RunStore(bare)
+        deleted = expected.gc(max_entries=2)
+        assert len(deleted) == 2
+        for root in legacy.values():
+            store = RunStore(root)
+            assert store.gc(max_entries=2) == deleted
+            assert store.list_runs() == expected.list_runs()
+
+    def test_runs_cli_output_matches_the_bare_tree(self, trees, capsys):
+        bare, legacy = trees
+        fp = RunStore(bare).list_runs()[0].fingerprint
+
+        def output(root):
+            outputs = []
+            for command in (["list"], ["show", fp[:10]], ["stats"], ["stats", "--group"]):
+                assert main(["runs", "--store", str(root), *command]) == 0
+                outputs.append(capsys.readouterr().out.replace(str(root), "<root>"))
+            return outputs
+
+        expected = output(bare)
+        for root in legacy.values():
+            assert output(root) == expected
+
+    def test_export_import_matches_the_bare_tree(self, trees, tmp_path):
+        bare, legacy = trees
+        bare_tarball = tmp_path / "bare.tar.gz"
+        bare_summary = export_store(RunStore(bare), bare_tarball)
+        expected = RunStore(tmp_path / "from-bare")
+        import_store(expected, bare_tarball)
+        for name, root in legacy.items():
+            store = RunStore(root)
+            tarball = tmp_path / f"{name}.tar.gz"
+            summary = export_store(store, tarball)
+            assert summary["exported"] == bare_summary["exported"] == 4
+            assert summary["skipped"] == bare_summary["skipped"] == []
+            imported = RunStore(tmp_path / f"from-{name}")
+            assert import_store(imported, tarball) == {
+                "imported": 4, "merged": 0, "unchanged": 0,
+            }
+            assert imported.list_runs() == expected.list_runs()
+            assert import_store(store, bare_tarball) == {
+                "imported": 0, "merged": 0, "unchanged": 4,
+            }
+            assert store.list_runs() == expected.list_runs()
+
+    def test_reindex_removes_the_legacy_index(self, trees):
+        _bare, legacy = trees
+        for root in legacy.values():
+            store = RunStore(root)
+            assert store.reindex() == 4
+            assert not (root / "index.json").exists()
+            assert store.reindex() == 4  # idempotent
 
 
 class TestStoreResolution:

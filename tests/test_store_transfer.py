@@ -83,7 +83,7 @@ class TestImport:
         for spec in _specs(2):
             fp = fingerprint_spec(spec)
             assert target.get_payload(fp) == source.get_payload(fp)
-        # The index was rebuilt: list/find work without a manual reindex.
+        # Listings read the imported entry files: no rebuild step.
         assert len(target.list_runs()) == 2
         # A warm import is a no-op.
         assert import_store(target, tarball) == {
