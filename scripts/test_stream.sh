@@ -13,7 +13,12 @@
 #     size asserting streamed replay is bit-identical to materialized
 #     replay, the golden pins under streaming, unknown-length checkpoint
 #     planning, the bounded-memory guarantee, and the runner/spec
-#     integration (traffic.streaming, compare_on_shared_trace fan-out).
+#     integration (traffic.streaming, compare_on_shared_trace fan-out);
+#   * tests/test_core_hybrid.py — HybridBMA's batched replay, which carries
+#     the combiner's followed expert, switch count and real matching across
+#     segments, against per-request serving: segment cuts at and around
+#     every switch, 1-20-request segments, switch-heavy factors, period 1
+#     and 2, a failing pager or install mid-segment, the reference kernel.
 # The same tests run in the default suite; this script is the focused
 # entry point for CI and for iterating on stream-layer changes.
 # Extra pytest arguments are passed through.
@@ -24,4 +29,5 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     tests/test_traffic_stream.py \
     tests/test_traffic_golden.py \
     tests/test_streaming_engine.py \
+    tests/test_core_hybrid.py \
     "$@"

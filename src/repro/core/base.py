@@ -30,7 +30,7 @@ from ..traffic.base import Trace
 from ..types import NodePair, Request
 from .rng import CounterRNG
 
-__all__ = ["ServeOutcome", "OnlineBMatchingAlgorithm"]
+__all__ = ["ServeOutcome", "SegmentLog", "OnlineBMatchingAlgorithm"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +64,69 @@ class ServeOutcome:
     def total_cost(self) -> float:
         """Routing plus reconfiguration cost of this step."""
         return self.routing_cost + self.reconfiguration_cost
+
+
+@dataclass(slots=True)
+class SegmentLog:
+    """What a batched replay did to one segment, request by request.
+
+    The arrays cover the requests the replay committed, the whole segment
+    unless ``error`` is set.  Positions are request indices in the segment.
+
+    Attributes
+    ----------
+    initial:
+        The sorted int edge keys of the matching at segment start.
+    hit, routing, reconf:
+        Per request: served over a matching edge, its routing cost, and its
+        reconfiguration cost.
+    ev_pos, ev_key, ev_added:
+        The matching's edge events in the order they were applied: the
+        request that caused each, the edge's int key, and whether the edge
+        was added (else removed).  An event takes effect after its request.
+    error:
+        The exception that stopped the replay at request ``len(hit)``, or
+        ``None``.  The replay committed the requests before it; the caller
+        re-raises it.
+    """
+
+    initial: np.ndarray
+    hit: np.ndarray
+    routing: np.ndarray
+    reconf: np.ndarray
+    ev_pos: np.ndarray
+    ev_key: np.ndarray
+    ev_added: np.ndarray
+    error: Optional[BaseException] = None
+
+    def edges_after(self, pos: int) -> np.ndarray:
+        """The sorted int edge keys of the matching after request ``pos``."""
+        cut = int(self.ev_pos.searchsorted(pos, side="right"))
+        # Each key's last event up to the cut decides whether it is matched.
+        keys, last = np.unique(self.ev_key[:cut][::-1], return_index=True)
+        added = self.ev_added[:cut][::-1][last]
+        kept = np.setdiff1d(self.initial, keys, assume_unique=True)
+        return np.union1d(kept, keys[added])
+
+
+def sorted_edge_keys(matching) -> np.ndarray:
+    """The sorted int edge keys of a fast-kernel matching."""
+    edge_keys = matching.edge_keys
+    keys = np.fromiter(edge_keys, np.int64, len(edge_keys))
+    keys.sort()
+    return keys
+
+
+def running_total(carried: float, costs: np.ndarray) -> np.ndarray:
+    """The running total after each of ``costs``, starting from ``carried``.
+
+    A left-to-right cumulative sum adds in the order per-request serving
+    does, so every entry is the float the serving loop would hold.
+    """
+    costs = costs.astype(np.float64)  # a copy, so the caller's costs stay
+    if len(costs):
+        costs[0] += carried
+    return costs.cumsum()
 
 
 class OnlineBMatchingAlgorithm(ABC):
@@ -218,10 +281,8 @@ class OnlineBMatchingAlgorithm(ABC):
             + (self.matching.removals - removals_before)
         )
         reconfiguration_cost = n_changes * self.config.alpha
-        if n_changes and self.matching.degree(pair[0]) > self.config.b:
-            raise SimulationError(
-                f"{self.name}: degree bound violated at node {pair[0]}"
-            )
+        if n_changes:
+            self._check_degree(pair[0])
 
         self.total_routing_cost += routing_cost
         self.total_reconfiguration_cost += reconfiguration_cost
@@ -236,6 +297,11 @@ class OnlineBMatchingAlgorithm(ABC):
             edges_added=added,
             edges_removed=removed,
         )
+
+    def _check_degree(self, node: int) -> None:
+        """Raise if a reconfiguration left ``node`` above the degree bound."""
+        if self.matching.degree(node) > self.config.b:
+            raise SimulationError(f"{self.name}: degree bound violated at node {node}")
 
     def _batch_arrays(self, requests):
         """Decode a Trace batch into ``(lo, hi, keys, lengths)`` arrays.

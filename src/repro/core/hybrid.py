@@ -15,6 +15,14 @@ installed matching synchronised with the currently followed algorithm's
 virtual matching.  Routing cost is paid according to the real matching;
 reconfiguration cost is paid for every real edge change, including the bulk
 change at a switch.
+
+The experts never read the combiner's state.  A batched replay therefore
+runs each expert over the whole segment on its own batch path, which returns
+a :class:`~repro.core.base.SegmentLog` (per-request hits and costs, and the
+edge events), and computes the combiner's segment from the two logs with
+numpy; Python then runs only per switch and per edge event.  Per-request
+:meth:`HybridBMA.serve` (and so the reference kernel) remains the ground
+truth the batched replay must match bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +32,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..topology import Topology
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm
+from .base import OnlineBMatchingAlgorithm, running_total, sorted_edge_keys
 from .predictive import PredictiveBMA
 from .rbma import RBMA
+from .uniform import pair_order
 
 __all__ = ["HybridBMA"]
 
@@ -65,11 +74,12 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         self.switch_factor = float(switch_factor)
         self._period = period
         self._window = window
+        # Drawn once: reset() rebuilds the robust expert on the same seed.
+        self._robust_seed = int(self.rng.integers(2**63 - 1))
         self._make_experts()
 
     def _make_experts(self) -> None:
-        child_seed = int(self.rng.integers(2**63 - 1))
-        self._robust = RBMA(self.topology, self.config, rng=child_seed)
+        self._robust = RBMA(self.topology, self.config, rng=self._robust_seed)
         self._predictive = PredictiveBMA(
             self.topology, self.config, period=self._period, window=self._window
         )
@@ -142,89 +152,130 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         return added, removed
 
     def serve_batch(self, requests) -> None:
-        """Batch driver: experts advance in one tight loop, synced incrementally.
+        """Batched replay: each expert serves the segment on its own batch path.
 
-        The combiner's switch rule compares the experts' cumulative costs
-        after *every* request, so the experts cannot be stepped over whole
-        segments without changing switch timing; instead the driver runs the
-        whole segment in a single loop that skips the combiner's own
-        Request/ServeOutcome wrappers and — the actual hot cost of
-        :meth:`serve` — replaces the per-request full edge-set diff with an
-        incremental sync: while no switch happens, the real matching equals
-        the followed expert's virtual matching, so the expert's own
-        ``ServeOutcome`` already lists exactly the edges the real matching
-        must add and remove.  A full key-set diff runs only on the (rare)
-        switch steps.  Costs, randomness, and raised errors are identical to
-        request-by-request serving.
+        The experts never read the combiner's state, so R-BMA and then
+        PredictiveBMA replay the whole segment first, each returning a
+        :class:`~repro.core.base.SegmentLog`.  The combiner's segment is then
+        read off the two logs:
+
+        * each expert's total cost after every request is the sum of two
+          left-to-right cumulative sums (routing and reconfiguration, from
+          the carried totals), the floats per-request serving compares;
+        * the switches are found with one vectorised switch test per expert,
+          walked one switch at a time;
+        * between switches the real matching applies the followed expert's
+          edge events in log order, and at a switch at request ``j`` the
+          sorted key-set diff from the old expert's matching after ``j - 1``
+          (the real matching) to the new expert's after ``j``;
+        * each request's hit and routing cost are those of the expert
+          followed when it arrived.
+
+        Costs, switches, matching state and randomness are those of
+        request-by-request :meth:`serve` calls.  Input other than a
+        :class:`~repro.traffic.base.Trace`, and the reference kernel, are
+        served that way.
+
+        Errors: if the robust expert raises at request ``i``, the predictive
+        expert and the combiner serve requests ``0 .. i-1`` and the error
+        propagates, as with per-request serving.  If the predictive expert
+        raises at request ``i`` (see :meth:`PredictiveBMA._serve_segment`),
+        the combiner serves ``0 .. i-1`` and the error propagates, but the
+        robust expert has already served the whole segment.
         """
-        matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
         decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
+        if decoded is None or getattr(self.matching, "edge_keys", None) is None:
             super().serve_batch(requests)
             return
+        lo, _hi, keys, lengths = decoded
+        if not len(keys):
+            return
+        robust, predictive = self._robust, self._predictive
+        other = {robust: predictive, predictive: robust}
+        carried = {e: (e.total_routing_cost, e.total_reconfiguration_cost) for e in other}
         n = self.topology.n_racks
-        lo, hi, keys_arr, lengths_arr = decoded
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-        los = lo.tolist()
-        his = hi.tolist()
-
-        robust = self._robust
-        predictive = self._predictive
+        robust_log = robust._serve_segment(keys, lengths, pair_order(keys, n))
+        served = len(robust_log.hit)
+        predictive_log = predictive._serve_segment(keys[:served], lengths[:served])
+        served = len(predictive_log.hit)
+        logs = {robust: robust_log, predictive: predictive_log}
+        totals = {
+            e: running_total(carried[e][0], logs[e].routing[:served])
+            + running_total(carried[e][1], logs[e].reconf[:served])
+            for e in other
+        }
         factor = self.switch_factor
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        try:
-            for key, u, v, length in zip(keys, los, his, lengths):
-                hit = key in edge_keys
-                request = Request(u, v)
-                robust_outcome = robust.serve(request)
-                predictive_outcome = predictive.serve(request)
+        leaving = {
+            e: np.flatnonzero(totals[e] > factor * np.maximum(totals[other[e]], 1.0))
+            for e in other
+        }
+        switches = []
+        following = self._following
+        while True:
+            candidates = leaving[following]
+            k = candidates.searchsorted(switches[-1] + 1 if switches else 0)
+            if k == len(candidates):
+                break
+            switches.append(int(candidates[k]))
+            following = other[following]
+        # The expert followed when each request arrived.
+        on_robust = (np.searchsorted(switches, np.arange(served)) % 2 == 0) == (
+            self._following is robust
+        )
+        reconf = np.where(on_robust, robust_log.reconf[:served],
+                          predictive_log.reconf[:served])
 
-                following = self._following
-                other = predictive if following is robust else robust
-                before = matching.additions + matching.removals
-                if following.total_cost > factor * max(other.total_cost, 1.0):
-                    self._following = other
-                    self._switches += 1
-                    # Full edge-set diff on switch steps (sorted int keys
-                    # order exactly like sorted canonical pairs).
-                    target_keys = getattr(other.matching, "edge_keys", None)
-                    if target_keys is None:
-                        target_keys = {a * n + c for a, c in other.matching.edges}
-                    for k in sorted(edge_keys - target_keys):
-                        matching.remove(k // n, k % n)
-                    for k in sorted(target_keys - edge_keys):
-                        matching.add(k // n, k % n)
-                else:
-                    outcome = (
-                        robust_outcome if following is robust else predictive_outcome
-                    )
-                    for edge in outcome.edges_removed:
-                        matching.remove(*edge)
-                    for edge in outcome.edges_added:
-                        matching.add(*edge)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(u) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {u}"
-                    )
-                routing += 1.0 if hit else length
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-        finally:
-            self.total_routing_cost = routing
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = served
-            self.matched_requests = matched
+        matching = self.matching
+        done = 0  # requests whose matching changes are applied
+        error = None
+        try:
+            for switch in [*switches, served]:
+                log = logs[self._following]
+                a, z = log.ev_pos.searchsorted([done, switch])
+                positions = log.ev_pos[a:z].tolist()
+                for pos, key, added, next_pos in zip(
+                    positions, log.ev_key[a:z].tolist(), log.ev_added[a:z].tolist(),
+                    positions[1:] + [-1],
+                ):
+                    done = pos
+                    if added:
+                        matching.add(key // n, key % n)
+                    else:
+                        matching.remove(key // n, key % n)
+                    if next_pos != pos:  # the request's last change
+                        self._check_degree(int(lo[pos]))
+                done = switch
+                if switch == served:
+                    break
+                self._following = other[self._following]
+                self._switches += 1
+                current = sorted_edge_keys(matching)  # the old expert's after switch - 1
+                target = logs[self._following].edges_after(switch)
+                removed = np.setdiff1d(current, target, assume_unique=True).tolist()
+                added = np.setdiff1d(target, current, assume_unique=True).tolist()
+                for key in removed:
+                    matching.remove(key // n, key % n)
+                for key in added:
+                    matching.add(key // n, key % n)
+                reconf[switch] = (len(removed) + len(added)) * self.config.alpha
+                if removed or added:
+                    self._check_degree(int(lo[switch]))
+                done = switch + 1
+        except BaseException as exc:
+            error = exc
+        hit = np.where(on_robust[:done], robust_log.hit[:done], predictive_log.hit[:done])
+        routing = np.where(on_robust[:done], robust_log.routing[:done],
+                           predictive_log.routing[:done])
+        if done:
+            self.total_routing_cost = float(running_total(self.total_routing_cost, routing)[-1])
+            self.total_reconfiguration_cost = float(
+                running_total(self.total_reconfiguration_cost, reconf[:done])[-1]
+            )
+        self.requests_served += done
+        self.matched_requests += int(np.count_nonzero(hit))
+        error = error or robust_log.error or predictive_log.error
+        if error is not None:
+            raise error
 
     def _reset_policy_state(self) -> None:
         self._make_experts()

@@ -21,11 +21,11 @@ from typing import Deque, Dict, Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..matching import greedy_b_matching
 from ..topology import Topology
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm
+from .base import OnlineBMatchingAlgorithm, SegmentLog, running_total, sorted_edge_keys
 
 __all__ = ["SlidingWindowPredictor", "PredictiveBMA"]
 
@@ -129,73 +129,130 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
         if self._since_reconfig < self.period:
             return (), ()
         self._since_reconfig = 0
-        return self._install_predicted_matching()
+        n = self.topology.n_racks
+        added, removed = self._install_predicted_matching()
+        return tuple((k // n, k % n) for k in added), tuple((k // n, k % n) for k in removed)
 
-    def _install_predicted_matching(self) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
-        target = greedy_b_matching(
-            self.predictor.predicted_weights(), self.topology.n_racks, self.config.b
-        )
-        current = set(self.matching.edges)
-        removed = tuple(sorted(current - target))
-        added = tuple(sorted(target - current))
-        for edge in removed:
-            self.matching.remove(*edge)
-        for edge in added:
-            self.matching.add(*edge)
+    def _install_predicted_matching(self) -> tuple[list[int], list[int]]:
+        """Install the predicted-best matching; the sorted int keys added and removed.
+
+        Sorted int keys ``u * n + v`` order exactly like sorted canonical
+        pairs: the removals, then the additions, are applied in pair order.
+        """
+        n = self.topology.n_racks
+        target = {
+            u * n + v
+            for u, v in greedy_b_matching(self.predictor.predicted_weights(), n, self.config.b)
+        }
+        current = getattr(self.matching, "edge_keys", None)
+        if current is None:
+            current = {u * n + v for u, v in self.matching.edges}
+        removed = sorted(current - target)
+        added = sorted(target - current)
+        for key in removed:
+            self.matching.remove(key // n, key % n)
+        for key in added:
+            self.matching.add(key // n, key % n)
         return added, removed
 
     def serve_batch(self, requests) -> None:
-        """Batched replay: static-matching gathers plus a windowed bulk observe.
+        """Batched replay of one segment through :meth:`_serve_segment`.
 
-        Between reconfiguration points (every ``period`` requests, regardless
-        of traffic) the installed matching is static, so membership for a
-        whole chunk is one boolean lookup-table gather and the routing sum is
-        exact (integer hop counts, unit sizes).  Savings for the predictor
-        are vectorised (``max(ℓ - 1, 0)``), then fed through
-        :meth:`SlidingWindowPredictor.observe_batch`, which preserves the
-        sequential window/weight semantics bit for bit.
+        Costs, predictor state and raised errors are those of
+        request-by-request :meth:`serve` calls.
         """
-        matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
         decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
+        if decoded is None or getattr(self.matching, "edge_keys", None) is None:
             super().serve_batch(requests)
             return
+        log = self._serve_segment(*decoded[2:])
+        if log.error is not None:
+            raise log.error
+
+    def _serve_segment(self, keys: np.ndarray, lengths: np.ndarray) -> SegmentLog:
+        """Serve one decoded segment and return its log.
+
+        Between reconfiguration points (every ``period`` requests, regardless
+        of traffic) the installed matching is static, so a period chunk's
+        hits are one search of its sorted edge keys.  Savings for the
+        predictor are vectorised (``max(ℓ - 1, 0)``), then fed through
+        :meth:`SlidingWindowPredictor.observe_batch`, which preserves the
+        sequential window/weight semantics bit for bit.  An install logs its
+        sorted removals, then its sorted additions, at the request that
+        triggered it.
+
+        If an install raises (only the degree-bound check can, which a valid
+        :func:`~repro.matching.greedy_b_matching` never trips), the state is
+        that of per-request serving: the requests before the trigger are
+        committed, the predictor has seen the trigger, and the matching holds
+        whatever the install changed.  The log covers the committed requests
+        and carries the error, unraised.
+        """
+        matching = self.matching
         n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        savings_arr = np.maximum(lengths_arr - 1.0, 0.0)
-        total = int(keys_arr.size)
-        b = self.config.b
-        start = 0
-        while start < total:
-            # The request on which ``_since_reconfig`` reaches ``period`` is
-            # still routed over the old matching; the reconfiguration follows
-            # it, exactly as in :meth:`serve`.
-            stop = min(total, start + self.period - self._since_reconfig)
-            keys = keys_arr[start:stop]
-            lut = np.zeros(n * n, dtype=bool)
-            lut[list(edge_keys)] = True
-            hits = lut[keys]
-            self.total_routing_cost += float(
-                np.where(hits, 1.0, lengths_arr[start:stop]).sum()
+        alpha = self.config.alpha
+        total = len(keys)
+        savings = np.maximum(lengths - 1.0, 0.0).tolist()
+        initial = current = sorted_edge_keys(matching)
+        hit = np.empty(total, dtype=bool)
+        reconf = np.zeros(total)
+        ev_pos: list[int] = []
+        ev_key: list[int] = []
+        ev_added: list[bool] = []
+        error = None
+        start = stop = 0
+        try:
+            while start < total:
+                # The request on which ``_since_reconfig`` reaches ``period``
+                # is still routed over the old matching; the reconfiguration
+                # follows it, exactly as in :meth:`serve`.
+                stop = min(total, start + self.period - self._since_reconfig)
+                chunk = keys[start:stop]
+                if len(current):
+                    found = current.take(current.searchsorted(chunk), mode="clip")
+                    hit[start:stop] = found == chunk
+                else:
+                    hit[start:stop] = False
+                pairs = [(k // n, k % n) for k in chunk.tolist()]
+                self.predictor.observe_batch(pairs, savings[start:stop])
+                self._since_reconfig += stop - start
+                start = stop
+                if self._since_reconfig >= self.period:
+                    self._since_reconfig = 0
+                    trigger = stop - 1
+                    added, removed = self._install_predicted_matching()
+                    n_changes = len(added) + len(removed)
+                    if n_changes:
+                        self._check_degree(pairs[-1][0])
+                    reconf[trigger] = n_changes * alpha
+                    ev_pos += [trigger] * n_changes
+                    ev_key += removed + added
+                    ev_added += [False] * len(removed) + [True] * len(added)
+                    if n_changes:
+                        current = sorted_edge_keys(matching)
+        except BaseException as exc:
+            error = exc
+            total = stop - 1  # the trigger and the requests after it are not served
+        hit = hit[:total]
+        reconf = reconf[:total]
+        routing = np.where(hit, 1.0, lengths[:total])
+        if total:
+            self.total_routing_cost = float(running_total(self.total_routing_cost, routing)[-1])
+            self.total_reconfiguration_cost = float(
+                running_total(self.total_reconfiguration_cost, reconf)[-1]
             )
-            self.requests_served += stop - start
-            self.matched_requests += int(hits.sum())
-            pairs = [(k // n, k % n) for k in keys.tolist()]
-            self.predictor.observe_batch(pairs, savings_arr[start:stop].tolist())
-            self._since_reconfig += stop - start
-            if self._since_reconfig >= self.period:
-                self._since_reconfig = 0
-                before = matching.additions + matching.removals
-                self._install_predicted_matching()
-                n_changes = matching.additions + matching.removals - before
-                trigger = pairs[-1][0]
-                if n_changes and matching.degree(trigger) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {trigger}"
-                    )
-                self.total_reconfiguration_cost += n_changes * self.config.alpha
-            start = stop
+        self.requests_served += total
+        self.matched_requests += int(np.count_nonzero(hit))
+        return SegmentLog(
+            initial=initial,
+            hit=hit,
+            routing=routing,
+            reconf=reconf,
+            ev_pos=np.array(ev_pos, dtype=np.int64),
+            ev_key=np.array(ev_key, dtype=np.int64),
+            ev_added=np.array(ev_added, dtype=bool),
+            error=error,
+        )
 
     def _reset_policy_state(self) -> None:
         self.predictor.reset()

@@ -33,7 +33,7 @@ from ..config import MatchingConfig
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm
+from .base import OnlineBMatchingAlgorithm, SegmentLog
 from .uniform import PerNodePagingMatcher, segment_arrays, serve_specials
 
 __all__ = ["RBMA"]
@@ -129,25 +129,34 @@ class RBMA(OnlineBMatchingAlgorithm):
         if decoded is None:
             super().serve_batch(requests)
             return
-        keys, lengths, order = decoded
+        log = self._serve_segment(*decoded)
+        if log.error is not None:
+            raise log.error
+
+    def _serve_segment(
+        self, keys: np.ndarray, lengths: np.ndarray, order: np.ndarray
+    ) -> SegmentLog:
+        """Serve one decoded, non-empty segment of any length and return its log.
+
+        ``keys``, ``lengths`` and ``order`` are as
+        :func:`~repro.core.uniform.segment_arrays` returns them.  If a special
+        raises, the log carries the error, unraised.
+        """
         # k_e = max(1, ceil(alpha / max(l, 1))) per request; np.ceil of the
         # identical float division matches math.ceil exactly.
         thresholds = np.maximum(
             1, np.ceil(self.config.alpha / np.maximum(lengths, 1.0)).astype(np.int64)
         )
         specials, counters = self._find_specials(keys, thresholds, order)
-        served = self.requests_served
-        try:
-            serve_specials(self, self._matcher, keys, lengths, order, specials)
-        except BaseException:
+        log = serve_specials(self, self._matcher, keys, lengths, order, specials)
+        if log.error is not None:
             # serve_specials committed the requests before the failing
             # special; per-request serving has also restarted that special's
             # counter, so the counters advance through it.
-            stop = self.requests_served - served + 1
-            prefix = order[order < stop]
-            self._counters.update(self._find_specials(keys, thresholds, prefix)[1])
-            raise
+            prefix = order[order <= len(log.hit)]
+            counters = self._find_specials(keys, thresholds, prefix)[1]
         self._counters.update(counters)
+        return log
 
     def _find_specials(
         self, keys: np.ndarray, thresholds: np.ndarray, order: np.ndarray

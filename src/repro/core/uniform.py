@@ -24,7 +24,9 @@ all distances are 1.
 Both algorithms replay a trace segment with :func:`serve_specials`: Python
 runs only at the special requests, which log every matching edge they add or
 remove, and the costs of all requests are then read off that log in one
-vectorised pass.
+vectorised pass.  The log is returned as a
+:class:`~repro.core.base.SegmentLog`, from which
+:class:`~repro.core.hybrid.HybridBMA` computes its own segment.
 """
 
 from __future__ import annotations
@@ -34,14 +36,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import SimulationError
 from ..matching import BMatching
 from ..paging.base import PagingAlgorithm
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..traffic.base import Trace
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm
+from .base import OnlineBMatchingAlgorithm, SegmentLog, running_total, sorted_edge_keys
 from .rng import CounterRNG
 
 __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
@@ -51,6 +52,10 @@ __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
 #: below it, the fixed numpy cost of :func:`serve_specials` outweighs the
 #: per-request Python it saves (measured on the fig4 workload).
 _MIN_EVENT_SEGMENT = 16
+
+#: The event arrays of a segment log without events (shared, never written).
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_FLAGS = np.empty(0, dtype=bool)
 
 
 class PerNodePagingMatcher:
@@ -139,12 +144,11 @@ def segment_arrays(algorithm: OnlineBMatchingAlgorithm, requests):
     """``(keys, lengths, order)`` of a segment :func:`serve_specials` should serve.
 
     ``keys`` are the int-encoded canonical pairs, ``lengths`` their
-    fixed-network distances and ``order`` the stable argsort of ``keys`` (a
-    radix sort when the keys fit in 16 bits).  Returns ``None`` — serve the
-    segment request by request instead — when ``requests`` is not a
-    :class:`~repro.traffic.base.Trace`, is shorter than the measured
-    crossover, addresses racks beyond the topology, or the matching is not
-    the fast kernel (whose int edge keys the replay reads).
+    fixed-network distances and ``order`` their :func:`pair_order`.
+    Returns ``None`` — serve the segment request by request instead — when
+    ``requests`` is not a :class:`~repro.traffic.base.Trace`, is shorter
+    than the measured crossover, addresses racks beyond the topology, or the
+    matching is not the fast kernel (whose int edge keys the replay reads).
     """
     if (
         not isinstance(requests, Trace)
@@ -156,9 +160,13 @@ def segment_arrays(algorithm: OnlineBMatchingAlgorithm, requests):
     if decoded is None:
         return None
     keys, lengths = decoded[2:]
-    n = algorithm.topology.n_racks
-    sortable = keys.astype(np.uint16) if n * n <= 1 << 16 else keys
-    return keys, lengths, sortable.argsort(kind="stable")
+    return keys, lengths, pair_order(keys, algorithm.topology.n_racks)
+
+
+def pair_order(keys: np.ndarray, n_racks: int) -> np.ndarray:
+    """The stable argsort of int pair keys (a radix sort when they fit in 16 bits)."""
+    sortable = keys.astype(np.uint16) if n_racks * n_racks <= 1 << 16 else keys
+    return sortable.argsort(kind="stable")
 
 
 def serve_specials(
@@ -168,7 +176,7 @@ def serve_specials(
     lengths: np.ndarray,
     order: np.ndarray,
     specials: np.ndarray,
-) -> None:
+) -> SegmentLog:
     """Serve a segment in which only the requests at ``specials`` reconfigure.
 
     ``keys``, ``lengths`` and ``order`` are as returned by
@@ -186,35 +194,32 @@ def serve_specials(
       cumulative sum from the carried total, the float order of per-request
       serving.
 
-    If a special raises, the requests before it are committed and the error
-    propagates, so the algorithm's totals are those per-request serving
-    leaves.
+    Returns the segment's :class:`~repro.core.base.SegmentLog`: the edges
+    at segment start, each request's hit, routing and reconfiguration cost,
+    and the edge events.  If a special raises, the requests before it are
+    committed, so the algorithm's totals are those per-request serving
+    leaves, and the log covers those requests and carries the error for the
+    caller to re-raise.
     """
     matching = algorithm.matching
     n = algorithm.topology.n_racks
-    b = algorithm.config.b
     alpha = algorithm.config.alpha
-    edge_keys = matching.edge_keys
-    initial = np.fromiter(edge_keys, np.int64, len(edge_keys))  # edges at segment start
-    initial.sort()
+    initial = sorted_edge_keys(matching)  # edges at segment start
     process = matcher.process
     key_list = keys.tolist()
     ev_pos: list[int] = []
     ev_key: list[int] = []
     ev_added: list[bool] = []
     reconf = algorithm.total_reconfiguration_cost
-    stop = len(key_list)
+    error = None
+    pos = 0
     try:
         for pos in specials.tolist():
-            stop = pos  # the requests served if this special raises
             key = key_list[pos]
             pair = (key // n, key % n)
             added, removed = process(pair)
             if added or removed:
-                if matching.degree(pair[0]) > b:
-                    raise SimulationError(
-                        f"{algorithm.name}: degree bound violated at node {pair[0]}"
-                    )
+                algorithm._check_degree(pair[0])
                 reconf += (len(added) + len(removed)) * alpha
                 for u, v in removed:
                     ev_pos.append(pos)
@@ -225,38 +230,55 @@ def serve_specials(
                     ev_key.append(key)
                     ev_added.append(True)
         stop = len(key_list)
-    finally:
-        if stop < len(order):
-            order = order[order < stop]
-        # Hits are looked up in pair order (sorted queries search fastest)
-        # and scattered back to request order.
-        ranked = keys[order]
-        if len(initial):
-            hit = initial.take(initial.searchsorted(ranked), mode="clip") == ranked
-        else:
-            hit = np.zeros(stop, dtype=bool)
-        if ev_pos:
-            # Sort the log by (pair, position); each request then finds its
-            # pair's last event strictly before it.
-            scale = stop + 1
-            ev_keys = np.array(ev_key, dtype=np.int64)
-            composite = ev_keys * scale + np.array(ev_pos, dtype=np.int64)
-            ev_order = composite.argsort(kind="stable")
-            last = composite[ev_order].searchsorted(ranked * scale + order) - 1
-            found = last >= 0
-            last = ev_order[last]  # last == -1 reads a wrong event, masked below
-            found &= ev_keys[last] == ranked
-            hit = np.where(found, np.array(ev_added)[last], hit)
-        in_order = np.empty(stop, dtype=bool)
-        in_order[order] = hit
-        cost = np.where(in_order, 1.0, lengths[:stop])
-        if stop:
-            # cumsum adds left to right, as per-request serving does.
-            cost[0] += algorithm.total_routing_cost
-            algorithm.total_routing_cost = float(cost.cumsum()[-1])
-        algorithm.total_reconfiguration_cost = reconf
-        algorithm.requests_served += stop
-        algorithm.matched_requests += int(np.count_nonzero(hit))
+    except BaseException as exc:
+        error = exc
+        stop = pos  # the requests before the failing special are served
+        order = order[order < stop]
+    # Hits are looked up in pair order (sorted queries search fastest) and
+    # scattered back to request order.
+    ranked = keys[order]
+    if len(initial):
+        hit = initial.take(initial.searchsorted(ranked), mode="clip") == ranked
+    else:
+        hit = np.zeros(stop, dtype=bool)
+    positions = ev_keys = _NO_KEYS
+    added_mask = _NO_FLAGS
+    reconf_costs = np.zeros(stop)
+    if ev_pos:
+        positions = np.array(ev_pos, dtype=np.int64)
+        ev_keys = np.array(ev_key, dtype=np.int64)
+        added_mask = np.array(ev_added, dtype=bool)
+        reconf_costs = np.bincount(positions, minlength=stop) * alpha
+        # Sort the log by (pair, position); each request then finds its
+        # pair's last event strictly before it.
+        scale = stop + 1
+        composite = ev_keys * scale + positions
+        ev_order = composite.argsort(kind="stable")
+        last = composite[ev_order].searchsorted(ranked * scale + order) - 1
+        found = last >= 0
+        last = ev_order[last]  # last == -1 reads a wrong event, masked below
+        found &= ev_keys[last] == ranked
+        hit = np.where(found, added_mask[last], hit)
+    in_order = np.empty(stop, dtype=bool)
+    in_order[order] = hit
+    routing = np.where(in_order, 1.0, lengths[:stop])
+    if stop:
+        algorithm.total_routing_cost = float(
+            running_total(algorithm.total_routing_cost, routing)[-1]
+        )
+    algorithm.total_reconfiguration_cost = reconf
+    algorithm.requests_served += stop
+    algorithm.matched_requests += int(np.count_nonzero(hit))
+    return SegmentLog(
+        initial=initial,
+        hit=in_order,
+        routing=routing,
+        reconf=reconf_costs,
+        ev_pos=positions,
+        ev_key=ev_keys,
+        ev_added=added_mask,
+        error=error,
+    )
 
 
 class UniformBMatching(OnlineBMatchingAlgorithm):
@@ -310,7 +332,11 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
             super().serve_batch(requests)
             return
         keys, lengths, order = decoded
-        serve_specials(self, self._matcher, keys, lengths, order, np.arange(len(keys)))
+        log = serve_specials(
+            self, self._matcher, keys, lengths, order, np.arange(len(keys))
+        )
+        if log.error is not None:
+            raise log.error
 
     def _reset_policy_state(self) -> None:
         self._matcher = self._make_matcher()

@@ -4,7 +4,10 @@ import pytest
 
 from repro.config import MatchingConfig
 from repro.core import ObliviousRouting, RBMA
+from repro.core.registry import ALGORITHMS
 from repro.errors import SimulationError
+from repro.topology import FatTreeTopology
+from repro.traffic import zipf_pair_trace
 from repro.types import Request
 
 
@@ -83,3 +86,38 @@ class TestCostAccounting:
         assert outcome.total_cost == pytest.approx(
             outcome.routing_cost + outcome.reconfiguration_cost
         )
+
+
+def _replay_state(algo, trace):
+    if algo.requires_full_trace:
+        algo.fit(trace)
+    algo.serve_batch(trace)
+    return (
+        algo.total_routing_cost,
+        algo.total_reconfiguration_cost,
+        algo.requests_served,
+        algo.matched_requests,
+        sorted(algo.matching.edges),
+        sorted(algo.matching.marked_edges),
+        algo.matching.additions,
+        algo.matching.removals,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", sorted({ALGORITHMS.canonical(name) for name in ALGORITHMS.names()})
+)
+def test_reset_then_replay_equals_a_fresh_instance(name):
+    """reset() keeps the seed: replaying after it repeats the first run."""
+    topology = FatTreeTopology(n_racks=16)
+    trace = zipf_pair_trace(n_nodes=16, n_requests=3000, exponent=1.3, seed=4)
+    params = {"solver": "greedy"} if name == "so-bma" else {}
+
+    def build():
+        return ALGORITHMS.build(name, topology, MatchingConfig(b=3, alpha=8.0), 7, **params)
+
+    fresh = _replay_state(build(), trace)
+    algo = build()
+    first = _replay_state(algo, trace)
+    algo.reset()
+    assert _replay_state(algo, trace) == first == fresh

@@ -4,8 +4,10 @@ import pytest
 
 from repro.config import MatchingConfig
 from repro.core import PredictiveBMA
+from repro.core import predictive as predictive_module
 from repro.core.predictive import SlidingWindowPredictor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DegreeConstraintError
+from repro.matching import greedy_b_matching
 from repro.matching.validation import check_b_matching
 from repro.traffic import zipf_pair_trace
 from repro.types import Request
@@ -78,3 +80,38 @@ class TestPredictiveBMA:
         algo.reset()
         assert algo.predictor.predicted_weights() == {}
         assert len(algo.matching) == 0
+
+    def test_failing_install_leaves_per_request_state(self, small_fattree, monkeypatch):
+        """The trigger is not served, but the predictor saw it and the matching
+        keeps what the install changed, as with per-request serving."""
+        trace = zipf_pair_trace(n_nodes=16, n_requests=600, exponent=1.3, seed=3)
+        installs = [0]
+
+        def invalid_on_third_install(weights, n_nodes, b):
+            installs[0] += 1
+            if installs[0] == 3:
+                return {(0, v) for v in range(1, b + 2)}  # degree b + 1 at node 0
+            return greedy_b_matching(weights, n_nodes, b)
+
+        monkeypatch.setattr(predictive_module, "greedy_b_matching",
+                            invalid_on_third_install)
+
+        def state(algo):
+            return (algo.total_routing_cost, algo.total_reconfiguration_cost,
+                    algo.requests_served, algo.matched_requests,
+                    sorted(algo.matching.edges), algo.matching.additions,
+                    algo.matching.removals, algo.predictor.predicted_weights())
+
+        config = MatchingConfig(b=2, alpha=4)
+        sequential = PredictiveBMA(small_fattree, config, period=50)
+        with pytest.raises(DegreeConstraintError) as seq_error:
+            for request in trace.requests():
+                sequential.serve(request)
+        installs[0] = 0
+        batched = PredictiveBMA(small_fattree, config, period=50)
+        with pytest.raises(DegreeConstraintError) as batch_error:
+            for start in range(0, len(trace), 70):
+                batched.serve_batch(trace[start:start + 70])
+        assert str(batch_error.value) == str(seq_error.value)
+        assert sequential.requests_served == 149
+        assert state(batched) == state(sequential)
