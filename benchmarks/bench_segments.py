@@ -4,12 +4,12 @@ Serves the first 17,500 requests of the fig4 trace (the R-BMA specs of
 ``_harness.figure_specs("fig4")``: microsoft workload, 50 racks, b = 3, 6
 and 9) through ``RBMA.serve_batch`` in segments of a fixed size, and prints
 for each segment size the seconds summed over the three b values, each
-the best of ``--repeats`` runs.  Segments shorter than
-``repro.core.uniform._MIN_EVENT_SEGMENT`` are served request by request,
-longer ones through the event-skipping special step, so the table shows
-the crossover between the two.  Before any time is printed, every segment
-size must leave each b's costs and counters bit-identical to the first
-size's.
+the best of ``--repeats`` runs.  Segments shorter than ``RBMA.min_segment``
+(the constant ``repro.core.uniform._MIN_EVENT_SEGMENT``) are served request
+by request, longer ones through the event-skipping special step in
+``RBMA._serve_segment``, so the table shows the crossover between the two.
+Before any time is printed, every segment size must leave each b's costs
+and counters bit-identical to the first size's.
 
 Usage::
 

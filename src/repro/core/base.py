@@ -12,6 +12,13 @@ Cost accounting is centralised here: subclasses only implement the
 reconfiguration policy (:meth:`OnlineBMatchingAlgorithm._reconfigure`), and
 the base class derives reconfiguration cost from the matching's
 addition/removal counters so that no policy can misreport its own cost.
+
+Batched replay has one contract as well.
+:meth:`OnlineBMatchingAlgorithm.serve_batch` alone decides how a segment is
+served: request by request through ``serve``, or, for a fast-kernel
+:class:`~repro.traffic.base.Trace` segment of at least ``min_segment``
+requests, through the subclass's vectorised
+:meth:`OnlineBMatchingAlgorithm._serve_segment`.
 """
 
 from __future__ import annotations
@@ -157,6 +164,10 @@ class OnlineBMatchingAlgorithm(ABC):
     #: uniform/hybrid paging layers).  Only these algorithms build a
     #: :attr:`counter_rng`.
     uses_rng: bool = False
+
+    #: Trace segments shorter than this are served request by request by
+    #: :meth:`serve_batch` instead of :meth:`_serve_segment`.
+    min_segment: int = 0
 
     def __init__(
         self,
@@ -304,17 +315,23 @@ class OnlineBMatchingAlgorithm(ABC):
             raise SimulationError(f"{self.name}: degree bound violated at node {node}")
 
     def _batch_arrays(self, requests):
-        """Decode a Trace batch into ``(lo, hi, keys, lengths)`` arrays.
+        """Decode a segment into ``(lo, hi, keys, lengths)`` arrays, or ``None``.
 
         ``lo``/``hi`` are the canonicalised endpoints, ``keys`` the
         int-encoded pairs ``lo * n_racks + hi``, ``lengths`` the fixed-network
-        distances — the shared preamble of every hand-tuned ``serve_batch``.
-        Returns ``None`` when ``requests`` is not a :class:`Trace` or
-        addresses racks beyond this topology; callers then fall back to the
-        per-request loop, which reproduces the exact error semantics of
-        :meth:`serve`.
+        distances.  Returns ``None`` — serve the segment request by request —
+        when ``requests`` is not a :class:`Trace`, is shorter than
+        :attr:`min_segment`, addresses racks beyond this topology, or the
+        matching is not the fast kernel (whose int edge keys the batched
+        replays read).  The per-request loop reproduces the exact error
+        semantics of :meth:`serve`.
         """
-        if not isinstance(requests, Trace) or requests.n_nodes > self.topology.n_racks:
+        if (
+            not isinstance(requests, Trace)
+            or len(requests) < self.min_segment
+            or requests.n_nodes > self.topology.n_racks
+            or getattr(self.matching, "edge_keys", None) is None
+        ):
             return None
         src = requests.sources.astype(np.int64, copy=False)
         dst = requests.destinations.astype(np.int64, copy=False)
@@ -323,20 +340,43 @@ class OnlineBMatchingAlgorithm(ABC):
         keys = lo * self.topology.n_racks + hi
         return lo, hi, keys, self._distances[lo, hi]
 
+    def _hits(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each int pair key is an edge of the (fast-kernel) matching."""
+        edges = sorted_edge_keys(self.matching)
+        if not len(edges):
+            return np.zeros(len(keys), dtype=bool)
+        return edges.take(edges.searchsorted(keys), mode="clip") == keys
+
+    def _serve_static(self, keys: np.ndarray, lengths: np.ndarray) -> None:
+        """Serve requests during which the matching does not change, vectorised.
+
+        Hop counts are integral floats and sizes are 1, so the numpy sum is
+        bit-identical to the sequential accumulation of :meth:`serve`.
+        """
+        hits = self._hits(keys)
+        self.total_routing_cost += float(np.where(hits, 1.0, lengths).sum())
+        self.requests_served += len(keys)
+        self.matched_requests += int(np.count_nonzero(hits))
+
     def serve_batch(self, requests) -> None:
         """Serve a contiguous batch of requests (no per-request outcomes).
 
         ``requests`` is any iterable of :class:`~repro.types.Request`,
-        including a :class:`~repro.traffic.base.Trace` slice.  The default
-        implementation simply loops over :meth:`serve`; the engine routes
-        every non-reference replay through this method, and every registered
-        algorithm overrides it with a loop that reads the trace arrays
-        directly, skipping Request/ServeOutcome allocation while keeping the
-        per-request semantics (cost accounting order, randomness, and raised
-        errors) exactly identical.
+        including a :class:`~repro.traffic.base.Trace` slice.  This is the
+        one place that picks the replay path: a segment :meth:`_batch_arrays`
+        decodes (a fast-kernel Trace in range, of at least :attr:`min_segment`
+        requests) goes to the algorithm's :meth:`_serve_segment`; anything
+        else is a loop over :meth:`serve`.  Both paths give the same costs,
+        randomness and raised errors.
         """
-        for request in requests:
-            self.serve(request)
+        decoded = self._batch_arrays(requests)
+        if decoded is None:
+            for request in requests:
+                self.serve(request)
+            return
+        log = self._serve_segment(*decoded)
+        if log is not None and log.error is not None:
+            raise log.error
 
     def serve_all(self, requests: Sequence[Request]) -> float:
         """Serve a whole trace and return the total cost incurred for it."""
@@ -363,6 +403,20 @@ class OnlineBMatchingAlgorithm(ABC):
         Returns the tuple ``(edges_added, edges_removed)``.  Implementations
         mutate :attr:`matching` directly; reconfiguration cost is derived by
         the caller from the matching's counters.
+        """
+
+    @abstractmethod
+    def _serve_segment(
+        self, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, lengths: np.ndarray
+    ) -> Optional[SegmentLog]:
+        """Serve one decoded segment with the results of per-request serving.
+
+        The arrays are those :meth:`_batch_arrays` returns; only
+        :meth:`serve_batch` calls this.  Costs, randomness, state and raised
+        errors must be those of :meth:`serve` called once per request.  On
+        an error, an implementation commits the requests before the failing
+        one and either raises or returns a :class:`SegmentLog` carrying the
+        error, which :meth:`serve_batch` raises.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

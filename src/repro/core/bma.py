@@ -38,7 +38,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import SimulationError
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
@@ -127,7 +126,7 @@ class BMA(OnlineBMatchingAlgorithm):
         added.append(pair)
         return tuple(added), tuple(removed)
 
-    def serve_batch(self, requests) -> None:
+    def _serve_segment(self, lo, hi, keys, lengths) -> None:
         """Batched replay: the same demand-graph bookkeeping, inlined.
 
         Operates on the *same* demand graph as :meth:`serve`, so eviction
@@ -136,27 +135,18 @@ class BMA(OnlineBMatchingAlgorithm):
         skipped.
         """
         matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
-        decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
-            super().serve_batch(requests)
-            return
-        lo, hi, keys_arr, lengths_arr = decoded
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-        los = lo.tolist()
-        his = hi.tolist()
-
+        edge_keys = matching.edge_keys
         adj = self._demand
         saturate = self._saturate
         alpha = self.config.alpha
-        b = self.config.b
         routing = self.total_routing_cost
         reconf = self.total_reconfiguration_cost
         served = self.requests_served
         matched = self.matched_requests
         try:
-            for key, u, v, length in zip(keys, los, his, lengths):
+            for key, u, v, length in zip(
+                keys.tolist(), lo.tolist(), hi.tolist(), lengths.tolist()
+            ):
                 if key in edge_keys:
                     adj[u][v]["usefulness"] += 1
                     routing += 1.0
@@ -178,10 +168,8 @@ class BMA(OnlineBMatchingAlgorithm):
                 before = matching.additions + matching.removals
                 saturate((u, v), data)
                 n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(u) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {u}"
-                    )
+                if n_changes:
+                    self._check_degree(u)
                 routing += length
                 reconf += n_changes * alpha
                 served += 1

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import SimulationError
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
@@ -66,30 +65,21 @@ class GreedyBMA(OnlineBMatchingAlgorithm):
         self._counters.pop(pair, None)
         return (pair,), ()
 
-    def serve_batch(self, requests) -> None:
+    def _serve_segment(self, lo, hi, keys, lengths) -> None:
         """Batched replay: counter bookkeeping on int-encoded pairs."""
         matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
-        decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
-            super().serve_batch(requests)
-            return
-        lo, hi, keys_arr, lengths_arr = decoded
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-        los = lo.tolist()
-        his = hi.tolist()
-
+        edge_keys = matching.edge_keys
         counters = self._counters
         threshold = self.threshold
         alpha = self.config.alpha
-        b = self.config.b
         routing = self.total_routing_cost
         reconf = self.total_reconfiguration_cost
         served = self.requests_served
         matched = self.matched_requests
         try:
-            for key, u, v, length in zip(keys, los, his, lengths):
+            for key, u, v, length in zip(
+                keys.tolist(), lo.tolist(), hi.tolist(), lengths.tolist()
+            ):
                 if key in edge_keys:
                     routing += 1.0
                     served += 1
@@ -101,10 +91,7 @@ class GreedyBMA(OnlineBMatchingAlgorithm):
                 if total >= threshold and matching.has_capacity(u, v):
                     matching.add(u, v)
                     counters.pop(pair, None)
-                    if matching.degree(u) > b:
-                        raise SimulationError(
-                            f"{self.name}: degree bound violated at node {u}"
-                        )
+                    self._check_degree(u)
                     routing += length
                     reconf += alpha
                 else:

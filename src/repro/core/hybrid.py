@@ -38,7 +38,6 @@ from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm, running_total, sorted_edge_keys
 from .predictive import PredictiveBMA
 from .rbma import RBMA
-from .uniform import pair_order
 
 __all__ = ["HybridBMA"]
 
@@ -130,32 +129,22 @@ class HybridBMA(OnlineBMatchingAlgorithm):
             self._switches += 1
 
         # Synchronise the real matching with the followed expert's matching.
-        # On the fast kernel, diff the int-encoded edge sets directly (sorted
-        # int keys order exactly like sorted canonical pairs); otherwise fall
-        # back to tuple snapshots.
-        target_matching = self._following.matching
-        target_keys = getattr(target_matching, "edge_keys", None)
-        current_keys = getattr(self.matching, "edge_keys", None)
-        if target_keys is not None and current_keys is not None:
-            n = self.matching.n_nodes
-            removed = tuple((k // n, k % n) for k in sorted(current_keys - target_keys))
-            added = tuple((k // n, k % n) for k in sorted(target_keys - current_keys))
-        else:
-            target = set(target_matching.edges)
-            current = set(self.matching.edges)
-            removed = tuple(sorted(current - target))
-            added = tuple(sorted(target - current))
+        target = set(self._following.matching.edges)
+        current = set(self.matching.edges)
+        removed = tuple(sorted(current - target))
+        added = tuple(sorted(target - current))
         for edge in removed:
             self.matching.remove(*edge)
         for edge in added:
             self.matching.add(*edge)
         return added, removed
 
-    def serve_batch(self, requests) -> None:
+    def _serve_segment(self, lo, hi, keys, lengths) -> None:
         """Batched replay: each expert serves the segment on its own batch path.
 
         The experts never read the combiner's state, so R-BMA and then
-        PredictiveBMA replay the whole segment first, each returning a
+        PredictiveBMA replay the whole segment first through their
+        ``_serve_segment``, each returning a
         :class:`~repro.core.base.SegmentLog`.  The combiner's segment is then
         read off the two logs:
 
@@ -172,9 +161,7 @@ class HybridBMA(OnlineBMatchingAlgorithm):
           followed when it arrived.
 
         Costs, switches, matching state and randomness are those of
-        request-by-request :meth:`serve` calls.  Input other than a
-        :class:`~repro.traffic.base.Trace`, and the reference kernel, are
-        served that way.
+        request-by-request :meth:`serve` calls.
 
         Errors: if the robust expert raises at request ``i``, the predictive
         expert and the combiner serve requests ``0 .. i-1`` and the error
@@ -183,20 +170,17 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         the combiner serves ``0 .. i-1`` and the error propagates, but the
         robust expert has already served the whole segment.
         """
-        decoded = self._batch_arrays(requests)
-        if decoded is None or getattr(self.matching, "edge_keys", None) is None:
-            super().serve_batch(requests)
-            return
-        lo, _hi, keys, lengths = decoded
         if not len(keys):
             return
         robust, predictive = self._robust, self._predictive
         other = {robust: predictive, predictive: robust}
         carried = {e: (e.total_routing_cost, e.total_reconfiguration_cost) for e in other}
         n = self.topology.n_racks
-        robust_log = robust._serve_segment(keys, lengths, pair_order(keys, n))
+        robust_log = robust._serve_segment(lo, hi, keys, lengths)
         served = len(robust_log.hit)
-        predictive_log = predictive._serve_segment(keys[:served], lengths[:served])
+        predictive_log = predictive._serve_segment(
+            lo[:served], hi[:served], keys[:served], lengths[:served]
+        )
         served = len(predictive_log.hit)
         logs = {robust: robust_log, predictive: predictive_log}
         totals = {

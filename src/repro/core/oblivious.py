@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
 
@@ -31,17 +29,6 @@ class ObliviousRouting(OnlineBMatchingAlgorithm):
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         return (), ()
 
-    def serve_batch(self, requests) -> None:
-        """Batched replay: one vectorised distance gather per segment.
-
-        With an empty matching every request costs exactly its hop count, and
-        hop counts are integers, so the numpy sum is bit-identical to the
-        sequential accumulation of :meth:`serve`.
-        """
-        decoded = self._batch_arrays(requests)
-        if decoded is None or len(self.matching):
-            super().serve_batch(requests)
-            return
-        lengths = decoded[3]
-        self.total_routing_cost += float(lengths.sum())
-        self.requests_served += len(requests)
+    def _serve_segment(self, lo, hi, keys, lengths) -> None:
+        """Batched replay: the matching never changes."""
+        self._serve_static(keys, lengths)

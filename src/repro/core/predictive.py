@@ -155,21 +155,7 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
             self.matching.add(key // n, key % n)
         return added, removed
 
-    def serve_batch(self, requests) -> None:
-        """Batched replay of one segment through :meth:`_serve_segment`.
-
-        Costs, predictor state and raised errors are those of
-        request-by-request :meth:`serve` calls.
-        """
-        decoded = self._batch_arrays(requests)
-        if decoded is None or getattr(self.matching, "edge_keys", None) is None:
-            super().serve_batch(requests)
-            return
-        log = self._serve_segment(*decoded[2:])
-        if log.error is not None:
-            raise log.error
-
-    def _serve_segment(self, keys: np.ndarray, lengths: np.ndarray) -> SegmentLog:
+    def _serve_segment(self, lo, hi, keys, lengths) -> SegmentLog:
         """Serve one decoded segment and return its log.
 
         Between reconfiguration points (every ``period`` requests, regardless
@@ -188,12 +174,10 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
         whatever the install changed.  The log covers the committed requests
         and carries the error, unraised.
         """
-        matching = self.matching
-        n = self.topology.n_racks
         alpha = self.config.alpha
         total = len(keys)
         savings = np.maximum(lengths - 1.0, 0.0).tolist()
-        initial = current = sorted_edge_keys(matching)
+        initial = sorted_edge_keys(self.matching)
         hit = np.empty(total, dtype=bool)
         reconf = np.zeros(total)
         ev_pos: list[int] = []
@@ -207,13 +191,8 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
                 # is still routed over the old matching; the reconfiguration
                 # follows it, exactly as in :meth:`serve`.
                 stop = min(total, start + self.period - self._since_reconfig)
-                chunk = keys[start:stop]
-                if len(current):
-                    found = current.take(current.searchsorted(chunk), mode="clip")
-                    hit[start:stop] = found == chunk
-                else:
-                    hit[start:stop] = False
-                pairs = [(k // n, k % n) for k in chunk.tolist()]
+                hit[start:stop] = self._hits(keys[start:stop])
+                pairs = list(zip(lo[start:stop].tolist(), hi[start:stop].tolist()))
                 self.predictor.observe_batch(pairs, savings[start:stop])
                 self._since_reconfig += stop - start
                 start = stop
@@ -228,8 +207,6 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
                     ev_pos += [trigger] * n_changes
                     ev_key += removed + added
                     ev_added += [False] * len(removed) + [True] * len(added)
-                    if n_changes:
-                        current = sorted_edge_keys(matching)
         except BaseException as exc:
             error = exc
             total = stop - 1  # the trigger and the requests after it are not served

@@ -18,7 +18,7 @@ With the randomized marking / Young paging algorithm this yields the
 exponential improvement over the best deterministic algorithm (Θ(b)).
 
 Which requests are special depends only on per-pair counts and ``k_e``, not
-on the matching or the randomness, so :meth:`RBMA.serve_batch` finds a
+on the matching or the randomness, so :meth:`RBMA._serve_segment` finds a
 segment's specials in one numpy pass and runs Python only at those.
 """
 
@@ -34,7 +34,7 @@ from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm, SegmentLog
-from .uniform import PerNodePagingMatcher, segment_arrays, serve_specials
+from .uniform import _MIN_EVENT_SEGMENT, PerNodePagingMatcher, pair_order, serve_specials
 
 __all__ = ["RBMA"]
 
@@ -57,6 +57,7 @@ class RBMA(OnlineBMatchingAlgorithm):
 
     name = "rbma"
     uses_rng = True
+    min_segment = _MIN_EVENT_SEGMENT
 
     def __init__(
         self,
@@ -90,8 +91,9 @@ class RBMA(OnlineBMatchingAlgorithm):
         return k
 
     def pending_count(self, pair: NodePair) -> int:
-        """Requests to ``pair`` seen since its last special request."""
-        key = pair[0] * self.topology.n_racks + pair[1]
+        """Requests to ``pair`` (either orientation) seen since its last special request."""
+        u, v = self.topology.validate_pair(*pair)
+        key = u * self.topology.n_racks + v
         return self._counters.get(key, 0)
 
     # ------------------------------------------------------------------ #
@@ -114,7 +116,7 @@ class RBMA(OnlineBMatchingAlgorithm):
         self._counters[key] = 0
         return self._matcher.process(pair)
 
-    def serve_batch(self, requests) -> None:
+    def _serve_segment(self, lo, hi, keys, lengths) -> SegmentLog:
         """Event-skipping replay: Python runs only at special requests.
 
         (a) One numpy pass finds the segment's special requests from the
@@ -122,26 +124,11 @@ class RBMA(OnlineBMatchingAlgorithm):
         :func:`~repro.core.uniform.serve_specials` forwards only those to the
         paging machinery and totals every request's cost from the edge
         events they log.  Costs, randomness consumption, counters and raised
-        errors are exactly those of request-by-request :meth:`serve` calls,
-        which also serve segments too short to repay the numpy passes.
+        errors are exactly those of request-by-request :meth:`serve` calls.
+        The segment must be non-empty; if a special raises, the log carries
+        the error, unraised.
         """
-        decoded = segment_arrays(self, requests)
-        if decoded is None:
-            super().serve_batch(requests)
-            return
-        log = self._serve_segment(*decoded)
-        if log.error is not None:
-            raise log.error
-
-    def _serve_segment(
-        self, keys: np.ndarray, lengths: np.ndarray, order: np.ndarray
-    ) -> SegmentLog:
-        """Serve one decoded, non-empty segment of any length and return its log.
-
-        ``keys``, ``lengths`` and ``order`` are as
-        :func:`~repro.core.uniform.segment_arrays` returns them.  If a special
-        raises, the log carries the error, unraised.
-        """
+        order = pair_order(keys, self.topology.n_racks)
         # k_e = max(1, ceil(alpha / max(l, 1))) per request; np.ceil of the
         # identical float division matches math.ceil exactly.
         thresholds = np.maximum(

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..config import MatchingConfig
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..topology import Topology
 from ..types import NodePair, Request, canonical_pair
 from .base import OnlineBMatchingAlgorithm
@@ -156,27 +156,17 @@ class RotorBMA(OnlineBMatchingAlgorithm):
         self._cursor = (self._cursor + 1) % self.n_slots
         return tuple(added), tuple(removed)
 
-    def serve_batch(self, requests) -> None:
-        """Batched replay: vectorised gathers between schedule rotations.
+    def _serve_segment(self, lo, hi, keys, lengths) -> None:
+        """Batched replay: vectorised lookups between schedule rotations.
 
         The matching only changes at rotation points, which fall every
         ``period`` requests regardless of the traffic, so the segment splits
-        into chunks of known size served against a static matching: one
-        boolean lookup-table gather resolves membership for a whole chunk,
-        and the costs (integer hop counts, unit sizes) sum exactly as the
-        sequential accumulation would.
+        into chunks of known size, each served against a static matching by
+        :meth:`_serve_static`.
         """
         matching = self.matching
-        edge_keys = getattr(matching, "edge_keys", None)
-        decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
-            super().serve_batch(requests)
-            return
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        total = int(keys_arr.size)
+        total = len(keys)
         rotates = self.n_slots > self.config.b
-        b = self.config.b
         start = 0
         while start < total:
             if rotates:
@@ -186,26 +176,15 @@ class RotorBMA(OnlineBMatchingAlgorithm):
                 stop = min(total, start + self.period - self._since_rotation)
             else:
                 stop = total
-            keys = keys_arr[start:stop]
-            lut = np.zeros(n * n, dtype=bool)
-            lut[list(edge_keys)] = True
-            hits = lut[keys]
-            self.total_routing_cost += float(
-                np.where(hits, 1.0, lengths_arr[start:stop]).sum()
-            )
-            self.requests_served += stop - start
-            self.matched_requests += int(hits.sum())
+            self._serve_static(keys[start:stop], lengths[start:stop])
             self._since_rotation += stop - start
             if rotates and self._since_rotation >= self.period:
                 self._since_rotation = 0
                 before = matching.additions + matching.removals
                 self._advance_schedule()
                 n_changes = matching.additions + matching.removals - before
-                trigger = int(keys_arr[stop - 1]) // n
-                if n_changes and matching.degree(trigger) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {trigger}"
-                    )
+                if n_changes:
+                    self._check_degree(int(lo[stop - 1]))
                 self.total_reconfiguration_cost += n_changes * self.config.alpha
             start = stop
 

@@ -145,26 +145,9 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
             if s > 0
         }
 
-    def serve_batch(self, requests) -> None:
-        """Batched replay over the static matching: fully vectorised.
-
-        The matching never changes after :meth:`fit`, so membership for the
-        whole segment is a single lookup-table gather; costs are integers,
-        keeping the numpy sums bit-identical to sequential serving.
-        """
-        decoded = self._batch_arrays(requests)
-        if decoded is None or self.matching.marked_edges:
-            super().serve_batch(requests)
-            return
-        n = self.topology.n_racks
-        lo, hi, keys, lengths = decoded
-        matched_lut = np.zeros(n * n, dtype=bool)
-        for a, c in self.matching.edges:
-            matched_lut[a * n + c] = True
-        hits = matched_lut[keys]
-        self.total_routing_cost += float(np.where(hits, 1.0, lengths).sum())
-        self.requests_served += len(requests)
-        self.matched_requests += int(hits.sum())
+    def _serve_segment(self, lo, hi, keys, lengths) -> None:
+        """Batched replay: the matching never changes after :meth:`fit`."""
+        self._serve_static(keys, lengths)
 
     @property
     def fitted(self) -> bool:

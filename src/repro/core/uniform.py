@@ -40,17 +40,17 @@ from ..matching import BMatching
 from ..paging.base import PagingAlgorithm
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
-from ..traffic.base import Trace
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm, SegmentLog, running_total, sorted_edge_keys
 from .rng import CounterRNG
 
 __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
 
-#: Segments shorter than this are served request by request through the
-#: base class's :meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve`:
-#: below it, the fixed numpy cost of :func:`serve_specials` outweighs the
-#: per-request Python it saves (measured on the fig4 workload).
+#: The ``min_segment`` of R-BMA and :class:`UniformBMatching`: shorter
+#: segments are served request by request through
+#: :meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve`, because below it
+#: the fixed numpy cost of :func:`serve_specials` outweighs the per-request
+#: Python it saves (measured on the fig4 workload).
 _MIN_EVENT_SEGMENT = 16
 
 #: The event arrays of a segment log without events (shared, never written).
@@ -140,29 +140,6 @@ class PerNodePagingMatcher:
         self._pagers.clear()
 
 
-def segment_arrays(algorithm: OnlineBMatchingAlgorithm, requests):
-    """``(keys, lengths, order)`` of a segment :func:`serve_specials` should serve.
-
-    ``keys`` are the int-encoded canonical pairs, ``lengths`` their
-    fixed-network distances and ``order`` their :func:`pair_order`.
-    Returns ``None`` — serve the segment request by request instead — when
-    ``requests`` is not a :class:`~repro.traffic.base.Trace`, is shorter
-    than the measured crossover, addresses racks beyond the topology, or the
-    matching is not the fast kernel (whose int edge keys the replay reads).
-    """
-    if (
-        not isinstance(requests, Trace)
-        or len(requests) < _MIN_EVENT_SEGMENT
-        or getattr(algorithm.matching, "edge_keys", None) is None
-    ):
-        return None
-    decoded = algorithm._batch_arrays(requests)
-    if decoded is None:
-        return None
-    keys, lengths = decoded[2:]
-    return keys, lengths, pair_order(keys, algorithm.topology.n_racks)
-
-
 def pair_order(keys: np.ndarray, n_racks: int) -> np.ndarray:
     """The stable argsort of int pair keys (a radix sort when they fit in 16 bits)."""
     sortable = keys.astype(np.uint16) if n_racks * n_racks <= 1 << 16 else keys
@@ -179,10 +156,11 @@ def serve_specials(
 ) -> SegmentLog:
     """Serve a segment in which only the requests at ``specials`` reconfigure.
 
-    ``keys``, ``lengths`` and ``order`` are as returned by
-    :func:`segment_arrays`; ``specials`` are the ascending positions of the
-    requests forwarded to paging.  The segment is served in two passes, with
-    the costs, randomness and errors of per-request serving:
+    ``keys`` are the segment's int-encoded canonical pairs, ``lengths`` their
+    fixed-network distances and ``order`` their :func:`pair_order`;
+    ``specials`` are the ascending positions of the requests forwarded to
+    paging.  The segment is served in two passes, with the costs, randomness
+    and errors of per-request serving:
 
     * ``matcher.process`` runs for each special, in order, and every edge it
       adds or removes is logged with the special's position.  An event takes
@@ -292,6 +270,7 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
 
     name = "uniform"
     uses_rng = True
+    min_segment = _MIN_EVENT_SEGMENT
 
     def __init__(
         self,
@@ -318,25 +297,17 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         return self._matcher.process(pair)
 
-    def serve_batch(self, requests) -> None:
+    def _serve_segment(self, lo, hi, keys, lengths) -> SegmentLog:
         """Batched replay through :func:`serve_specials`, every request special.
 
         Without a Theorem 1 filter each request reaches the per-node pagers,
         so the saving over :meth:`serve` is skipping the Request/ServeOutcome
         wrappers and reading hits and routing costs in one vectorised pass.
-        Costs, randomness and raised errors match request-by-request serving
-        exactly; short segments are served that way.
         """
-        decoded = segment_arrays(self, requests)
-        if decoded is None:
-            super().serve_batch(requests)
-            return
-        keys, lengths, order = decoded
-        log = serve_specials(
+        order = pair_order(keys, self.topology.n_racks)
+        return serve_specials(
             self, self._matcher, keys, lengths, order, np.arange(len(keys))
         )
-        if log.error is not None:
-            raise log.error
 
     def _reset_policy_state(self) -> None:
         self._matcher = self._make_matcher()

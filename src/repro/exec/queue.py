@@ -48,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError, SimulationError, WorkerExecutionError
 from ..faults import fault_point
@@ -117,6 +117,19 @@ class QueueCounters:
 
     def any_nonzero(self) -> bool:
         return any(self.to_dict().values())
+
+
+def _lease_expired_error(attempt: int, task_payload: Optional[Dict[str, Any]]) -> str:
+    """The terminal error of a task whose last lease expired without a result."""
+    specs_json = (
+        json.dumps(task_payload.get("specs"), sort_keys=True, default=repr)
+        if task_payload
+        else "<unreadable>"
+    )
+    return (
+        f"worker lease expired after {attempt} attempt(s) "
+        f"without a result; failing spec: {specs_json}"
+    )
 
 
 class WorkQueue:
@@ -316,47 +329,72 @@ class WorkQueue:
     def fail(self, name: str, message: str, error_type: str) -> bool:
         """Record a failed attempt: requeue with the counter bumped, or —
         once ``max_attempts`` is exhausted — publish the terminal failure.
-        Returns ``True`` when the task was requeued for another attempt."""
+        Returns ``True`` when this call requeued the task for another
+        attempt (not when a reaper had already moved the claim)."""
+        outcome = self._requeue_or_retire(name, error_type, lambda *_: message)
+        return outcome is True
+
+    def _requeue_or_retire(
+        self,
+        name: str,
+        error_type: str,
+        describe: Callable[[int, Optional[Dict[str, Any]]], str],
+    ) -> Optional[bool]:
+        """Move a failed claim on: back to ``tasks/`` as attempt ``N+1``, or —
+        once ``max_attempts`` is exhausted — to a ``failed/`` record whose
+        error is ``describe(attempt, task payload)``.
+
+        Returns ``True`` when this call requeued the task, ``False`` when it
+        recorded the terminal failure, and ``None`` when another participant
+        moved or retired the claim first (this call lost the race and counts
+        nothing).  A retire counts only when its own unlink of the claim
+        wins; a claim already gone before its payload is read leaves the
+        winner's ``failed/`` record as it is.
+        """
         task_id, attempt = self.parse_name(name)
         claim_path = self.claimed_dir / name
-        if attempt < self.max_attempts:
-            try:
-                os.replace(
-                    claim_path, self.tasks_dir / self.task_file_name(task_id, attempt + 1)
-                )
-            except FileNotFoundError:
-                logger.debug(
-                    "requeue of %s lost a race (already moved by a reaper)", name
-                )
-            self._lease_path(name).unlink(missing_ok=True)
-            self.counters.requeued += 1
-            return True
-        task_payload = self._read_claim_payload(claim_path, name)
-        atomic_write_json(
-            self.failed_dir / f"{task_id}.json",
-            {
-                "id": task_id,
-                "attempts": attempt,
-                "error": message,
-                "error_type": error_type,
-                "task": task_payload,
-            },
-            site="queue.result_write",
-        )
-        self._clear_claim(name)
-        self.counters.terminal_failures += 1
-        return False
-
-    def _read_claim_payload(
-        self, claim_path: Path, name: str
-    ) -> Optional[Dict[str, Any]]:
-        """Best-effort read of a claimed task's payload for failure records."""
         try:
-            return read_json(claim_path, site="queue.task_read")
-        except (OSError, json.JSONDecodeError) as exc:
-            self.counters.unreadable_tasks += 1
-            logger.debug("claim payload for %s unreadable: %s", name, exc)
-            return None
+            if attempt < self.max_attempts:
+                try:
+                    os.replace(
+                        claim_path, self.tasks_dir / self.task_file_name(task_id, attempt + 1)
+                    )
+                except FileNotFoundError:
+                    return self._lost_race(name)
+                self.counters.requeued += 1
+                return True
+            try:
+                task_payload = read_json(claim_path, site="queue.task_read")
+            except FileNotFoundError:
+                return self._lost_race(name)
+            except (OSError, json.JSONDecodeError) as exc:
+                self.counters.unreadable_tasks += 1
+                logger.debug("claim payload for %s unreadable: %s", name, exc)
+                task_payload = None
+            atomic_write_json(
+                self.failed_dir / f"{task_id}.json",
+                {
+                    "id": task_id,
+                    "attempts": attempt,
+                    "error": describe(attempt, task_payload),
+                    "error_type": error_type,
+                    "task": task_payload,
+                },
+                site="queue.result_write",
+            )
+            try:
+                claim_path.unlink()
+            except FileNotFoundError:
+                return self._lost_race(name)
+            self.counters.terminal_failures += 1
+            return False
+        finally:
+            self._lease_path(name).unlink(missing_ok=True)
+
+    @staticmethod
+    def _lost_race(name: str) -> None:
+        logger.debug("%s was already moved by another participant", name)
+        return None
 
     def _clear_claim(self, name: str) -> None:
         (self.claimed_dir / name).unlink(missing_ok=True)
@@ -419,48 +457,16 @@ class WorkQueue:
                 )
             if not expired:
                 continue
-            task_id, attempt = self.parse_name(name)
+            task_id = self.parse_name(name)[0]
             if (self.results_dir / f"{task_id}.json").exists():
                 self._clear_claim(name)
                 self.counters.late_results += 1
                 logger.debug("late result for %s: claim cleaned up", name)
                 touched += 1
                 continue
-            if attempt < self.max_attempts:
-                self._lease_path(name).unlink(missing_ok=True)
-                try:
-                    os.replace(
-                        claim_path,
-                        self.tasks_dir / self.task_file_name(task_id, attempt + 1),
-                    )
-                except FileNotFoundError:
-                    logger.debug("requeue of %s lost a race with another reaper", name)
-                    continue
-                self.counters.requeued += 1
-                touched += 1
-            else:
-                task_payload = self._read_claim_payload(claim_path, name)
-                specs_json = (
-                    json.dumps(task_payload.get("specs"), sort_keys=True, default=repr)
-                    if task_payload
-                    else "<unreadable>"
-                )
-                atomic_write_json(
-                    self.failed_dir / f"{task_id}.json",
-                    {
-                        "id": task_id,
-                        "attempts": attempt,
-                        "error": (
-                            f"worker lease expired after {attempt} attempt(s) "
-                            f"without a result; failing spec: {specs_json}"
-                        ),
-                        "error_type": "WorkerExecutionError",
-                        "task": task_payload,
-                    },
-                    site="queue.result_write",
-                )
-                self._clear_claim(name)
-                self.counters.terminal_failures += 1
+            if self._requeue_or_retire(
+                name, "WorkerExecutionError", _lease_expired_error
+            ) is not None:
                 touched += 1
         return touched
 

@@ -15,17 +15,17 @@ implementations, selected by name through :data:`MATCHING_BACKENDS` /
 
 ``"reference"`` — :class:`~repro.matching.bmatching.BMatching`
     The original, readable kernel: plain sets of canonical pair tuples.  It is
-    the semantic ground truth; when run through the simulation engine it also
-    selects the base class's per-request ``serve_batch`` (a loop over
-    ``serve``), so a reference run exercises the exact pre-optimization code
-    path.
+    the semantic ground truth.  It has no int edge keys, so
+    ``OnlineBMatchingAlgorithm.serve_batch`` serves every segment on it
+    request by request through ``serve``: a reference run exercises the exact
+    pre-optimization code path.
 
 ``"fast"`` (default) — :class:`~repro.matching.fast_bmatching.FastBMatching`
     The array-backed kernel: int-encoded edges (``u * n + v``), numpy degree
     arrays, and a per-node marked-edge index so lazy-removal pruning never
-    re-sorts.  It additionally exposes ``edge_keys``/``encode`` so the batched
-    ``serve_batch`` loops in :mod:`repro.core` can test membership on machine
-    ints.
+    re-sorts.  It additionally exposes ``edge_keys``/``encode`` so the
+    batched replays in :mod:`repro.core` (each algorithm's
+    ``_serve_segment``) can test membership on machine ints.
 
 Both backends are guarded by a differential harness
 (``tests/test_differential_matching.py``) that replays randomized operation

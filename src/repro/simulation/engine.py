@@ -10,13 +10,13 @@ trace segments, cuts each at checkpoints and observer batch intervals, and
 hands every piece to the algorithm's ``serve_batch`` in one call, so
 checkpoint checks, observer dispatch and Request/ServeOutcome allocation are
 paid per piece instead of per request.  A materialized trace is simply a
-one-segment stream.  ``SimulationConfig.matching_backend == "reference"``
-picks the base class's per-request
-:meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve_batch` (a plain loop
-over ``serve``), the semantic ground truth every hand-tuned ``serve_batch``
-must match bit for bit.  Each result records the requested backend and the
-kernel that ran in ``RunResult.extra["matching_backend"]`` /
-``extra["matching_kernel"]``.
+one-segment stream.  The engine does not pick a replay path:
+``SimulationConfig.matching_backend`` only rebinds the algorithm's matching,
+and :meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve_batch` serves a
+piece request by request on the ``"reference"`` kernel, the semantic ground
+truth every batched replay must match bit for bit.  Each result records the
+requested backend and the kernel that ran in
+``RunResult.extra["matching_backend"]`` / ``extra["matching_kernel"]``.
 
 Checkpoint positions default to evenly spaced request counts
 (:func:`_checkpoint_positions`); ``SimulationConfig.checkpoint_positions``
@@ -36,7 +36,6 @@ degree bound.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -309,12 +308,6 @@ class StreamingSimulation:
         self.config = config
         self.metadata = metadata
         self.declared_n_requests = None if n_requests is None else int(n_requests)
-        # The reference backend replays through the base class's per-request
-        # loop, the ground truth every hand-tuned serve_batch must match.
-        if config.matching_backend == "reference":
-            self._serve_batch = partial(OnlineBMatchingAlgorithm.serve_batch, algorithm)
-        else:
-            self._serve_batch = algorithm.serve_batch
 
         self._watchers = ObserverList(observers)
         if validate:
@@ -360,11 +353,7 @@ class StreamingSimulation:
             self._watchers.on_start(self._context)
         if algorithm.requires_full_trace:
             with self._timer:
-                algorithm.fit(
-                    list(source.requests())
-                    if config.matching_backend == "reference"
-                    else source
-                )
+                algorithm.fit(source)
 
     @property
     def requests_served(self) -> int:
@@ -423,7 +412,7 @@ class StreamingSimulation:
         n_cp = len(checkpoints) if checkpoints is not None else 0
         base = segment.offset
         watchers = self._watchers
-        serve_batch = self._serve_batch
+        serve_batch = self.algorithm.serve_batch
         while self._served < end:
             # Cut at checkpoints, observer intervals and the segment end;
             # extra cuts at segment ends cannot change results (exact

@@ -8,10 +8,10 @@ import pytest
 from repro.config import MatchingConfig
 from repro.core import RBMA, ObliviousRouting
 from repro.core.uniform import _MIN_EVENT_SEGMENT, PerNodePagingMatcher
-from repro.errors import PagingError
+from repro.errors import PagingError, TopologyError
 from repro.matching.validation import check_b_matching
 from repro.paging import RandomizedMarking, make_paging_factory
-from repro.topology import StarTopology
+from repro.topology import LeafSpineTopology, StarTopology
 from repro.traffic import zipf_pair_trace
 from repro.types import Request
 
@@ -37,6 +37,18 @@ class TestTheorem1Filter:
         outcome = algo.serve(Request(0, 1))  # 5th request is special
         assert outcome.edges_added == ((0, 1),)
         assert algo.pending_count((0, 1)) == 0
+
+    def test_pending_count_takes_either_orientation_and_checks_range(self):
+        algo = RBMA(LeafSpineTopology(n_racks=8), MatchingConfig(b=2, alpha=40), rng=0)
+        for _ in range(3):
+            algo.serve(Request(5, 1))
+        assert algo.pending_count((1, 5)) == 3
+        assert algo.pending_count((5, 1)) == 3
+        # 0 * 8 + 13 is the int key of (1, 5); it must not alias it.
+        with pytest.raises(TopologyError, match="out of range"):
+            algo.pending_count((0, 13))
+        with pytest.raises(TopologyError, match="self-pair"):
+            algo.pending_count((5, 5))
 
     def test_counter_resets_after_special_request(self, small_fattree):
         algo = RBMA(small_fattree, MatchingConfig(b=2, alpha=10), rng=0)

@@ -12,10 +12,10 @@ Two layers of evidence certify the fast kernel:
   checkpoint series must be *bit-identical* (exact float equality, not
   approximate), as must the final matching state.
 
-Because the engine routes ``"reference"`` runs through the original
-per-request loop and ``"fast"`` runs through the batched ``serve_batch``
-path, the replay layer simultaneously guards the kernel swap, the batched
-engine path, and every algorithm's hand-tuned batch loop.
+Because ``serve_batch`` serves ``"reference"`` runs through the original
+per-request loop and ``"fast"`` runs through each algorithm's batched
+``_serve_segment``, the replay layer simultaneously guards the kernel swap,
+the batched engine path, and every algorithm's hand-tuned batch loop.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.matching import (
 )
 from repro.simulation import run_simulation
 from repro.topology.registry import TOPOLOGIES
+from repro.traffic import zipf_pair_trace
 from repro.traffic.registry import WORKLOADS
 
 BACKENDS = ("reference", "fast")
@@ -323,19 +324,38 @@ def test_backend_recorded_in_spec_roundtrip():
 # --------------------------------------------------------------------------- #
 
 
-def test_every_registered_algorithm_is_batched():
-    """No registered algorithm may fall back to the default per-request loop.
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+def test_serve_batch_picks_the_replay_path(algorithm):
+    """``OnlineBMatchingAlgorithm.serve_batch`` is the one replay-path switch.
 
-    Every registered algorithm ships its own ``serve_batch``, so the
-    engine's batched path never degenerates to per-request serving for
-    library algorithms.
+    On the fast kernel a Trace segment of ``min_segment`` requests (at least
+    one) goes to the algorithm's ``_serve_segment`` in one call and never
+    through ``serve``, and a shorter segment goes through ``serve``; on the
+    reference kernel ``_serve_segment`` is never called and ``serve`` runs
+    once per request.
     """
     topo = TOPOLOGIES.build("leaf-spine", n_racks=8)
-    for name in ALGORITHM_NAMES:
-        algo = ALGORITHMS.build(name, topo, MatchingConfig(b=3, alpha=4.0), 0)
-        assert "serve_batch" in type(algo).__dict__, (
-            f"{name} inherits the default per-request serve_batch"
+    trace = zipf_pair_trace(n_nodes=8, n_requests=400, seed=3)
+    for backend in BACKENDS:
+        algo = ALGORITHMS.build(algorithm, topo, MatchingConfig(b=3, alpha=4.0), 0)
+        algo.rebind_matching_backend(backend)
+        if algo.requires_full_trace:
+            algo.fit(trace)
+        segments, serves = [], []
+        serve, serve_segment = algo.serve, algo._serve_segment
+        algo.serve = lambda request: serves.append(request) or serve(request)
+        algo._serve_segment = (
+            lambda *arrays: segments.append(len(arrays[2])) or serve_segment(*arrays)
         )
+        size, short = max(algo.min_segment, 1), max(algo.min_segment - 1, 0)
+        algo.serve_batch(trace[:size])
+        if short:
+            algo.serve_batch(trace[size:size + short])
+        if backend == "fast":
+            assert (segments, len(serves)) == ([size], short), algorithm
+        else:
+            assert (segments, len(serves)) == ([], size + short), algorithm
+        assert algo.requests_served == size + short
 
 
 @pytest.mark.parametrize("backend", ["reference", "fast"])
@@ -351,8 +371,8 @@ def test_serve_batch_random_segments_match_serve(algorithm, seed, backend):
     predictor windows, expert costs, paging marks — is proven equivalent to
     sequential serving, not just equivalent at checkpoint granularity.  The
     sequential arm always runs on the default fast kernel, so the reference
-    leg (where every batch loop falls back to per-request serving) is also
-    a cross-backend comparison.
+    leg (where ``serve_batch`` serves request by request) is also a
+    cross-backend comparison.
     """
     spec = _spec(algorithm, "leaf-spine", "zipf", backend)
     trace = spec.build_trace()

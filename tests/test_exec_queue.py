@@ -39,6 +39,7 @@ from repro.exec import (
     run_specs_parallel,
     run_worker,
 )
+from repro.exec import queue as queue_module
 from repro.exec.queue import _collect_outcomes
 from repro.exec.scheduler import _ResultsPlane
 from repro.experiments import ExperimentSpec
@@ -166,6 +167,59 @@ class TestCrashRecovery:
         assert result.extra["attempts"] == 2
         [serial] = execute_plan(build_execution_plan([spec], store=False))
         _assert_series_identical(result, serial)
+
+    def test_fail_after_a_reaper_requeued_the_claim_counts_one_requeue(self, tmp_path):
+        worker_side = WorkQueue.create(tmp_path / "q")
+        _enqueue_plan(worker_side, [_spec()])
+        name, _ = worker_side.claim("slow")
+        task_id, attempt = worker_side.parse_name(name)
+        # A reaper (another participant) requeues the expired claim first.
+        reaper = WorkQueue.open(worker_side.root)
+        _backdate_lease(reaper, name)
+        assert reaper.requeue_expired() == 1
+        # The slow worker's own failure then loses the rename race.
+        assert worker_side.fail(name, "boom", "RuntimeError") is False
+        assert (reaper.counters.requeued, worker_side.counters.requeued) == (1, 0)
+        assert sorted(p.name for p in worker_side.tasks_dir.glob("*.json")) == [
+            worker_side.task_file_name(task_id, attempt + 1)
+        ]
+        assert worker_side.counts() == {"ready": 1, "claimed": 0, "results": 0, "failed": 0}
+
+    def test_fail_after_a_reaper_retired_the_claim_keeps_its_record(self, tmp_path):
+        worker_side = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        _enqueue_plan(worker_side, [_spec()])
+        name, _ = worker_side.claim("slow")
+        reaper = WorkQueue.open(worker_side.root)
+        _backdate_lease(reaper, name)
+        assert reaper.requeue_expired() == 1
+        assert worker_side.fail(name, "boom", "RuntimeError") is False
+        assert reaper.counters.terminal_failures == 1
+        assert worker_side.counters.terminal_failures == 0
+        [failed_file] = sorted(worker_side.failed_dir.glob("*.json"))
+        failure = json.loads(failed_file.read_text(encoding="utf-8"))
+        assert "lease expired" in failure["error"]
+        assert failure["task"]["specs"][0]["seed"] == SEED
+
+    def test_two_reapers_racing_to_retire_count_one_terminal_failure(
+        self, tmp_path, monkeypatch
+    ):
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        _enqueue_plan(queue, [_spec()])
+        name, _ = queue.claim("ghost")
+        _backdate_lease(queue, name)
+        first, second = WorkQueue.open(queue.root), WorkQueue.open(queue.root)
+        read_json = queue_module.read_json
+
+        def read_then_race(path, **kwargs):
+            payload = read_json(path, **kwargs)
+            monkeypatch.setattr(queue_module, "read_json", read_json)
+            assert second.requeue_expired() == 1  # retires the task meanwhile
+            return payload
+
+        monkeypatch.setattr(queue_module, "read_json", read_then_race)
+        assert first.requeue_expired() == 0
+        assert (first.counters.terminal_failures, second.counters.terminal_failures) == (0, 1)
+        assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
 
     def test_exhausted_attempts_surface_the_original_worker_error(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", max_attempts=2)

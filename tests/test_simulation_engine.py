@@ -250,11 +250,11 @@ class TestRunSimulation:
             expected.append(manual.matching.edges)
         assert history == expected
 
-    @pytest.mark.parametrize("backend, batch_calls", [("reference", 0), ("fast", 5)])
+    @pytest.mark.parametrize("backend, batch_calls", [("reference", 5), ("fast", 5)])
     def test_backend_picks_the_serve_batch_loop(self, small_leafspine, backend, batch_calls):
-        """The reference backend replays through the base class's per-request
-        loop; every other backend calls the algorithm's own serve_batch once
-        per checkpoint segment."""
+        """The engine calls the algorithm's serve_batch once per checkpoint
+        segment on every backend; serve_batch itself picks the replay path
+        (see test_differential_matching.py::test_serve_batch_picks_the_replay_path)."""
         trace = zipf_pair_trace(n_nodes=8, n_requests=50, seed=1)
         algo = RBMA(small_leafspine, MatchingConfig(b=2, alpha=2), rng=0)
         calls = []
