@@ -10,7 +10,7 @@ figure panel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping
 
 import numpy as np
 

@@ -49,7 +49,6 @@ from .simulation import (
 from .store import (
     group_statistics,
     resolve_store,
-    spec_statistics,
     store_statistics,
 )
 from .topology import available_topologies

@@ -67,12 +67,14 @@ class BMA(OnlineBMatchingAlgorithm):
     # ------------------------------------------------------------------ #
     def counter(self, pair: NodePair) -> float:
         """Accumulated fixed-network cost of ``pair`` since its last reset."""
-        data = self._demand.get(pair[0], {}).get(pair[1])
+        u, v = self.topology.validate_pair(*pair)
+        data = self._demand[u].get(v)
         return float(data["counter"]) if data else 0.0
 
     def usefulness(self, pair: NodePair) -> int:
         """Requests served by matched edge ``pair`` since it was added."""
-        data = self._demand.get(pair[0], {}).get(pair[1])
+        u, v = self.topology.validate_pair(*pair)
+        data = self._demand[u].get(v)
         return int(data["usefulness"]) if data else 0
 
     # ------------------------------------------------------------------ #

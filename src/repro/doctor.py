@@ -7,28 +7,31 @@ atomic renames, so every crash mode leaves a recognisable artefact behind:
   ``.<name>.tmp-<pid>`` sibling;
 * a queue worker killed after claiming leaves an expired lease (or an
   orphaned ``.lease`` file whose claim was already requeued);
-* torn or bit-rotted entry files fail JSON parsing or their blake2b
-  checksum;
+* torn, bit-rotted or misnamed entry files fail the store's entry rule;
 * half-written task files in a queue cannot be parsed as task payloads.
 
-:func:`audit_store` and :func:`audit_queue` walk a directory and report
-every such artefact as a :class:`Finding`; with ``fix=True`` the safe
-repairs run inline (reap stale tmp files, quarantine corrupt store entries,
-drop orphaned leases, requeue expired claims, remove a legacy store index) and
-each finding records whether it was fixed.  The CLI front-end is
-``repro doctor [--store DIR] [--queue DIR] [--fix]``.
+The doctor judges no file format itself: it asks the module that writes
+the files.  :func:`audit_store` reports the entries the store's one reader
+rejects (:meth:`~repro.store.run_store.RunStore.entry_files`, the same walk
+that listings and exports use), and :func:`audit_queue` reports exactly the
+orphaned leases and expired claims that
+:meth:`~repro.exec.queue.WorkQueue.requeue_expired` will act on
+(:meth:`~repro.exec.queue.WorkQueue.stale_claims`).  With ``fix=True`` the
+repairs are the owners' own: the store's quarantine and legacy-index
+removal, the queue's maintenance pass (which also reaps stale tmp files);
+each finding records whether its file is gone afterwards.  The CLI
+front-end is ``repro doctor [--store DIR] [--queue DIR] [--fix]``.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .ioutil import reap_stale_tmp, stale_tmp_files
-from .store.run_store import RunStore, _checksum_ok
+from .store.run_store import RunStore
 
 __all__ = ["Finding", "DoctorReport", "audit_store", "audit_queue"]
 
@@ -45,14 +48,7 @@ class Finding:
     fixed: bool = False  #: whether the repair ran (only with ``fix=True``)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "area": self.area,
-            "kind": self.kind,
-            "path": self.path,
-            "detail": self.detail,
-            "fixable": self.fixable,
-            "fixed": self.fixed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -87,7 +83,7 @@ def _rel(path: Path, root: Path) -> str:
 
 def _audit_tmp(
     report: DoctorReport,
-    directories: List[Path],
+    directories: Sequence[Path],
     root: Path,
     max_age_seconds: float,
     fix: bool,
@@ -121,12 +117,15 @@ def audit_store(
     fix: bool = False,
     tmp_max_age_seconds: Optional[float] = None,
 ) -> DoctorReport:
-    """Audit a run store: stale tmp files, corrupt entries, a legacy index.
+    """Audit a run store: stale tmp files, unhealthy entries, a legacy index.
 
-    With ``fix=True``: reaps the tmp files, quarantines the corrupt entries
-    (via the store's own quarantine path, so counters and warnings behave
-    exactly as they would mid-run), and removes an ``index.json`` left by
-    an older store format (:meth:`RunStore.reindex`).
+    An entry is unhealthy when the store's reader rejects it (torn,
+    checksum-failing, misnamed, or unreadable past the retries); the same
+    entries are missing from ``list_runs`` and skipped by exports.  With
+    ``fix=True``: reaps the tmp files, quarantines the unhealthy entries
+    (:meth:`RunStore.quarantine`, so counters and warnings behave exactly as
+    they would mid-run), and removes an ``index.json`` left by an older
+    store format (:meth:`RunStore.reindex`).
     """
     max_age = (
         store.TMP_MAX_AGE_SECONDS if tmp_max_age_seconds is None else tmp_max_age_seconds
@@ -135,36 +134,18 @@ def audit_store(
     _audit_tmp(report, [store.root], store.root, max_age, fix)
 
     entries_on_disk = 0
-    for path in sorted(store.runs_dir.glob("*/*.json")) if store.runs_dir.exists() else []:
-        problem: Optional[str] = None
-        payload: Optional[Dict[str, Any]] = None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            problem = f"unreadable entry ({exc})"
+    for path, payload, reason in store.entry_files():
         if payload is not None:
-            fingerprint = payload.get("fingerprint")
-            if fingerprint != path.stem:
-                problem = (
-                    f"fingerprint field {fingerprint!r} does not match "
-                    f"file name {path.stem!r}"
-                )
-            elif not _checksum_ok(payload):
-                problem = "payload checksum mismatch (bit rot or partial write)"
-        if problem is None:
             entries_on_disk += 1
             continue
-        fixed = False
-        if fix:
-            fixed = store._quarantine(path, f"doctor: {problem}") is not None
         report.findings.append(
             Finding(
                 area="store",
                 kind="corrupt_entry",
                 path=_rel(path, store.root),
-                detail=problem,
+                detail=reason,
                 fixable=True,
-                fixed=fixed,
+                fixed=fix and store.quarantine(path, f"doctor: {reason}") is not None,
             )
         )
 
@@ -210,83 +191,34 @@ def _unparseable(path: Path) -> Optional[str]:
 
 
 def audit_queue(queue, fix: bool = False) -> DoctorReport:
-    """Audit a work queue: orphaned leases, expired claims, torn files.
+    """Audit a work queue: stale tmp files, stale claims, torn files.
 
-    ``queue`` is a :class:`~repro.exec.queue.WorkQueue`.  With ``fix=True``
-    the repair is the queue's own maintenance pass —
-    :meth:`~repro.exec.queue.WorkQueue.requeue_expired` — which also reaps
-    stale tmp files, plus removal of orphaned lease files; half-written
-    task files are *reported* but never deleted (they may carry the only
-    copy of a task), and terminal decisions stay with ``requeue_expired``.
+    ``queue`` is a :class:`~repro.exec.queue.WorkQueue`.  The orphaned
+    leases and expired claims reported are exactly
+    :meth:`~repro.exec.queue.WorkQueue.stale_claims`, the list
+    :meth:`~repro.exec.queue.WorkQueue.requeue_expired` acts on.  With
+    ``fix=True`` the repair is that maintenance pass, which also reaps
+    stale tmp files; a finding counts as fixed when its file is gone
+    afterwards.  Half-written task files are *reported* but never deleted
+    (they may carry the only copy of a task).
     """
     report = DoctorReport(root=str(queue.root), area="queue")
-    now = time.time()
-
     _audit_tmp(
         report,
-        [queue.tasks_dir, queue.claimed_dir, queue.results_dir, queue.failed_dir],
+        queue.task_dirs,
         queue.root,
         queue.TMP_MAX_AGE_SECONDS,
         fix=False,  # requeue_expired (below) is the fixer; avoid double-reap
     )
-
-    claims: List[str] = []
-    leases: List[str] = []
-    if queue.claimed_dir.is_dir():
-        for name in sorted(p.name for p in queue.claimed_dir.iterdir()):
-            if name.endswith(".lease"):
-                leases.append(name)
-            elif name.endswith(".json"):
-                claims.append(name)
-
-    orphaned = [
-        name for name in leases if name[: -len(".lease")] not in set(claims)
-    ]
-    expired: List[str] = []
-    for name in claims:
-        lease_path = queue.claimed_dir / f"{name}.lease"
-        problem: Optional[str] = None
-        try:
-            lease = json.loads(lease_path.read_text(encoding="utf-8"))
-            if float(lease.get("expires_at", 0)) < now:
-                problem = (
-                    f"lease expired {now - float(lease.get('expires_at', 0)):.0f}s "
-                    "ago without a result"
-                )
-        except FileNotFoundError:
-            try:
-                age = now - (queue.claimed_dir / name).stat().st_mtime
-            except OSError:  # pragma: no cover - vanished mid-audit
-                continue
-            if age > queue.lease_seconds:
-                problem = f"claim is {age:.0f}s old and has no lease file"
-        except (OSError, json.JSONDecodeError) as exc:
-            problem = f"unreadable lease file ({exc})"
-        if problem is not None:
-            expired.append(name)
-            report.findings.append(
-                Finding(
-                    area="queue",
-                    kind="expired_claim",
-                    path=_rel(queue.claimed_dir / name, queue.root),
-                    detail=problem + "; requeue_expired will requeue or fail it",
-                    fixable=True,
-                )
-            )
-
-    for name in orphaned:
-        fixed = False
-        if fix:
-            (queue.claimed_dir / name).unlink(missing_ok=True)
-            fixed = True
+    for name, reason in queue.stale_claims():
+        orphan = name.endswith(".lease")
         report.findings.append(
             Finding(
                 area="queue",
-                kind="orphaned_lease",
+                kind="orphaned_lease" if orphan else "expired_claim",
                 path=_rel(queue.claimed_dir / name, queue.root),
-                detail="lease file whose claim is gone (already requeued/completed)",
+                detail=reason if orphan else f"{reason}; requeue_expired will requeue or fail it",
                 fixable=True,
-                fixed=fixed,
             )
         )
 
@@ -313,23 +245,8 @@ def audit_queue(queue, fix: bool = False) -> DoctorReport:
 
     if fix:
         queue.requeue_expired()
-        # requeue_expired reaps tmp files and resolves expired claims; mark
-        # those findings fixed now that the maintenance pass has run.
         for finding in report.findings:
-            if finding.kind in ("stale_tmp", "expired_claim"):
-                finding.fixed = True
-
-    meta_problem = _unparseable(queue.root / "queue.json")
-    if meta_problem is not None:
-        report.findings.append(
-            Finding(
-                area="queue",
-                kind="corrupt_meta",
-                path="queue.json",
-                detail=f"queue metadata unreadable ({meta_problem})",
-                fixable=False,
-            )
-        )
+            finding.fixed = finding.fixable and not (queue.root / finding.path).exists()
 
     report.info = {
         "counts": queue.counts(),

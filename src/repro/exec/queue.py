@@ -13,13 +13,15 @@ sockets — so any process that can see the filesystem can help drain it
     A leased task.  The lease records the worker and an expiry time; the
     executing worker refreshes it from a heartbeat thread, so only a dead
     (or wedged) worker lets its lease expire.  :meth:`WorkQueue.requeue_expired`
-    — run by every participant — moves expired claims back to ``tasks/``
-    until ``max_attempts`` is exhausted, then records a terminal failure.
+    — run by every participant — moves the claims :meth:`WorkQueue.stale_claims`
+    finds expired back to ``tasks/`` until ``max_attempts`` is exhausted,
+    then records a terminal failure.
 ``results/<id>.json`` / ``failed/<id>.json``
     The results plane: per-spec outcomes (worker-stamped with
     ``scheduler_backend="queue"``/``attempts`` provenance and, when the
     queue carries a store root, already written to the run store by the
-    worker) or the terminal error with the failing spec's JSON intact.
+    worker) or the terminal error with the failing spec's JSON intact
+    (published once: the first participant to retire a claim writes it).
 
 Workers execute whole task groups in lockstep (shared trace built once per
 task) and seed their solver memo from the plan's pre-solved SO-BMA rounds,
@@ -46,13 +48,13 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..errors import ConfigurationError, SimulationError, WorkerExecutionError
 from ..faults import fault_point
-from ..ioutil import atomic_write_json, read_json, reap_stale_tmp
+from ..ioutil import atomic_write_json, publish_json, read_json, reap_stale_tmp
 from ..simulation.results import RunResult
 from ..store.run_store import resolve_store
 from .plan import ExecutionPlan, PlanTask
@@ -102,21 +104,7 @@ class QueueCounters:
     tmp_reaped: int = 0  #: stale tmp files removed by requeue_expired
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "claim_failures": self.claim_failures,
-            "unreadable_tasks": self.unreadable_tasks,
-            "lease_read_failures": self.lease_read_failures,
-            "lease_write_failures": self.lease_write_failures,
-            "heartbeat_failures": self.heartbeat_failures,
-            "torn_results": self.torn_results,
-            "late_results": self.late_results,
-            "requeued": self.requeued,
-            "terminal_failures": self.terminal_failures,
-            "tmp_reaped": self.tmp_reaped,
-        }
-
-    def any_nonzero(self) -> bool:
-        return any(self.to_dict().values())
+        return asdict(self)
 
 
 def _lease_expired_error(attempt: int, task_payload: Optional[Dict[str, Any]]) -> str:
@@ -147,6 +135,9 @@ class WorkQueue:
         self.failed_dir = self.root / "failed"
         self.workers_dir = self.root / "workers"
         self.logs_dir = self.root / "logs"
+        #: The directories a task file moves through; requeue_expired reaps
+        #: stale tmp files in them.
+        self.task_dirs = (self.tasks_dir, self.claimed_dir, self.results_dir, self.failed_dir)
         self.counters = QueueCounters()
 
     # -- lifecycle -------------------------------------------------------
@@ -175,14 +166,7 @@ class WorkQueue:
             "store": store_root,
         }
         queue = cls(Path(root), meta)
-        for d in (
-            queue.tasks_dir,
-            queue.claimed_dir,
-            queue.results_dir,
-            queue.failed_dir,
-            queue.workers_dir,
-            queue.logs_dir,
-        ):
+        for d in (*queue.task_dirs, queue.workers_dir, queue.logs_dir):
             d.mkdir(parents=True, exist_ok=True)
         atomic_write_json(queue.root / _META_NAME, meta, site="queue.task_write")
         return queue
@@ -347,9 +331,13 @@ class WorkQueue:
         Returns ``True`` when this call requeued the task, ``False`` when it
         recorded the terminal failure, and ``None`` when another participant
         moved or retired the claim first (this call lost the race and counts
-        nothing).  A retire counts only when its own unlink of the claim
-        wins; a claim already gone before its payload is read leaves the
-        winner's ``failed/`` record as it is.
+        nothing).  A retire has one winner: the first participant to publish
+        the ``failed/`` record (:func:`~repro.ioutil.publish_json` never
+        overwrites), and only it counts.  The claim is removed only after
+        the record is out, so a participant that dies (or whose record write
+        fails past the retries) in between leaves the claim for the next
+        :meth:`requeue_expired` pass, which retires it or, finding the
+        record, just removes it.
         """
         task_id, attempt = self.parse_name(name)
         claim_path = self.claimed_dir / name
@@ -371,7 +359,7 @@ class WorkQueue:
                 self.counters.unreadable_tasks += 1
                 logger.debug("claim payload for %s unreadable: %s", name, exc)
                 task_payload = None
-            atomic_write_json(
+            published = publish_json(
                 self.failed_dir / f"{task_id}.json",
                 {
                     "id": task_id,
@@ -382,9 +370,8 @@ class WorkQueue:
                 },
                 site="queue.result_write",
             )
-            try:
-                claim_path.unlink()
-            except FileNotFoundError:
+            claim_path.unlink(missing_ok=True)
+            if not published:
                 return self._lost_race(name)
             self.counters.terminal_failures += 1
             return False
@@ -402,60 +389,74 @@ class WorkQueue:
 
     # -- shared maintenance ---------------------------------------------
 
-    def requeue_expired(self, dead_pids: Optional[Set[int]] = None) -> int:
-        """Reap expired (or known-dead-worker) leases; returns tasks touched.
+    def stale_claims(self, dead_pids: Optional[Set[int]] = None) -> List[Tuple[str, str]]:
+        """``(name, reason)`` for every stale file in ``claimed/``.
 
-        A claim whose result already landed (late completion after a lease
-        expiry race) is simply cleaned up; otherwise the task requeues with
-        its attempt counter bumped, or becomes a terminal failure once
-        ``max_attempts`` is exhausted.  Safe to run concurrently from any
-        participant: every transition is a single atomic rename, and losing
-        a race surfaces as ``FileNotFoundError``, which is skipped.
+        The one expiry rule: :meth:`requeue_expired` acts on exactly this
+        list and ``repro doctor`` reports it.  A ``.lease`` file whose claim
+        is gone is orphaned.  A claim has expired when its lease's expiry
+        time has passed or its worker's pid is in ``dead_pids``; a claim
+        whose lease is missing or torn (claim and lease writes are two
+        steps) gets one lease period, counted from the claim's mtime.
         """
-        now = time.time()
-        touched = 0
-        reaped = reap_stale_tmp(
-            [self.tasks_dir, self.claimed_dir, self.results_dir, self.failed_dir],
-            self.TMP_MAX_AGE_SECONDS,
-            now=now,
-        )
-        if reaped:
-            self.counters.tmp_reaped += len(reaped)
-            logger.debug("reaped %d stale tmp file(s): %s", len(reaped), reaped)
         try:
             names = sorted(os.listdir(self.claimed_dir))
         except FileNotFoundError:
-            return 0
+            return []
+        now = time.time()
+        stale: List[Tuple[str, str]] = []
         for name in names:
             if name.endswith(".lease"):
                 if not (self.claimed_dir / name[: -len(".lease")]).exists():
-                    (self.claimed_dir / name).unlink(missing_ok=True)
-                continue
-            if not name.endswith(".json"):
-                continue
-            claim_path = self.claimed_dir / name
-            lease: Optional[Dict[str, Any]] = None
-            try:
-                lease = json.loads(self._lease_path(name).read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                lease = None  # claim/lease writes are separate steps
-            except (OSError, json.JSONDecodeError) as exc:
-                self.counters.lease_read_failures += 1
-                logger.debug("unreadable lease for %s: %s", name, exc)
-                lease = None
-            if lease is None:
-                # Claim/lease writes are not one atomic step; give a fresh
-                # claim one lease period before treating it as abandoned.
-                try:
-                    age = now - claim_path.stat().st_mtime
-                except OSError:
-                    continue
-                expired = age > self.lease_seconds
-            else:
-                expired = float(lease.get("expires_at", 0)) < now or (
-                    dead_pids is not None and lease.get("pid") in dead_pids
-                )
-            if not expired:
+                    stale.append((name, "lease file whose claim is gone (already requeued or completed)"))
+            elif name.endswith(".json"):
+                reason = self._expiry(name, now, dead_pids)
+                if reason:
+                    stale.append((name, reason))
+        return stale
+
+    def _expiry(self, name: str, now: float, dead_pids: Optional[Set[int]]) -> str:
+        """Why the claim ``name`` has expired, or ``""`` while it is live."""
+        try:
+            lease = json.loads(self._lease_path(name).read_text(encoding="utf-8"))
+            expires_at, pid = float(lease["expires_at"]), lease.get("pid")
+        except FileNotFoundError:
+            missing = "no lease file"
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            self.counters.lease_read_failures += 1
+            logger.debug("unreadable lease for %s: %s", name, exc)
+            missing = f"an unreadable lease file ({exc})"
+        else:
+            if expires_at < now:
+                return f"lease expired {now - expires_at:.0f}s ago without a result"
+            if dead_pids is not None and pid in dead_pids:
+                return f"its worker (pid {pid}) is dead"
+            return ""
+        try:
+            age = now - (self.claimed_dir / name).stat().st_mtime
+        except OSError:
+            return ""  # moved on meanwhile
+        return f"claim is {age:.0f}s old with {missing}" if age > self.lease_seconds else ""
+
+    def requeue_expired(self, dead_pids: Optional[Set[int]] = None) -> int:
+        """Act on :meth:`stale_claims`; returns the claims touched.
+
+        An orphaned lease is removed.  An expired claim whose result already
+        landed (late completion after a lease expiry race) is simply cleaned
+        up; otherwise the task requeues with its attempt counter bumped, or
+        becomes a terminal failure once ``max_attempts`` is exhausted.  Also
+        reaps stale tmp files.  Safe to run concurrently from any
+        participant: every transition is a single atomic rename or
+        first-writer-wins publish, and losing a race is skipped.
+        """
+        reaped = reap_stale_tmp(self.task_dirs, self.TMP_MAX_AGE_SECONDS)
+        if reaped:
+            self.counters.tmp_reaped += len(reaped)
+            logger.debug("reaped %d stale tmp file(s): %s", len(reaped), reaped)
+        touched = 0
+        for name, _reason in self.stale_claims(dead_pids):
+            if name.endswith(".lease"):
+                (self.claimed_dir / name).unlink(missing_ok=True)
                 continue
             task_id = self.parse_name(name)[0]
             if (self.results_dir / f"{task_id}.json").exists():
@@ -548,7 +549,7 @@ def _process_claim(
             if isinstance(outcome, RunResult):
                 stamped = stamp_provenance(outcome, "queue", attempt)
                 if store is not None and fingerprint is not None:
-                    if not store.entry_path(fingerprint).exists():
+                    if not store.contains(fingerprint):
                         store.put(stamped, fingerprint=fingerprint)
                 entries.append({"index": index, "result": stamped.to_dict()})
             else:

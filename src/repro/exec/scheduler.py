@@ -175,7 +175,7 @@ class _ResultsPlane:
         if (
             fp is not None
             and self.plan.store is not None
-            and not self.plan.store.entry_path(fp).exists()
+            and not self.plan.store.contains(fp)
         ):
             self.plan.store.put(result, fingerprint=fp)
         self.results[index] = result

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, TextIO
 
 from ..errors import SimulationError
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..config import SimulationConfig
     from ..core.base import OnlineBMatchingAlgorithm
     from ..simulation.results import RunResult
-    from ..traffic.base import Trace
 
 __all__ = [
     "RunContext",

@@ -1,7 +1,8 @@
 """Hardened filesystem IO shared by the run store and the work queue.
 
-Wraps the two primitives everything else is built from — atomic JSON writes
-(tmp sibling + ``os.replace``) and JSON reads — with:
+Wraps the primitives everything else is built from — atomic JSON writes
+(tmp sibling + ``os.replace``), first-writer-wins publishes (tmp sibling +
+``os.link``) and JSON reads — with:
 
 * **bounded retry + exponential backoff with jitter** for transient
   :class:`OSError`: ``REPRO_IO_RETRIES`` extra attempts (default 2) with a
@@ -37,6 +38,7 @@ __all__ = [
     "atomic_write_json",
     "io_backoff",
     "io_retries",
+    "publish_json",
     "read_json",
     "read_text",
     "reap_stale_tmp",
@@ -119,24 +121,49 @@ def with_io_retries(op: Callable[[], T], site: str) -> T:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def atomic_write_json(path, payload: Any, site: str = "store.write") -> None:
-    """Write JSON durably: full content to a tmp sibling, then rename.
+def _write_json(path, payload: Any, site: str, place: Callable[[Path, Path], T]) -> T:
+    """Write the JSON of ``payload`` to a tmp sibling of ``path``, then ``place`` it.
 
     Retries transient failures (see :func:`with_io_retries`); each attempt
     rewrites the tmp file from scratch so a half-written attempt can never
-    be renamed into place.  ``site`` names the fault-injection site.
+    be moved into place.  ``site`` names the fault-injection site.
     """
     path = Path(path)
     text = json.dumps(payload, indent=2) + "\n"
 
-    def op() -> None:
+    def op() -> T:
         fault_point(site)
         data = maybe_corrupt(site, text)
         tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         tmp.write_text(data, encoding="utf-8")
-        os.replace(tmp, path)
+        return place(tmp, path)
 
-    with_io_retries(op, site)
+    return with_io_retries(op, site)
+
+
+def atomic_write_json(path, payload: Any, site: str = "store.write") -> None:
+    """Write JSON durably: full content to a tmp sibling, then rename over ``path``."""
+    _write_json(path, payload, site, os.replace)
+
+
+def _link_once(tmp: Path, path: Path) -> bool:
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        tmp.unlink()
+    return True
+
+
+def publish_json(path, payload: Any, site: str) -> bool:
+    """Write JSON durably unless ``path`` exists: the first publisher wins.
+
+    Like :func:`atomic_write_json`, but the tmp sibling is hard-linked onto
+    ``path``, which fails when ``path`` already exists; returns whether this
+    call published.  Readers never see a half-written file.
+    """
+    return _write_json(path, payload, site, _link_once)
 
 
 def read_text(path, site: str = "store.read") -> str:

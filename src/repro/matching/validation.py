@@ -8,7 +8,7 @@ algorithm maintains a feasible matching at all times.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..errors import MatchingError
 from ..types import NodePair, canonical_pair

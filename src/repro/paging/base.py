@@ -26,8 +26,8 @@ calls the two halves directly and never builds a :class:`PagingResult`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Tuple
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Any, Dict, Mapping, Sequence, Union
 
 import numpy as np
 

@@ -12,7 +12,7 @@ expansion over ``algorithm.name`` × ``algorithm.b`` × ``algorithm.alpha``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
 from ..config import SweepConfig
 from ..errors import ConfigurationError

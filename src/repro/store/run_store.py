@@ -32,11 +32,18 @@ Failure semantics (all exercisable via :mod:`repro.faults`):
 * **Transient IO errors retry.**  Entry reads and writes go through
   :mod:`repro.ioutil`'s bounded retry with exponential backoff
   (``REPRO_IO_RETRIES`` / ``REPRO_IO_BACKOFF``).
-* **Corrupt entries quarantine, never abort.**  Every entry carries a
-  blake2b payload checksum; an unparseable or checksum-failing entry file
-  is moved to ``<root>/quarantine/`` with a :class:`RuntimeWarning` and a
-  counter bump, and the access behaves as a miss — a torn write on a
-  non-atomic filesystem costs one recomputation, not the whole run.
+* **One reader judges every entry file.**  An entry is healthy when it
+  parses as a JSON object, its ``fingerprint`` field equals its file stem
+  and its blake2b payload checksum matches (:func:`parse_entry`).  ``get``,
+  the listings, :func:`~repro.store.transfer.export_store` and ``repro
+  doctor`` all read through :meth:`RunStore._read`, so they agree on which
+  entries exist; ``import_store`` checks its members by the same rule, and
+  it and ``put`` write through :meth:`RunStore.write_payload`.
+* **Corrupt entries quarantine, never abort.**  ``get`` moves an entry the
+  reader rejects (torn, bit-rotted or misnamed) to ``<root>/quarantine/``
+  with a :class:`RuntimeWarning` and a counter bump, and the access
+  behaves as a miss — a torn write on a non-atomic filesystem costs one
+  recomputation, not the whole run.  Listings and exports skip it.
 * **A persistently unwritable store degrades gracefully.**  ``put``
   failures past the retry budget warn once, count, and return — the run
   continues cold and results are still produced.
@@ -57,15 +64,15 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .._version import __version__
 from ..errors import ConfigurationError
 from ..experiments.specs import ExperimentSpec
-from ..ioutil import atomic_write_json, read_json, reap_stale_tmp
+from ..ioutil import atomic_write_json, read_text, reap_stale_tmp
 from ..simulation.results import RunResult
 from .fingerprint import SCHEMA_VERSION, fingerprint_spec
 
@@ -77,6 +84,7 @@ __all__ = [
     "RunStore",
     "default_store",
     "entry_checksum",
+    "parse_entry",
     "resolve_store",
     "store_counters",
     "reset_store_counters",
@@ -138,14 +146,7 @@ class StoreCounters:
     write_failures: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "quarantined": self.quarantined,
-            "read_failures": self.read_failures,
-            "write_failures": self.write_failures,
-        }
+        return asdict(self)
 
 
 #: Process-wide tallies across every store instance, for benchmark
@@ -161,9 +162,8 @@ def store_counters() -> Dict[str, int]:
 
 def reset_store_counters() -> None:
     """Zero the process-wide counters (benchmark harness bookkeeping)."""
-    _GLOBAL_COUNTERS.hits = _GLOBAL_COUNTERS.misses = _GLOBAL_COUNTERS.writes = 0
-    _GLOBAL_COUNTERS.quarantined = 0
-    _GLOBAL_COUNTERS.read_failures = _GLOBAL_COUNTERS.write_failures = 0
+    for name in _GLOBAL_COUNTERS.to_dict():
+        setattr(_GLOBAL_COUNTERS, name, 0)
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,6 @@ def _parse_iso(text: str) -> datetime:
     return stamp
 
 
-def _atomic_write_json(path: Path, payload: Any, site: str = "store.write") -> None:
-    """Write JSON durably (tmp sibling + rename), with retry + fault hooks.
-
-    Thin re-export of :func:`repro.ioutil.atomic_write_json`, kept under
-    its historical name because the queue and transfer layers share it.
-    """
-    atomic_write_json(path, payload, site=site)
-
-
 def entry_checksum(payload: Mapping[str, Any]) -> str:
     """blake2b digest certifying an entry payload's content.
 
@@ -218,14 +209,30 @@ def entry_checksum(payload: Mapping[str, Any]) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=20).hexdigest()
 
 
-def _checksum_ok(payload: Mapping[str, Any]) -> bool:
-    """Whether a payload's stored checksum matches its content.
+def parse_entry(text: Union[str, bytes], stem: str) -> Dict[str, Any]:
+    """The payload of an entry file named ``<stem>.json``, if it is healthy.
 
-    Entries written before checksums existed carry no ``checksum`` field
-    and are accepted as-is (JSON parse success is their only certificate).
+    The one rule for every entry file the store reads, exports or imports:
+    the text parses as a JSON object, its ``fingerprint`` field equals
+    ``stem``, and its checksum matches its content (entries written before
+    checksums existed carry no ``checksum`` field and are accepted on the
+    first two checks).  Raises :class:`ValueError` naming what is wrong.
     """
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"not a JSON object but {type(payload).__name__}")
+    if payload.get("fingerprint") != stem:
+        raise ValueError(
+            f"fingerprint field {payload.get('fingerprint')!r} does not match "
+            f"file name {stem!r}"
+        )
     stored = payload.get("checksum")
-    return stored is None or stored == entry_checksum(payload)
+    if stored is not None and stored != entry_checksum(payload):
+        raise ValueError("payload checksum mismatch (bit rot or partial write)")
+    return payload
 
 
 class RunStore:
@@ -297,21 +304,48 @@ class RunStore:
     def _key(self, ref: Union[str, ExperimentSpec, Mapping[str, Any]]) -> str:
         return ref if isinstance(ref, str) else self.fingerprint(ref)
 
-    # -- scan ------------------------------------------------------------
+    # -- reading -------------------------------------------------------
+
+    def _read(self, path: Path) -> Dict[str, Any]:
+        """The one reader: ``path``'s payload when :func:`parse_entry` passes it.
+
+        Raises :class:`ValueError` for an unhealthy entry (torn, bit-rotted
+        or misnamed), ``FileNotFoundError`` for a missing one, and any other
+        :class:`OSError` that survives the read retries.
+        """
+        return parse_entry(read_text(path, site="store.read"), path.stem)
+
+    def entry_files(self) -> Iterator[Tuple[Path, Optional[Dict[str, Any]], str]]:
+        """Every entry file in the shard tree, judged by the one reader.
+
+        Yields ``(path, payload, "")`` for a healthy entry and
+        ``(path, None, reason)`` for one that is not (or that stayed
+        unreadable past the read retries); a file removed mid-walk is left
+        out.
+        """
+        if not self.runs_dir.exists():
+            return
+        for path in sorted(self.runs_dir.glob("*/*.json")):
+            try:
+                payload, reason = self._read(path), ""
+            except FileNotFoundError:
+                continue
+            except ValueError as exc:
+                payload, reason = None, str(exc)
+            except OSError as exc:
+                payload, reason = None, f"unreadable after retries ({exc})"
+            yield path, payload, reason
 
     def _scan(self) -> Dict[str, RunEntry]:
         """Every healthy entry file's row, keyed by fingerprint."""
         entries: Dict[str, RunEntry] = {}
-        if not self.runs_dir.exists():
-            return entries
-        for path in sorted(self.runs_dir.glob("*/*.json")):
+        for path, payload, _reason in self.entry_files():
+            if payload is None:
+                continue
             try:
-                payload = read_json(path, site="store.read")
-                if not _checksum_ok(payload):
-                    continue  # doctor/get quarantine it; never list it
-                entries[payload["fingerprint"]] = self._entry_from_payload(payload)
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue  # a torn file is unreadable, not fatal to the rest
+                entries[path.stem] = self._entry_from_payload(payload)
+            except (KeyError, TypeError, ValueError):
+                continue  # a pre-checksum entry that lacks listing fields
         return entries
 
     def _entry_from_payload(self, payload: Mapping[str, Any]) -> RunEntry:
@@ -346,13 +380,14 @@ class RunStore:
                 stacklevel=4,
             )
 
-    def _quarantine(self, path: Path, reason: str) -> Optional[Path]:
-        """Sideline a corrupt entry file into ``quarantine/``; best-effort.
+    def quarantine(self, path: Path, reason: str) -> Optional[Path]:
+        """Sideline an entry file the reader rejected into ``quarantine/``.
 
-        Returns the quarantine destination, or ``None`` when the move
-        itself failed (in which case the caller has already treated the
-        access as a miss — the corrupt file just stays where it is until
-        the next access or a ``repro doctor --fix`` run).
+        ``get`` calls it on every unhealthy entry it meets, and
+        ``repro doctor --fix`` on every one :meth:`entry_files` reports.
+        Best-effort: returns the quarantine destination, or ``None`` when
+        the move itself failed (the file then stays where it is until the
+        next access or a ``repro doctor --fix`` run).
         """
         self.counters.quarantined += 1
         _GLOBAL_COUNTERS.quarantined += 1
@@ -410,20 +445,20 @@ class RunStore:
     ) -> Optional[Dict[str, Any]]:
         """The raw stored payload (result + provenance + history), or ``None``.
 
-        A corrupt entry (unparseable JSON or a failing payload checksum) is
-        **quarantined** — moved to ``quarantine/`` with a
-        :class:`RuntimeWarning` and a counter bump — and the access returns
-        ``None`` so the caller recomputes; it never aborts the run.  A
-        transient read error that survives the retry budget likewise
+        An entry the reader rejects (torn, checksum-failing, or naming
+        another fingerprint) is **quarantined** — moved to ``quarantine/``
+        with a :class:`RuntimeWarning` and a counter bump — and the access
+        returns ``None`` so the caller recomputes; it never aborts the run.
+        A transient read error that survives the retry budget likewise
         degrades to a miss (counted in ``read_failures``).
         """
         path = self.entry_path(self._key(ref))
         try:
-            payload = read_json(path, site="store.read")
+            return self._read(path)
         except FileNotFoundError:
             return None
-        except json.JSONDecodeError as exc:
-            self._quarantine(path, f"invalid JSON: {exc}")
+        except ValueError as exc:
+            self.quarantine(path, str(exc))
             return None
         except OSError as exc:
             self.counters.read_failures += 1
@@ -435,10 +470,6 @@ class RunStore:
                 stacklevel=3,
             )
             return None
-        if not _checksum_ok(payload):
-            self._quarantine(path, "payload checksum mismatch")
-            return None
-        return payload
 
     def get(
         self, ref: Union[str, ExperimentSpec, Mapping[str, Any]]
@@ -479,8 +510,7 @@ class RunStore:
                     "carries no spec and no fingerprint was supplied"
                 )
             fingerprint = fingerprint_spec(result.spec)
-        path = self.entry_path(fingerprint)
-        previous = self.get_payload(fingerprint) if path.exists() else None
+        previous = self.get_payload(fingerprint) if self.contains(fingerprint) else None
         history = list(previous.get("history", ())) if previous else []
         now = _utcnow_iso()
         history.append(
@@ -501,10 +531,8 @@ class RunStore:
             "result": result.to_dict(),
             "history": history,
         }
-        payload["checksum"] = entry_checksum(payload)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_json(path, payload, site="store.write")
+            self.write_payload(payload)
         except OSError as exc:
             # Graceful degradation: a persistently unwritable store must
             # not abort the run — the result was computed, the caller gets
@@ -513,6 +541,22 @@ class RunStore:
             return fingerprint
         self.counters.writes += 1
         _GLOBAL_COUNTERS.writes += 1
+        return fingerprint
+
+    def write_payload(self, payload: Mapping[str, Any]) -> str:
+        """Seal ``payload`` with its checksum and write it as its entry file.
+
+        The one writer: ``put`` and
+        :func:`~repro.store.transfer.import_store` both write through it.
+        The entry lands at ``entry_path(payload["fingerprint"])`` with one
+        atomic rename; an :class:`OSError` that survives the write retries
+        propagates.  Returns the fingerprint.
+        """
+        fingerprint = payload["fingerprint"]
+        path = self.entry_path(fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        sealed = {**payload, "checksum": entry_checksum(payload)}
+        atomic_write_json(path, sealed, site="store.write")
         return fingerprint
 
     def delete(self, ref: Union[str, ExperimentSpec, Mapping[str, Any]]) -> bool:

@@ -29,7 +29,7 @@ The bootstrap is the plain percentile method with a fixed RNG seed, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -1,7 +1,11 @@
 """Moving run stores between machines: tarball export / import.
 
-A store is just its sharded entry files, so a portable snapshot is a gzipped tar of those files plus a small manifest.
-:func:`export_store` writes one; :func:`import_store` merges one into an
+A store is just its sharded entry files, so a portable snapshot is a gzipped
+tar of those files plus a small manifest.  :func:`export_store` writes one
+with every entry the store's one reader passes
+(:meth:`~repro.store.run_store.RunStore.entry_files`); :func:`import_store`
+checks every member against the same rule
+(:func:`~repro.store.run_store.parse_entry`) and merges them into an
 existing store under an *identical-or-error* conflict policy: a fingerprint
 present on both sides must carry the same result payload — same content
 address, same bytes — otherwise the import aborts **before touching any
@@ -18,12 +22,13 @@ from __future__ import annotations
 import io
 import json
 import tarfile
-from pathlib import Path
+from datetime import datetime, timezone
+from pathlib import Path, PurePosixPath
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .._version import __version__
 from ..errors import ConfigurationError, SimulationError
-from .run_store import RunStore, _atomic_write_json, _utcnow_iso, entry_checksum
+from .run_store import RunStore, parse_entry
 
 __all__ = ["export_store", "import_store", "MANIFEST_NAME"]
 
@@ -42,38 +47,34 @@ def export_store(store: RunStore, tarball) -> Dict[str, Any]:
     """Write every entry of ``store`` to a gzipped tarball; returns a summary.
 
     The tarball contains a :data:`MANIFEST_NAME` member (format version,
-    entry count, fingerprints) followed by the raw entry files under
-    ``runs/``.  Unreadable (torn) entry files are skipped and reported in
-    the summary rather than poisoning the archive.
+    entry count, fingerprints) followed by the entry files under ``runs/``.
+    Entry files the store's reader rejects (torn, bit-rotted, misnamed or
+    unreadable) are skipped and listed in the summary's ``skipped`` rather
+    than poisoning the archive.
     """
     tarball = Path(tarball)
-    fingerprints: List[str] = []
+    healthy: List[Tuple[Path, Dict[str, Any]]] = []
     skipped: List[str] = []
-    payloads: List[Tuple[str, bytes]] = []
-    if store.runs_dir.exists():
-        for path in sorted(store.runs_dir.glob("*/*.json")):
-            try:
-                raw = path.read_text(encoding="utf-8")
-                payload = json.loads(raw)
-                fingerprint = str(payload["fingerprint"])
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                skipped.append(path.name)
-                continue
-            fingerprints.append(fingerprint)
-            payloads.append((fingerprint, raw.encode("utf-8")))
+    for path, payload, _reason in store.entry_files():
+        if payload is None:
+            skipped.append(path.name)
+        else:
+            healthy.append((path, payload))
+    fingerprints = [path.stem for path, _payload in healthy]
     manifest = {
         "format": TRANSFER_FORMAT,
         "repro_version": __version__,
-        "exported_at": _utcnow_iso(),
+        "exported_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "entries": len(fingerprints),
         "fingerprints": fingerprints,
     }
     tarball.parent.mkdir(parents=True, exist_ok=True)
     with tarfile.open(tarball, "w:gz") as tar:
         _add_bytes(tar, MANIFEST_NAME, json.dumps(manifest, indent=2).encode("utf-8"))
-        for fingerprint, raw in payloads:
-            shard = store.entry_path(fingerprint).parent.name
-            _add_bytes(tar, f"{_ENTRY_PREFIX}{shard}/{fingerprint}.json", raw)
+        for path, payload in healthy:
+            # The layout atomic_write_json gives every entry file.
+            data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+            _add_bytes(tar, path.relative_to(store.root).as_posix(), data)
     return {"exported": len(fingerprints), "skipped": skipped, "path": str(tarball)}
 
 
@@ -86,9 +87,10 @@ def _add_bytes(tar: tarfile.TarFile, name: str, data: bytes) -> None:
 def _read_members(tarball: Path) -> Dict[str, Dict[str, Any]]:
     """Fingerprint -> entry payload from the tarball (validated, in memory).
 
-    The whole archive is read and validated **before** the caller writes
-    anything, so a truncated download or a corrupt member can never leave a
-    half-imported store.  Truncation mid-archive surfaces as
+    The whole archive is read, and every entry member checked against the
+    store's rule (:func:`~repro.store.run_store.parse_entry`), **before**
+    the caller writes anything, so a truncated download or a torn,
+    bit-rotted or misnamed member can never leave a half-imported store.  Truncation mid-archive surfaces as
     :class:`~repro.errors.SimulationError` naming the member where the
     archive became unreadable.
     """
@@ -115,16 +117,15 @@ def _read_members(tarball: Path) -> Dict[str, Dict[str, Any]]:
                     if member.name == MANIFEST_NAME:
                         manifest = json.loads(data)
                     elif member.name.startswith(_ENTRY_PREFIX):
+                        stem = PurePosixPath(member.name).stem
                         try:
-                            payload = json.loads(data)
-                            fingerprint = str(payload["fingerprint"])
-                        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                            entries[stem] = parse_entry(data, stem)
+                        except ValueError as exc:
                             raise SimulationError(
                                 f"store tarball member {member.name!r} is not a "
-                                f"valid run-store entry: {exc}; nothing was "
+                                f"healthy run-store entry ({exc}); nothing was "
                                 "imported"
                             ) from exc
-                        entries[fingerprint] = payload
                 member = tar.next()
         except (OSError, EOFError, tarfile.TarError) as exc:
             where = (
@@ -168,9 +169,12 @@ def import_store(store: RunStore, tarball) -> Dict[str, Any]:
     aborts the whole import with :class:`~repro.errors.SimulationError`
     (listing the conflicting fingerprints) before a single file is written;
     only then are new entries written and identical duplicates' histories
-    merged.  Each write is one entry file; listings read the shard tree, so
-    the imported entries show up with nothing else to refresh.  Returns ``{"imported", "merged", "unchanged"}``
-    counts.
+    merged.  Both go through the store's one writer
+    (:meth:`~repro.store.run_store.RunStore.write_payload`), one entry file
+    each; listings read the shard tree, so the imported entries show up with
+    nothing else to refresh.  A merged entry's ``updated_at`` becomes its
+    newest history row's timestamp, as ``put`` keeps it.  Returns
+    ``{"imported", "merged", "unchanged"}`` counts.
     """
     entries = _read_members(Path(tarball))
     conflicts: List[str] = []
@@ -193,21 +197,16 @@ def import_store(store: RunStore, tarball) -> Dict[str, Any]:
         )
     imported = merged = unchanged = 0
     for fingerprint, incoming in entries.items():
-        path = store.entry_path(fingerprint)
         ours = existing[fingerprint]
         if ours is None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(path, incoming)
+            store.write_payload(incoming)
             imported += 1
             continue
         history = _merged_history(ours, incoming)
         if history == list(ours.get("history", ())):
             unchanged += 1
             continue
-        payload = dict(ours)
-        payload["history"] = history
-        payload["updated_at"] = _utcnow_iso()
-        payload["checksum"] = entry_checksum(payload)
-        _atomic_write_json(path, payload)
+        updated_at = history[-1].get("written_at", ours.get("updated_at"))
+        store.write_payload({**ours, "history": history, "updated_at": updated_at})
         merged += 1
     return {"imported": imported, "merged": merged, "unchanged": unchanged}

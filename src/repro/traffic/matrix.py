@@ -9,7 +9,7 @@ generators modulate it with a temporal model.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 

@@ -15,7 +15,6 @@ from typing import Dict, Union
 import numpy as np
 
 from ..errors import TrafficError
-from ..types import NodePair
 from .base import Trace
 from .stream import TraceStream
 

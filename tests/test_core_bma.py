@@ -4,7 +4,9 @@ import pytest
 
 from repro.config import MatchingConfig
 from repro.core import BMA, ObliviousRouting
+from repro.errors import TopologyError
 from repro.matching.validation import check_b_matching
+from repro.topology import LeafSpineTopology
 from repro.traffic import zipf_pair_trace
 from repro.types import Request
 
@@ -28,6 +30,19 @@ class TestSaturation:
         algo.serve(Request(0, 1))
         algo.serve(Request(0, 1))
         assert algo.usefulness((0, 1)) == 2
+
+    def test_introspection_takes_either_orientation_and_checks_the_pair(self):
+        algo = BMA(LeafSpineTopology(n_racks=8), MatchingConfig(b=2, alpha=40))
+        for _ in range(3):
+            algo.serve(Request(5, 1))
+        assert algo.counter((1, 5)) == algo.counter((5, 1)) == pytest.approx(6.0)
+        assert algo.usefulness((5, 1)) == 0
+        with pytest.raises(TopologyError, match="out of range"):
+            algo.counter((0, 13))
+        with pytest.raises(TopologyError, match="out of range"):
+            algo.counter((1, 99))
+        with pytest.raises(TopologyError, match="self-pair"):
+            algo.usefulness((9, 9))
 
     def test_eviction_prefers_least_useful(self, small_leafspine):
         algo = BMA(small_leafspine, MatchingConfig(b=1, alpha=2))

@@ -177,13 +177,29 @@ class TestQueueAudit:
         assert audit_queue(queue).clean()
 
     def test_claim_without_lease_gets_a_grace_period(self, tmp_path):
-        queue = _queue_with_task(tmp_path, lease_seconds=30.0)
-        name, _ = queue.claim("w")
-        (queue.claimed_dir / f"{name}.lease").unlink()
-        assert audit_queue(queue).clean()  # fresh claim: maybe mid-lease-write
-        _backdate(queue.claimed_dir / name, 120.0)
-        report = audit_queue(queue)
-        assert [f.kind for f in report.findings] == ["expired_claim"]
+        # A missing and a torn lease alike: the doctor reports exactly the
+        # claims requeue_expired acts on, so a fresh one is neither
+        # reported nor "fixed", and it stays claimed.
+        for lease, detail in (("missing", "no lease file"), ("torn", "unreadable lease")):
+            queue = _queue_with_task(tmp_path / lease, lease_seconds=30.0)
+            name, _ = queue.claim("w")
+            lease_path = queue.claimed_dir / f"{name}.lease"
+            if lease == "missing":
+                lease_path.unlink()
+            else:
+                lease_path.write_text('{"worker": "w", "expires_')
+            fixed = audit_queue(queue, fix=True)  # fresh claim: maybe mid-lease-write
+            assert fixed.findings == [] and fixed.clean()
+            assert (queue.claimed_dir / name).exists()
+            assert audit_queue(queue).clean()
+            _backdate(queue.claimed_dir / name, 120.0)
+            report = audit_queue(queue)
+            assert [f.kind for f in report.findings] == ["expired_claim"]
+            assert detail in report.findings[0].detail
+            fixed = audit_queue(queue, fix=True)
+            assert [(f.kind, f.fixed) for f in fixed.findings] == [("expired_claim", True)]
+            assert not (queue.claimed_dir / name).exists()
+            assert queue.counts()["ready"] == 1
 
     def test_half_written_task_file_reported_not_deleted(self, tmp_path):
         queue = _queue_with_task(tmp_path)

@@ -43,6 +43,7 @@ from repro.exec import queue as queue_module
 from repro.exec.queue import _collect_outcomes
 from repro.exec.scheduler import _ResultsPlane
 from repro.experiments import ExperimentSpec
+from repro.faults import injected_faults
 from repro.simulation import runner as runner_mod
 from repro.store import RunStore, fingerprint_spec
 
@@ -220,6 +221,62 @@ class TestCrashRecovery:
         assert first.requeue_expired() == 0
         assert (first.counters.terminal_failures, second.counters.terminal_failures) == (0, 1)
         assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
+
+    def test_worker_fail_racing_a_reaper_keeps_the_first_record(
+        self, tmp_path, monkeypatch
+    ):
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        _enqueue_plan(queue, [_spec()])
+        name, _ = queue.claim("slow")
+        _backdate_lease(queue, name)
+        worker_side, reaper = WorkQueue.open(queue.root), WorkQueue.open(queue.root)
+        read_json = queue_module.read_json
+
+        def read_then_race(path, **kwargs):
+            payload = read_json(path, **kwargs)
+            monkeypatch.setattr(queue_module, "read_json", read_json)
+            # The worker's own failure retires the task meanwhile.
+            assert worker_side.fail(name, "boom", "RuntimeError") is False
+            return payload
+
+        monkeypatch.setattr(queue_module, "read_json", read_then_race)
+        assert reaper.requeue_expired() == 0
+        # One author: the worker published first, so its error stands and
+        # only it counts; the reaper's "lease expired" record never lands.
+        [failed_file] = sorted(queue.failed_dir.glob("*.json"))
+        failure = json.loads(failed_file.read_text(encoding="utf-8"))
+        assert (failure["error"], failure["error_type"]) == ("boom", "RuntimeError")
+        assert (worker_side.counters.terminal_failures, reaper.counters.terminal_failures) == (1, 0)
+        assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
+        assert sorted(p.name for p in queue.failed_dir.iterdir()) == [failed_file.name]
+
+    def test_a_retire_whose_record_write_fails_is_finished_by_the_next_pass(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_IO_RETRIES", "1")
+        monkeypatch.setenv("REPRO_IO_BACKOFF", "0")
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        _enqueue_plan(queue, [_spec()])
+        name, _ = queue.claim("ghost")
+        _backdate_lease(queue, name)
+        with injected_faults("queue.result_write:osfail@1.0"):
+            with pytest.raises(OSError):
+                queue.requeue_expired()
+        # Nothing was published, and the task is not lost: the claim stays
+        # (its lease is gone), so the next pass retires it.
+        assert queue.counts() == {"ready": 0, "claimed": 1, "results": 0, "failed": 0}
+        assert queue.counters.terminal_failures == 0
+        old = time.time() - 2 * queue.lease_seconds
+        os.utime(queue.claimed_dir / name, (old, old))
+        assert queue.requeue_expired() == 1
+        assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
+        assert queue.counters.terminal_failures == 1
+        [failed_file] = sorted(queue.failed_dir.glob("*.json"))
+        failure = json.loads(failed_file.read_text(encoding="utf-8"))
+        assert "lease expired" in failure["error"]
+        assert failure["task"]["specs"][0]["seed"] == SEED
+        # No tmp sibling of the failed publish is left behind.
+        assert sorted(p.name for p in queue.failed_dir.iterdir()) == [failed_file.name]
 
     def test_exhausted_attempts_surface_the_original_worker_error(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", max_attempts=2)

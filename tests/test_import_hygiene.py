@@ -1,4 +1,4 @@
-"""Cold-start hygiene: the default run path loads neither scipy nor networkx.
+"""Import hygiene: no unused imports in ``src/``, and a light cold start.
 
 Every CLI call, queue worker and test subprocess is a fresh process, so a
 heavy import on the package's import path is paid many times over.  NetworkX
@@ -6,10 +6,15 @@ is needed only for ``Topology.graph``, the ``expander`` topology and the
 ``nx`` reference solver; scipy is not needed at all.  The check runs in a
 subprocess so that modules the pytest process has already imported do not
 mask a regression.  It checks module names, not time, so it cannot flake.
+
+The unused-import check reads every module with :mod:`ast`: an imported
+name must be used in the code, listed in ``__all__``, or named in a string
+annotation (the idiom for names imported under ``TYPE_CHECKING``).
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -75,3 +80,60 @@ def test_graph_access_loads_networkx_on_demand():
             """
         )
     )
+
+
+def _unused_imports(path: Path):
+    """``(line, name)`` for every name ``path`` imports and never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a string annotation, e.g. "Optional[RunResult]"
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expression) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used.update(
+                    c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_src():
+    unused = {
+        str(path.relative_to(SRC)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := _unused_imports(path))
+    }
+    assert unused == {}
+
+
+def test_the_unused_import_check_sees_what_it_must(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(textwrap.dedent(
+        """
+        from __future__ import annotations
+        import os.path
+        from typing import TYPE_CHECKING, Dict, List
+        from json import dumps, loads
+        if TYPE_CHECKING:
+            from pathlib import Path
+        __all__ = ["dumps"] + ["helper"]
+        def helper(p: "Path") -> List[int]:
+            return [TYPE_CHECKING]
+        """
+    ))
+    assert _unused_imports(module) == [(3, "os"), (4, "Dict"), (5, "loads")]

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import ExperimentSpec, canonical_data
 from repro.exec import scheduler as scheduler_mod
 from repro.exec.scheduler import run_specs_parallel
+from repro.ioutil import atomic_write_json
 from repro.simulation import runner as runner_mod
 from repro.simulation.results import AggregateResult, RunResult, aggregate_runs
 from repro.simulation.runner import ExperimentRunner, execute_experiment_spec
@@ -45,7 +46,7 @@ from repro.store import (
     store_counters,
     store_statistics,
 )
-from repro.store.run_store import _atomic_write_json
+from repro.store.run_store import entry_checksum
 from repro.store.transfer import export_store, import_store
 
 pytestmark = pytest.mark.store
@@ -333,19 +334,32 @@ class TestRunStore:
         assert {k: after[k] for k in before} == before
 
     def test_corrupt_entry_file_quarantines_as_a_miss(self, tmp_path):
-        store = RunStore(tmp_path)
         result = _spec().execute()
-        fp = store.put(result)
-        store.entry_path(fp).write_text("{ torn")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert store.get_payload(fp) is None
-        # The torn file moved aside rather than poisoning every later read.
-        assert not store.entry_path(fp).exists()
-        assert (tmp_path / "quarantine" / f"{fp}.json").exists()
-        assert store.counters.to_dict()["quarantined"] == 1
-        # The entry can be recomputed and stored again afterwards.
-        assert store.put(result) == fp
-        assert store.get_payload(fp) is not None
+        # A torn file, and a sealed entry naming another fingerprint than
+        # its file: neither is listed, and get quarantines both.
+        for damage, text, reason in (
+            ("torn", "{ torn", "invalid JSON"),
+            ("misnamed", None, "fingerprint field"),
+        ):
+            store = RunStore(tmp_path / damage)
+            fp = store.put(result)
+            if text is None:
+                payload = json.loads(store.entry_path(fp).read_text())
+                payload["fingerprint"] = "ab" * 20
+                payload["checksum"] = entry_checksum(payload)
+                text = json.dumps(payload)
+            store.entry_path(fp).write_text(text)
+            assert store.list_runs() == [] and len(store) == 0
+            with pytest.warns(RuntimeWarning, match=f"corrupt \\({reason}"):
+                assert store.get_payload(fp) is None
+            # The file moved aside rather than poisoning every later read.
+            assert not store.entry_path(fp).exists()
+            assert (store.quarantine_dir / f"{fp}.json").exists()
+            assert store.counters.to_dict()["quarantined"] == 1
+            # The entry can be recomputed and stored again afterwards.
+            assert store.put(result) == fp
+            assert store.get_payload(fp) is not None
+            assert [e.fingerprint for e in store.list_runs()] == [fp]
 
     def test_malformed_fingerprint_rejected(self, tmp_path):
         store = RunStore(tmp_path)
@@ -905,6 +919,6 @@ class TestCounters:
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "payload.json"
-        _atomic_write_json(target, {"ok": True})
+        atomic_write_json(target, {"ok": True})
         assert json.loads(target.read_text()) == {"ok": True}
         assert [p.name for p in tmp_path.iterdir()] == ["payload.json"]

@@ -19,9 +19,10 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import ExperimentSpec
+from repro.ioutil import atomic_write_json
 from repro.simulation import run_specs_parallel
 from repro.store import RunStore, export_store, fingerprint_spec, import_store
-from repro.store.run_store import _atomic_write_json, entry_checksum
+from repro.store.run_store import entry_checksum
 from repro.store.transfer import MANIFEST_NAME
 
 pytestmark = pytest.mark.store
@@ -64,12 +65,19 @@ class TestExport:
         assert sum(1 for n in names if n.startswith("runs/")) == 2
 
     def test_torn_entry_files_are_skipped_not_fatal(self, tmp_path):
-        store = _populated_store(tmp_path)
-        [first, _second] = sorted(store.runs_dir.glob("*/*.json"))
-        first.write_text("{ torn", encoding="utf-8")
+        store = _populated_store(tmp_path, n=3)
+        [torn, rotted, healthy] = sorted(store.runs_dir.glob("*/*.json"))
+        torn.write_text("{ torn", encoding="utf-8")
+        # A bit-rotted entry parses but fails its checksum: skipped too.
+        payload = json.loads(rotted.read_text(encoding="utf-8"))
+        payload["result"]["total_routing_cost"] += 1.0
+        rotted.write_text(json.dumps(payload), encoding="utf-8")
         summary = export_store(store, tmp_path / "runs.tar.gz")
         assert summary["exported"] == 1
-        assert summary["skipped"] == [first.name]
+        assert summary["skipped"] == [torn.name, rotted.name]
+        target = RunStore(tmp_path / "dst")
+        import_store(target, tmp_path / "runs.tar.gz")
+        assert [e.fingerprint for e in target.list_runs()] == [healthy.stem]
 
 
 class TestImport:
@@ -104,7 +112,7 @@ class TestImport:
             payload["history"].append(
                 {**payload["history"][-1], "written_at": "2027-01-01T00:00:00+00:00"}
             )
-            _atomic_write_json(source.entry_path(fp), payload)
+            source.write_payload(payload)  # resealed, as put would
         tarball2 = tmp_path / "runs2.tar.gz"
         export_store(source, tarball2)
         summary = import_store(target, tarball2)
@@ -113,6 +121,8 @@ class TestImport:
         for spec in _specs(2):
             payload = target.get_payload(fingerprint_spec(spec))
             assert len(payload["history"]) >= 2
+            # updated_at is the newest recomputation, as put keeps it.
+            assert payload["updated_at"] == "2027-01-01T00:00:00+00:00"
 
     def test_conflicting_results_abort_without_writing_anything(self, tmp_path):
         source = _populated_store(tmp_path, n=2)
@@ -127,7 +137,7 @@ class TestImport:
         # Refresh the checksum: this models a *genuinely different* result
         # (two stores disagreeing), not a corrupt entry (which quarantines).
         payload["checksum"] = entry_checksum(payload)
-        _atomic_write_json(target.entry_path(conflicted), payload)
+        atomic_write_json(target.entry_path(conflicted), payload)
         missing = fingerprint_spec(_specs(2)[1])
         with pytest.raises(SimulationError) as excinfo:
             import_store(target, tarball)
@@ -166,26 +176,44 @@ class TestImport:
         source = _populated_store(tmp_path)
         good = tmp_path / "runs.tar.gz"
         export_store(source, good)
-        # Rebuild the tarball with one entry's bytes mangled into non-JSON.
-        bad = tmp_path / "mangled.tar.gz"
-        bad_member = None
-        with tarfile.open(good, "r:gz") as src, tarfile.open(bad, "w:gz") as dst:
-            for member in src.getmembers():
-                data = src.extractfile(member).read()
-                if bad_member is None and member.name.startswith("runs/"):
-                    bad_member = member.name
-                    data = data[: len(data) // 2] + b"\x00garbage"
-                info = tarfile.TarInfo(name=member.name)
-                info.size = len(data)
-                dst.addfile(info, io.BytesIO(data))
-        assert bad_member is not None
-        target = RunStore(tmp_path / "dst")
-        with pytest.raises(SimulationError) as excinfo:
-            import_store(target, bad)
-        message = str(excinfo.value)
-        assert bad_member in message
-        assert "nothing was imported" in message
-        assert len(target.list_runs()) == 0
+
+        def torn(data):
+            return data[: len(data) // 2] + b"\x00garbage"
+
+        def rotted(data):  # parses, but its checksum no longer matches
+            payload = json.loads(data)
+            payload["result"]["total_routing_cost"] += 1.0
+            return json.dumps(payload).encode("utf-8")
+
+        def misnamed(data):  # sealed, but names another fingerprint
+            payload = json.loads(data)
+            payload["fingerprint"] = "ab" * 20
+            payload["checksum"] = entry_checksum(payload)
+            return json.dumps(payload).encode("utf-8")
+
+        for mangle in (torn, rotted, misnamed):
+            case = mangle.__name__
+            # Rebuild the tarball with one entry's bytes mangled.
+            bad = tmp_path / f"{case}.tar.gz"
+            bad_member = None
+            with tarfile.open(good, "r:gz") as src, tarfile.open(bad, "w:gz") as dst:
+                for member in src.getmembers():
+                    data = src.extractfile(member).read()
+                    if bad_member is None and member.name.startswith("runs/"):
+                        bad_member = member.name
+                        data = mangle(data)
+                    info = tarfile.TarInfo(name=member.name)
+                    info.size = len(data)
+                    dst.addfile(info, io.BytesIO(data))
+            assert bad_member is not None
+            target = RunStore(tmp_path / f"dst-{case}")
+            with pytest.raises(SimulationError) as excinfo:
+                import_store(target, bad)
+            message = str(excinfo.value)
+            assert bad_member in message
+            assert "nothing was imported" in message
+            assert len(target.list_runs()) == 0
+            assert not target.runs_dir.exists()
 
     def test_not_an_export_is_a_configuration_error(self, tmp_path):
         bogus = tmp_path / "bogus.tar.gz"
