@@ -1,15 +1,22 @@
-"""R-BMA replay seconds by segment size — where event-skipping pays off.
+"""Replay seconds by segment size and path — where the batched replay pays off.
 
-Serves the first 17,500 requests of the fig4 trace (the R-BMA specs of
-``_harness.figure_specs("fig4")``: microsoft workload, 50 racks, b = 3, 6
-and 9) through ``RBMA.serve_batch`` in segments of a fixed size, and prints
-for each segment size the seconds summed over the three b values, each
-the best of ``--repeats`` runs.  Segments shorter than ``RBMA.min_segment``
-(the constant ``repro.core.uniform._MIN_EVENT_SEGMENT``) are served request
-by request, longer ones through the event-skipping special step in
-``RBMA._serve_segment``, so the table shows the crossover between the two.
-Before any time is printed, every segment size must leave each b's costs
-and counters bit-identical to the first size's.
+Serves the first 17,500 requests of the fig4 trace through ``serve_batch``
+in segments of a fixed size, for every online algorithm of the fig4 panel
+(``_harness.figure_specs("fig4")``: microsoft workload, 50 racks; rbma and
+bma at b = 3, 6 and 9, and oblivious).  Each segment size is timed on both
+replay paths, forced by the instance's ``min_segment``:
+
+* ``serve``: every segment request by request through ``serve``;
+* ``replay``: every segment through the base class's ``_replay`` (the
+  algorithm's ``_serve_segment``, then the vectorised pricing).
+
+For each algorithm, size and path it prints the seconds summed over the
+algorithm's b values, each the best of ``--repeats`` runs.  The smallest
+size from which ``replay`` beats ``serve`` for every algorithm is the
+crossover that the shared ``min_segment`` (the constant
+``repro.core.base._MIN_EVENT_SEGMENT``) should sit at.  Before any time is
+printed, every size and path must leave each spec's costs and counters
+bit-identical to the first run's.
 
 Usage::
 
@@ -31,7 +38,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 N_REQUESTS = 17_500
-SIZES = (1, 8, 16, 32, 64, 256, 1024, 8750)
+SIZES = (1, 4, 8, 16, 32, 64, 256, 1024, 8750)
+ALGORITHMS = ("rbma", "bma", "oblivious")
+PATHS = ("serve", "replay")
 
 
 def _parse(argv=None) -> argparse.Namespace:
@@ -39,7 +48,7 @@ def _parse(argv=None) -> argparse.Namespace:
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="src/ tree to import repro from (default: this checkout's)")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per segment size; the best is reported (default 5)")
+                        help="runs per segment size and path; the best is reported (default 5)")
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
                         help=f"segment sizes (default {' '.join(map(str, SIZES))})")
     args = parser.parse_args(argv)
@@ -48,9 +57,10 @@ def _parse(argv=None) -> argparse.Namespace:
     return args
 
 
-def _replay(spec, trace, topology, size: int):
-    """Seconds to serve ``trace`` in ``size``-request segments, and the end state."""
+def _replay(spec, trace, topology, size: int, path: str):
+    """Seconds to serve ``trace`` in ``size``-request segments on ``path``, and the end state."""
     algorithm = spec.build_algorithm(topology)
+    algorithm.min_segment = size + 1 if path == "serve" else 1
     segments = [trace[start:start + size] for start in range(0, len(trace), size)]
     start = time.perf_counter()
     for segment in segments:
@@ -67,25 +77,32 @@ def _replay(spec, trace, topology, size: int):
 
 
 def segment_table(sizes, repeats: int) -> dict:
-    """``{size: best seconds summed over b}`` for the fig4 R-BMA specs."""
+    """``{algorithm: {(size, path): best seconds summed over b}}`` for the fig4 specs."""
     import _harness as harness
 
-    specs = [spec for spec in harness.figure_specs("fig4") if spec.algorithm.name == "rbma"]
+    specs = [spec for spec in harness.figure_specs("fig4") if spec.algorithm.name in ALGORITHMS]
     trace = specs[0].build_trace()[:N_REQUESTS]
     topology = specs[0].build_topology(trace)
-    best = {size: [float("inf")] * len(specs) for size in sizes}
+    cells = [(size, path) for size in sizes for path in PATHS]
+    best = {cell: [float("inf")] * len(specs) for cell in cells}
     reference = {}
     for _ in range(repeats):
-        for size in sizes:
+        for cell in cells:
             for i, spec in enumerate(specs):
-                seconds, state = _replay(spec, trace, topology, size)
-                expected = reference.setdefault(i, state)
-                if state != expected:
+                seconds, state = _replay(spec, trace, topology, *cell)
+                if state != reference.setdefault(i, state):
                     raise SystemExit(
-                        f"b={spec.algorithm.b}: segment size {size} changed the result"
+                        f"{spec.algorithm.name} b={spec.algorithm.b}: segment size "
+                        f"{cell[0]} on the {cell[1]} path changed the result"
                     )
-                best[size][i] = min(best[size][i], seconds)
-    return {size: sum(per_b) for size, per_b in best.items()}
+                best[cell][i] = min(best[cell][i], seconds)
+    return {
+        name: {
+            cell: sum(s for s, spec in zip(best[cell], specs) if spec.algorithm.name == name)
+            for cell in cells
+        }
+        for name in ALGORITHMS
+    }
 
 
 def main(argv=None) -> None:
@@ -95,10 +112,14 @@ def main(argv=None) -> None:
     import repro
 
     table = segment_table(args.sizes, args.repeats)
-    print(f"R-BMA seconds by segment size (fig4 trace, first {N_REQUESTS:,} requests, "
-          f"b = 3/6/9 summed, best of {args.repeats}; repro from {Path(repro.__file__).parent})")
-    for size, seconds in table.items():
-        print(f"  {size:>6}  {seconds:8.4f} s")
+    print(f"Replay seconds by segment size (fig4 trace, first {N_REQUESTS:,} requests, "
+          f"summed over b, best of {args.repeats}; repro from {Path(repro.__file__).parent})")
+    print("  " + " " * 6 + "".join(f"  {name + ' ' + path:>17}"
+                                   for name in ALGORITHMS for path in PATHS))
+    for size in args.sizes:
+        row = "".join(f"  {table[name][size, path]:15.4f} s"
+                      for name in ALGORITHMS for path in PATHS)
+        print(f"  {size:>6}{row}")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 #!/bin/sh
 # replay CI tier: certify the batched-replay contract of the algorithms.
+# The contract is one ledger: an algorithm's _serve_segment runs its policy
+# and logs the matching edges it adds and removes; the base class's _replay
+# alone prices every request from that log and commits the totals.
 #   * tests/test_differential_matching.py — the fast kernel against the
 #     reference one, operation by operation and whole replays over every
 #     registered algorithm x topology x workload; random segment splits of
 #     serve_batch against request-by-request serve; and the seam itself:
-#     OnlineBMatchingAlgorithm.serve_batch sends a long enough fast-kernel
-#     Trace segment to _serve_segment and everything else through serve;
+#     OnlineBMatchingAlgorithm.serve_batch sends a fast-kernel Trace segment
+#     of at least min_segment requests to _replay and everything else
+#     through serve;
 #   * tests/test_serve_batch_degenerate.py — empty and one-request
-#     segments, b = 1 and one-checkpoint runs, every algorithm x backend;
+#     segments, b = 1 and one-checkpoint runs (every algorithm x backend),
+#     and a degree check failing mid-segment (every algorithm);
 #   * tests/test_regression_pins.py — golden costs per algorithm;
 #   * tests/test_core_*.py — each algorithm's own tests, including its
 #     batched replay against per-request serving and its error semantics.

@@ -13,12 +13,16 @@ reconfiguration policy (:meth:`OnlineBMatchingAlgorithm._reconfigure`), and
 the base class derives reconfiguration cost from the matching's
 addition/removal counters so that no policy can misreport its own cost.
 
-Batched replay has one contract as well.
+Batched replay keeps one ledger as well.
 :meth:`OnlineBMatchingAlgorithm.serve_batch` alone decides how a segment is
 served: request by request through ``serve``, or, for a fast-kernel
 :class:`~repro.traffic.base.Trace` segment of at least ``min_segment``
-requests, through the subclass's vectorised
-:meth:`OnlineBMatchingAlgorithm._serve_segment`.
+requests, through :meth:`OnlineBMatchingAlgorithm._replay`.  There a
+subclass's :meth:`OnlineBMatchingAlgorithm._serve_segment` only runs the
+policy and logs the matching edges it adds and removes; the base class reads
+every request's hit, routing and reconfiguration cost off that log and the
+matching at segment start, and commits the totals.  No policy prices its
+own requests, on either path.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ from ..types import NodePair, Request
 from .rng import CounterRNG
 
 __all__ = ["ServeOutcome", "SegmentLog", "OnlineBMatchingAlgorithm"]
+
+#: The ``min_segment`` of every algorithm: shorter segments are served request
+#: by request, because below it the fixed numpy cost of
+#: :meth:`OnlineBMatchingAlgorithm._replay` outweighs the per-request Python
+#: it saves (measured with ``benchmarks/bench_segments.py``).
+_MIN_EVENT_SEGMENT = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +87,9 @@ class ServeOutcome:
 class SegmentLog:
     """What a batched replay did to one segment, request by request.
 
-    The arrays cover the requests the replay committed, the whole segment
-    unless ``error`` is set.  Positions are request indices in the segment.
+    :meth:`OnlineBMatchingAlgorithm._replay` builds it.  The arrays cover
+    the requests the replay committed, the whole segment unless ``error`` is
+    set.  Positions are request indices in the segment.
 
     Attributes
     ----------
@@ -124,6 +135,12 @@ def sorted_edge_keys(matching) -> np.ndarray:
     return keys
 
 
+def pair_order(keys: np.ndarray, n_racks: int) -> np.ndarray:
+    """The stable argsort of int pair keys (a radix sort when they fit in 16 bits)."""
+    sortable = keys.astype(np.uint16) if n_racks * n_racks <= 1 << 16 else keys
+    return sortable.argsort(kind="stable")
+
+
 def running_total(carried: float, costs: np.ndarray) -> np.ndarray:
     """The running total after each of ``costs``, starting from ``carried``.
 
@@ -166,8 +183,8 @@ class OnlineBMatchingAlgorithm(ABC):
     uses_rng: bool = False
 
     #: Trace segments shorter than this are served request by request by
-    #: :meth:`serve_batch` instead of :meth:`_serve_segment`.
-    min_segment: int = 0
+    #: :meth:`serve_batch` instead of :meth:`_replay`.
+    min_segment: int = _MIN_EVENT_SEGMENT
 
     def __init__(
         self,
@@ -340,24 +357,6 @@ class OnlineBMatchingAlgorithm(ABC):
         keys = lo * self.topology.n_racks + hi
         return lo, hi, keys, self._distances[lo, hi]
 
-    def _hits(self, keys: np.ndarray) -> np.ndarray:
-        """Whether each int pair key is an edge of the (fast-kernel) matching."""
-        edges = sorted_edge_keys(self.matching)
-        if not len(edges):
-            return np.zeros(len(keys), dtype=bool)
-        return edges.take(edges.searchsorted(keys), mode="clip") == keys
-
-    def _serve_static(self, keys: np.ndarray, lengths: np.ndarray) -> None:
-        """Serve requests during which the matching does not change, vectorised.
-
-        Hop counts are integral floats and sizes are 1, so the numpy sum is
-        bit-identical to the sequential accumulation of :meth:`serve`.
-        """
-        hits = self._hits(keys)
-        self.total_routing_cost += float(np.where(hits, 1.0, lengths).sum())
-        self.requests_served += len(keys)
-        self.matched_requests += int(np.count_nonzero(hits))
-
     def serve_batch(self, requests) -> None:
         """Serve a contiguous batch of requests (no per-request outcomes).
 
@@ -365,18 +364,73 @@ class OnlineBMatchingAlgorithm(ABC):
         including a :class:`~repro.traffic.base.Trace` slice.  This is the
         one place that picks the replay path: a segment :meth:`_batch_arrays`
         decodes (a fast-kernel Trace in range, of at least :attr:`min_segment`
-        requests) goes to the algorithm's :meth:`_serve_segment`; anything
-        else is a loop over :meth:`serve`.  Both paths give the same costs,
-        randomness and raised errors.
+        requests) goes to :meth:`_replay`; anything else is a loop over
+        :meth:`serve`.  Both paths give the same costs, randomness and raised
+        errors.
         """
         decoded = self._batch_arrays(requests)
         if decoded is None:
             for request in requests:
                 self.serve(request)
             return
-        log = self._serve_segment(*decoded)
-        if log is not None and log.error is not None:
+        log = self._replay(*decoded)
+        if log.error is not None:
             raise log.error
+
+    def _replay(
+        self, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, lengths: np.ndarray
+    ) -> SegmentLog:
+        """Serve one decoded segment through :meth:`_serve_segment` and price it.
+
+        The arrays are those :meth:`_batch_arrays` returns.  The policy runs
+        and logs its edge events; then, for the requests it committed, each
+        request's hit is read from the matching at segment start and the
+        last event of its pair before it, its routing cost is 1 or ``ℓ_e``,
+        and its reconfiguration cost is ``α`` times its events.  The totals
+        advance by left-to-right cumulative sums from the carried ones, the
+        float order of per-request serving.  Returns the segment's
+        :class:`SegmentLog`, whose ``error`` the caller raises.
+        """
+        initial = sorted_edge_keys(self.matching)  # edges at segment start
+        stop, ev_pos, ev_key, ev_added, error = self._serve_segment(lo, hi, keys, lengths)
+        positions = np.asarray(ev_pos, dtype=np.int64)
+        cut = int(positions.searchsorted(stop))  # the committed requests' events
+        positions = positions[:cut]
+        ev_keys = np.asarray(ev_key, dtype=np.int64)[:cut]
+        added_mask = np.asarray(ev_added, dtype=bool)[:cut]
+        keys = keys[:stop]
+        # Hits are looked up in pair order (sorted queries search fastest) and
+        # scattered back to request order.
+        order = pair_order(keys, self.topology.n_racks)
+        ranked = keys[order]
+        if len(initial):
+            hit = initial.take(initial.searchsorted(ranked), mode="clip") == ranked
+        else:
+            hit = np.zeros(stop, dtype=bool)
+        reconf = np.zeros(stop)
+        if cut:
+            reconf = np.bincount(positions, minlength=stop) * self.config.alpha
+            # Sort the log by (pair, position); each request then finds its
+            # pair's last event strictly before it.
+            scale = stop + 1
+            composite = ev_keys * scale + positions
+            ev_order = composite.argsort(kind="stable")
+            last = composite[ev_order].searchsorted(ranked * scale + order) - 1
+            found = last >= 0
+            last = ev_order[last]  # last == -1 reads a wrong event, masked below
+            found &= ev_keys[last] == ranked
+            hit = np.where(found, added_mask[last], hit)
+        in_order = np.empty(stop, dtype=bool)
+        in_order[order] = hit
+        routing = np.where(in_order, 1.0, lengths[:stop])
+        if stop:
+            self.total_routing_cost = float(running_total(self.total_routing_cost, routing)[-1])
+            self.total_reconfiguration_cost = float(
+                running_total(self.total_reconfiguration_cost, reconf)[-1]
+            )
+        self.requests_served += stop
+        self.matched_requests += int(np.count_nonzero(hit))
+        return SegmentLog(initial, in_order, routing, reconf, positions, ev_keys, added_mask, error)
 
     def serve_all(self, requests: Sequence[Request]) -> float:
         """Serve a whole trace and return the total cost incurred for it."""
@@ -405,19 +459,25 @@ class OnlineBMatchingAlgorithm(ABC):
         the caller from the matching's counters.
         """
 
-    @abstractmethod
-    def _serve_segment(
-        self, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, lengths: np.ndarray
-    ) -> Optional[SegmentLog]:
-        """Serve one decoded segment with the results of per-request serving.
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
+        """Run the policy over one decoded segment and log its matching changes.
 
-        The arrays are those :meth:`_batch_arrays` returns; only
-        :meth:`serve_batch` calls this.  Costs, randomness, state and raised
-        errors must be those of :meth:`serve` called once per request.  On
-        an error, an implementation commits the requests before the failing
-        one and either raises or returns a :class:`SegmentLog` carrying the
-        error, which :meth:`serve_batch` raises.
+        Only :meth:`_replay` calls this, with the arrays :meth:`_batch_arrays`
+        returns.  The policy's state, randomness and raised errors must be
+        those of :meth:`serve` called once per request; costs are not its
+        business.  Returns ``(served, ev_pos, ev_key, ev_added, error)``:
+        the number of requests committed (the whole segment unless ``error``
+        is set), and every matching edge added or removed, in the order it
+        was applied, as the position of the request that caused it, the
+        edge's int key and whether it was added.  ``error`` is the exception
+        that stopped the policy at request ``served``, unraised.  Events of
+        requests from ``served`` on are ignored.
+
+        This default is for policies that never change the matching while
+        serving (oblivious routing, SO-BMA after :meth:`fit`): it logs no
+        events.
         """
+        return len(keys), (), (), (), None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

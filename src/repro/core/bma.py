@@ -128,32 +128,29 @@ class BMA(OnlineBMatchingAlgorithm):
         added.append(pair)
         return tuple(added), tuple(removed)
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> None:
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
         """Batched replay: the same demand-graph bookkeeping, inlined.
 
         Operates on the *same* demand graph as :meth:`serve`, so eviction
         scans and counter resets see identical state in identical order;
         only the per-request wrapper objects (Request, ServeOutcome) are
-        skipped.
+        skipped.  Each saturation logs its evictions, then its insertion.
         """
-        matching = self.matching
-        edge_keys = matching.edge_keys
+        edge_keys = self.matching.edge_keys
         adj = self._demand
         saturate = self._saturate
         alpha = self.config.alpha
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
+        n = self.topology.n_racks
+        ev_pos: list[int] = []
+        ev_key: list[int] = []
+        ev_added: list[bool] = []
+        pos = 0
         try:
-            for key, u, v, length in zip(
-                keys.tolist(), lo.tolist(), hi.tolist(), lengths.tolist()
+            for pos, key, u, v, length in zip(
+                range(len(keys)), keys.tolist(), lo.tolist(), hi.tolist(), lengths.tolist()
             ):
                 if key in edge_keys:
                     adj[u][v]["usefulness"] += 1
-                    routing += 1.0
-                    served += 1
-                    matched += 1
                     continue
                 row = adj[u]
                 data = row.get(v)
@@ -164,22 +161,19 @@ class BMA(OnlineBMatchingAlgorithm):
                 else:
                     data["counter"] += length
                 if data["counter"] < alpha:
-                    routing += length
-                    served += 1
                     continue
-                before = matching.additions + matching.removals
-                saturate((u, v), data)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes:
-                    self._check_degree(u)
-                routing += length
-                reconf += n_changes * alpha
-                served += 1
-        finally:
-            self.total_routing_cost = routing
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = served
-            self.matched_requests = matched
+                _added, removed = saturate((u, v), data)
+                for x, y in removed:
+                    ev_pos.append(pos)
+                    ev_key.append(x * n + y)
+                    ev_added.append(False)
+                ev_pos.append(pos)
+                ev_key.append(key)
+                ev_added.append(True)
+                self._check_degree(u)
+        except BaseException as exc:
+            return pos, ev_pos, ev_key, ev_added, exc
+        return len(keys), ev_pos, ev_key, ev_added, None
 
     # ------------------------------------------------------------------ #
     # Internals

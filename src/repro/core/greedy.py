@@ -65,25 +65,19 @@ class GreedyBMA(OnlineBMatchingAlgorithm):
         self._counters.pop(pair, None)
         return (pair,), ()
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> None:
-        """Batched replay: counter bookkeeping on int-encoded pairs."""
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
+        """Batched replay: counter bookkeeping on int-encoded pairs, logging each insertion."""
         matching = self.matching
         edge_keys = matching.edge_keys
         counters = self._counters
         threshold = self.threshold
-        alpha = self.config.alpha
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
+        ev_pos: list[int] = []
+        pos = 0
         try:
-            for key, u, v, length in zip(
-                keys.tolist(), lo.tolist(), hi.tolist(), lengths.tolist()
+            for pos, key, u, v, length in zip(
+                range(len(keys)), keys.tolist(), lo.tolist(), hi.tolist(), lengths.tolist()
             ):
                 if key in edge_keys:
-                    routing += 1.0
-                    served += 1
-                    matched += 1
                     continue
                 pair = (u, v)
                 total = counters.get(pair, 0.0) + length
@@ -91,17 +85,11 @@ class GreedyBMA(OnlineBMatchingAlgorithm):
                 if total >= threshold and matching.has_capacity(u, v):
                     matching.add(u, v)
                     counters.pop(pair, None)
+                    ev_pos.append(pos)
                     self._check_degree(u)
-                    routing += length
-                    reconf += alpha
-                else:
-                    routing += length
-                served += 1
-        finally:
-            self.total_routing_cost = routing
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = served
-            self.matched_requests = matched
+        except BaseException as exc:
+            return pos, ev_pos, keys[ev_pos], [True] * len(ev_pos), exc
+        return len(keys), ev_pos, keys[ev_pos], [True] * len(ev_pos), None
 
     def _reset_policy_state(self) -> None:
         self._counters.clear()

@@ -17,12 +17,14 @@ reconfiguration cost is paid for every real edge change, including the bulk
 change at a switch.
 
 The experts never read the combiner's state.  A batched replay therefore
-runs each expert over the whole segment on its own batch path, which returns
-a :class:`~repro.core.base.SegmentLog` (per-request hits and costs, and the
-edge events), and computes the combiner's segment from the two logs with
-numpy; Python then runs only per switch and per edge event.  Per-request
-:meth:`HybridBMA.serve` (and so the reference kernel) remains the ground
-truth the batched replay must match bit for bit.
+runs each expert over the whole segment through the base class's replay
+step, which returns a :class:`~repro.core.base.SegmentLog` (per-request hits
+and costs, and the edge events), and finds the switches from the two logs
+with numpy; Python then runs only per switch and per edge event.  Like every
+algorithm, the combiner returns only its own edge events, and the base class
+prices its requests from them.  Per-request :meth:`HybridBMA.serve` (and so
+the reference kernel) remains the ground truth the batched replay must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -139,14 +141,13 @@ class HybridBMA(OnlineBMatchingAlgorithm):
             self.matching.add(*edge)
         return added, removed
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> None:
-        """Batched replay: each expert serves the segment on its own batch path.
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
+        """Batched replay: each expert replays the segment on its own batch path.
 
         The experts never read the combiner's state, so R-BMA and then
         PredictiveBMA replay the whole segment first through their
-        ``_serve_segment``, each returning a
-        :class:`~repro.core.base.SegmentLog`.  The combiner's segment is then
-        read off the two logs:
+        :meth:`~repro.core.base.OnlineBMatchingAlgorithm._replay`, each
+        returning a :class:`~repro.core.base.SegmentLog`.  Then:
 
         * each expert's total cost after every request is the sum of two
           left-to-right cumulative sums (routing and reconfiguration, from
@@ -156,11 +157,10 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         * between switches the real matching applies the followed expert's
           edge events in log order, and at a switch at request ``j`` the
           sorted key-set diff from the old expert's matching after ``j - 1``
-          (the real matching) to the new expert's after ``j``;
-        * each request's hit and routing cost are those of the expert
-          followed when it arrived.
+          (the real matching) to the new expert's after ``j``.
 
-        Costs, switches, matching state and randomness are those of
+        Those real-matching changes are the combiner's edge events.  Costs,
+        switches, matching state and randomness are those of
         request-by-request :meth:`serve` calls.
 
         Errors: if the robust expert raises at request ``i``, the predictive
@@ -170,15 +170,13 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         the combiner serves ``0 .. i-1`` and the error propagates, but the
         robust expert has already served the whole segment.
         """
-        if not len(keys):
-            return
         robust, predictive = self._robust, self._predictive
         other = {robust: predictive, predictive: robust}
         carried = {e: (e.total_routing_cost, e.total_reconfiguration_cost) for e in other}
         n = self.topology.n_racks
-        robust_log = robust._serve_segment(lo, hi, keys, lengths)
+        robust_log = robust._replay(lo, hi, keys, lengths)
         served = len(robust_log.hit)
-        predictive_log = predictive._serve_segment(
+        predictive_log = predictive._replay(
             lo[:served], hi[:served], keys[:served], lengths[:served]
         )
         served = len(predictive_log.hit)
@@ -202,24 +200,25 @@ class HybridBMA(OnlineBMatchingAlgorithm):
                 break
             switches.append(int(candidates[k]))
             following = other[following]
-        # The expert followed when each request arrived.
-        on_robust = (np.searchsorted(switches, np.arange(served)) % 2 == 0) == (
-            self._following is robust
-        )
-        reconf = np.where(on_robust, robust_log.reconf[:served],
-                          predictive_log.reconf[:served])
 
         matching = self.matching
+        ev_pos: list[int] = []
+        ev_key: list[int] = []
+        ev_added: list[bool] = []
         done = 0  # requests whose matching changes are applied
-        error = None
+        error = robust_log.error or predictive_log.error
         try:
             for switch in [*switches, served]:
                 log = logs[self._following]
                 a, z = log.ev_pos.searchsorted([done, switch])
                 positions = log.ev_pos[a:z].tolist()
+                edge_keys = log.ev_key[a:z].tolist()
+                flags = log.ev_added[a:z].tolist()
+                ev_pos += positions
+                ev_key += edge_keys
+                ev_added += flags
                 for pos, key, added, next_pos in zip(
-                    positions, log.ev_key[a:z].tolist(), log.ev_added[a:z].tolist(),
-                    positions[1:] + [-1],
+                    positions, edge_keys, flags, positions[1:] + [-1]
                 ):
                     done = pos
                     if added:
@@ -237,29 +236,19 @@ class HybridBMA(OnlineBMatchingAlgorithm):
                 target = logs[self._following].edges_after(switch)
                 removed = np.setdiff1d(current, target, assume_unique=True).tolist()
                 added = np.setdiff1d(target, current, assume_unique=True).tolist()
+                ev_pos += [switch] * (len(removed) + len(added))
+                ev_key += removed + added
+                ev_added += [False] * len(removed) + [True] * len(added)
                 for key in removed:
                     matching.remove(key // n, key % n)
                 for key in added:
                     matching.add(key // n, key % n)
-                reconf[switch] = (len(removed) + len(added)) * self.config.alpha
                 if removed or added:
                     self._check_degree(int(lo[switch]))
                 done = switch + 1
         except BaseException as exc:
             error = exc
-        hit = np.where(on_robust[:done], robust_log.hit[:done], predictive_log.hit[:done])
-        routing = np.where(on_robust[:done], robust_log.routing[:done],
-                           predictive_log.routing[:done])
-        if done:
-            self.total_routing_cost = float(running_total(self.total_routing_cost, routing)[-1])
-            self.total_reconfiguration_cost = float(
-                running_total(self.total_reconfiguration_cost, reconf[:done])[-1]
-            )
-        self.requests_served += done
-        self.matched_requests += int(np.count_nonzero(hit))
-        error = error or robust_log.error or predictive_log.error
-        if error is not None:
-            raise error
+        return done, ev_pos, ev_key, ev_added, error
 
     def _reset_policy_state(self) -> None:
         self._make_experts()

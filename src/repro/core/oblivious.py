@@ -28,7 +28,3 @@ class ObliviousRouting(OnlineBMatchingAlgorithm):
         request: Request,
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         return (), ()
-
-    def _serve_segment(self, lo, hi, keys, lengths) -> None:
-        """Batched replay: the matching never changes."""
-        self._serve_static(keys, lengths)

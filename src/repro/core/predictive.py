@@ -25,7 +25,7 @@ from ..errors import ConfigurationError
 from ..matching import greedy_b_matching
 from ..topology import Topology
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm, SegmentLog, running_total, sorted_edge_keys
+from .base import OnlineBMatchingAlgorithm
 
 __all__ = ["SlidingWindowPredictor", "PredictiveBMA"]
 
@@ -155,13 +155,11 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
             self.matching.add(key // n, key % n)
         return added, removed
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> SegmentLog:
-        """Serve one decoded segment and return its log.
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
+        """Run the predictor and the installs over one decoded segment.
 
-        Between reconfiguration points (every ``period`` requests, regardless
-        of traffic) the installed matching is static, so a period chunk's
-        hits are one search of its sorted edge keys.  Savings for the
-        predictor are vectorised (``max(ℓ - 1, 0)``), then fed through
+        Savings for the predictor are vectorised (``max(ℓ - 1, 0)``), then
+        fed one period chunk at a time through
         :meth:`SlidingWindowPredictor.observe_batch`, which preserves the
         sequential window/weight semantics bit for bit.  An install logs its
         sorted removals, then its sorted additions, at the request that
@@ -170,20 +168,14 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
         If an install raises (only the degree-bound check can, which a valid
         :func:`~repro.matching.greedy_b_matching` never trips), the state is
         that of per-request serving: the requests before the trigger are
-        committed, the predictor has seen the trigger, and the matching holds
-        whatever the install changed.  The log covers the committed requests
-        and carries the error, unraised.
+        served, the predictor has seen the trigger, and the matching holds
+        whatever the install changed.
         """
-        alpha = self.config.alpha
         total = len(keys)
         savings = np.maximum(lengths - 1.0, 0.0).tolist()
-        initial = sorted_edge_keys(self.matching)
-        hit = np.empty(total, dtype=bool)
-        reconf = np.zeros(total)
         ev_pos: list[int] = []
         ev_key: list[int] = []
         ev_added: list[bool] = []
-        error = None
         start = stop = 0
         try:
             while start < total:
@@ -191,45 +183,21 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
                 # is still routed over the old matching; the reconfiguration
                 # follows it, exactly as in :meth:`serve`.
                 stop = min(total, start + self.period - self._since_reconfig)
-                hit[start:stop] = self._hits(keys[start:stop])
                 pairs = list(zip(lo[start:stop].tolist(), hi[start:stop].tolist()))
                 self.predictor.observe_batch(pairs, savings[start:stop])
                 self._since_reconfig += stop - start
                 start = stop
                 if self._since_reconfig >= self.period:
                     self._since_reconfig = 0
-                    trigger = stop - 1
                     added, removed = self._install_predicted_matching()
-                    n_changes = len(added) + len(removed)
-                    if n_changes:
-                        self._check_degree(pairs[-1][0])
-                    reconf[trigger] = n_changes * alpha
-                    ev_pos += [trigger] * n_changes
+                    ev_pos += [stop - 1] * (len(removed) + len(added))
                     ev_key += removed + added
                     ev_added += [False] * len(removed) + [True] * len(added)
+                    if added or removed:
+                        self._check_degree(pairs[-1][0])
         except BaseException as exc:
-            error = exc
-            total = stop - 1  # the trigger and the requests after it are not served
-        hit = hit[:total]
-        reconf = reconf[:total]
-        routing = np.where(hit, 1.0, lengths[:total])
-        if total:
-            self.total_routing_cost = float(running_total(self.total_routing_cost, routing)[-1])
-            self.total_reconfiguration_cost = float(
-                running_total(self.total_reconfiguration_cost, reconf)[-1]
-            )
-        self.requests_served += total
-        self.matched_requests += int(np.count_nonzero(hit))
-        return SegmentLog(
-            initial=initial,
-            hit=hit,
-            routing=routing,
-            reconf=reconf,
-            ev_pos=np.array(ev_pos, dtype=np.int64),
-            ev_key=np.array(ev_key, dtype=np.int64),
-            ev_added=np.array(ev_added, dtype=bool),
-            error=error,
-        )
+            return stop - 1, ev_pos, ev_key, ev_added, exc  # the trigger is not served
+        return total, ev_pos, ev_key, ev_added, None
 
     def _reset_policy_state(self) -> None:
         self.predictor.reset()

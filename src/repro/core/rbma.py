@@ -19,7 +19,9 @@ exponential improvement over the best deterministic algorithm (Θ(b)).
 
 Which requests are special depends only on per-pair counts and ``k_e``, not
 on the matching or the randomness, so :meth:`RBMA._serve_segment` finds a
-segment's specials in one numpy pass and runs Python only at those.
+segment's specials in one numpy pass and runs Python only at those.  It logs
+the edges they add and remove, and the base class prices every request from
+that log, as it does for every algorithm's batched replay.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from ..config import MatchingConfig
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm, SegmentLog
-from .uniform import _MIN_EVENT_SEGMENT, PerNodePagingMatcher, pair_order, serve_specials
+from .base import OnlineBMatchingAlgorithm, pair_order
+from .uniform import PerNodePagingMatcher, serve_specials
 
 __all__ = ["RBMA"]
 
@@ -57,7 +59,6 @@ class RBMA(OnlineBMatchingAlgorithm):
 
     name = "rbma"
     uses_rng = True
-    min_segment = _MIN_EVENT_SEGMENT
 
     def __init__(
         self,
@@ -116,17 +117,16 @@ class RBMA(OnlineBMatchingAlgorithm):
         self._counters[key] = 0
         return self._matcher.process(pair)
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> SegmentLog:
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
         """Event-skipping replay: Python runs only at special requests.
 
-        (a) One numpy pass finds the segment's special requests from the
-        carried counters and the thresholds ``k_e``; (b)-(c)
+        One numpy pass finds the segment's special requests from the carried
+        counters and the thresholds ``k_e``;
         :func:`~repro.core.uniform.serve_specials` forwards only those to the
-        paging machinery and totals every request's cost from the edge
-        events they log.  Costs, randomness consumption, counters and raised
-        errors are exactly those of request-by-request :meth:`serve` calls.
-        The segment must be non-empty; if a special raises, the log carries
-        the error, unraised.
+        paging machinery and logs the edge events they cause.  Randomness
+        consumption, counters and raised errors are exactly those of
+        request-by-request :meth:`serve` calls.  The segment must be
+        non-empty.
         """
         order = pair_order(keys, self.topology.n_racks)
         # k_e = max(1, ceil(alpha / max(l, 1))) per request; np.ceil of the
@@ -135,15 +135,14 @@ class RBMA(OnlineBMatchingAlgorithm):
             1, np.ceil(self.config.alpha / np.maximum(lengths, 1.0)).astype(np.int64)
         )
         specials, counters = self._find_specials(keys, thresholds, order)
-        log = serve_specials(self, self._matcher, keys, lengths, order, specials)
-        if log.error is not None:
-            # serve_specials committed the requests before the failing
-            # special; per-request serving has also restarted that special's
+        events = serve_specials(self, self._matcher, keys, specials)
+        served, error = events[0], events[-1]
+        if error is not None:
+            # Per-request serving has also restarted the failing special's
             # counter, so the counters advance through it.
-            prefix = order[order <= len(log.hit)]
-            counters = self._find_specials(keys, thresholds, prefix)[1]
+            counters = self._find_specials(keys, thresholds, order[order <= served])[1]
         self._counters.update(counters)
-        return log
+        return events
 
     def _find_specials(
         self, keys: np.ndarray, thresholds: np.ndarray, order: np.ndarray

@@ -156,37 +156,41 @@ class RotorBMA(OnlineBMatchingAlgorithm):
         self._cursor = (self._cursor + 1) % self.n_slots
         return tuple(added), tuple(removed)
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> None:
-        """Batched replay: vectorised lookups between schedule rotations.
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
+        """Batched replay: the matching changes only at rotation points.
 
-        The matching only changes at rotation points, which fall every
-        ``period`` requests regardless of the traffic, so the segment splits
-        into chunks of known size, each served against a static matching by
-        :meth:`_serve_static`.
+        Rotations fall every ``period`` requests regardless of the traffic,
+        so the segment splits into chunks of known size; each rotation logs
+        its removals, then its additions, at the request that triggered it.
         """
-        matching = self.matching
+        n = self.topology.n_racks
         total = len(keys)
         rotates = self.n_slots > self.config.b
-        start = 0
-        while start < total:
-            if rotates:
+        ev_pos: list[int] = []
+        ev_key: list[int] = []
+        ev_added: list[bool] = []
+        start = stop = 0
+        try:
+            while start < total:
                 # The request on which ``_since_rotation`` reaches ``period``
                 # is still served against the old matching; the rotation
                 # happens right after it, exactly as in :meth:`serve`.
-                stop = min(total, start + self.period - self._since_rotation)
-            else:
-                stop = total
-            self._serve_static(keys[start:stop], lengths[start:stop])
-            self._since_rotation += stop - start
-            if rotates and self._since_rotation >= self.period:
-                self._since_rotation = 0
-                before = matching.additions + matching.removals
-                self._advance_schedule()
-                n_changes = matching.additions + matching.removals - before
-                if n_changes:
-                    self._check_degree(int(lo[stop - 1]))
-                self.total_reconfiguration_cost += n_changes * self.config.alpha
-            start = stop
+                stop = min(total, start + self.period - self._since_rotation) if rotates else total
+                self._since_rotation += stop - start
+                start = stop
+                if rotates and self._since_rotation >= self.period:
+                    self._since_rotation = 0
+                    added, removed = self._advance_schedule()
+                    for edges, was_added in ((removed, False), (added, True)):
+                        for u, v in edges:
+                            ev_pos.append(stop - 1)
+                            ev_key.append(u * n + v)
+                            ev_added.append(was_added)
+                    if added or removed:
+                        self._check_degree(int(lo[stop - 1]))
+        except BaseException as exc:
+            return stop - 1, ev_pos, ev_key, ev_added, exc  # the trigger is not served
+        return total, ev_pos, ev_key, ev_added, None
 
     def _reset_policy_state(self) -> None:
         self._cursor = 0

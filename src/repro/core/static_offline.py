@@ -145,10 +145,6 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
             if s > 0
         }
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> None:
-        """Batched replay: the matching never changes after :meth:`fit`."""
-        self._serve_static(keys, lengths)
-
     @property
     def fitted(self) -> bool:
         """Whether :meth:`fit` has been called."""

@@ -22,11 +22,10 @@ treats every request as special — the correct behaviour when ``α = 1`` and
 all distances are 1.
 
 Both algorithms replay a trace segment with :func:`serve_specials`: Python
-runs only at the special requests, which log every matching edge they add or
-remove, and the costs of all requests are then read off that log in one
-vectorised pass.  The log is returned as a
-:class:`~repro.core.base.SegmentLog`, from which
-:class:`~repro.core.hybrid.HybridBMA` computes its own segment.
+runs only at the special requests, and logs every matching edge they add or
+remove.  That log is all a batched replay returns; the base class's one
+ledger (:meth:`~repro.core.base.OnlineBMatchingAlgorithm._replay`) reads
+every request's hit and cost off it and commits the totals.
 """
 
 from __future__ import annotations
@@ -41,22 +40,10 @@ from ..paging.base import PagingAlgorithm
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..types import NodePair, Request
-from .base import OnlineBMatchingAlgorithm, SegmentLog, running_total, sorted_edge_keys
+from .base import OnlineBMatchingAlgorithm
 from .rng import CounterRNG
 
 __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
-
-#: The ``min_segment`` of R-BMA and :class:`UniformBMatching`: shorter
-#: segments are served request by request through
-#: :meth:`~repro.core.base.OnlineBMatchingAlgorithm.serve`, because below it
-#: the fixed numpy cost of :func:`serve_specials` outweighs the per-request
-#: Python it saves (measured on the fig4 workload).
-_MIN_EVENT_SEGMENT = 16
-
-#: The event arrays of a segment log without events (shared, never written).
-_NO_KEYS = np.empty(0, dtype=np.int64)
-_NO_FLAGS = np.empty(0, dtype=bool)
-
 
 class PerNodePagingMatcher:
     """Maintains per-node paging instances and the matching they induce.
@@ -140,65 +127,37 @@ class PerNodePagingMatcher:
         self._pagers.clear()
 
 
-def pair_order(keys: np.ndarray, n_racks: int) -> np.ndarray:
-    """The stable argsort of int pair keys (a radix sort when they fit in 16 bits)."""
-    sortable = keys.astype(np.uint16) if n_racks * n_racks <= 1 << 16 else keys
-    return sortable.argsort(kind="stable")
-
-
 def serve_specials(
     algorithm: OnlineBMatchingAlgorithm,
     matcher: PerNodePagingMatcher,
     keys: np.ndarray,
-    lengths: np.ndarray,
-    order: np.ndarray,
     specials: np.ndarray,
-) -> SegmentLog:
-    """Serve a segment in which only the requests at ``specials`` reconfigure.
+) -> tuple:
+    """Run ``matcher.process`` at the requests ``specials`` lists, logging its edges.
 
-    ``keys`` are the segment's int-encoded canonical pairs, ``lengths`` their
-    fixed-network distances and ``order`` their :func:`pair_order`;
-    ``specials`` are the ascending positions of the requests forwarded to
-    paging.  The segment is served in two passes, with the costs, randomness
-    and errors of per-request serving:
+    ``keys`` are the segment's int-encoded canonical pairs and ``specials``
+    the ascending positions of the requests forwarded to paging.  Each
+    special is processed in order, with the randomness and errors of
+    per-request serving, and every edge it adds or removes is logged with
+    the special's position.  The other requests change nothing.
 
-    * ``matcher.process`` runs for each special, in order, and every edge it
-      adds or removes is logged with the special's position.  An event takes
-      effect after the request that caused it.  Reconfiguration cost is
-      summed here, in request order.
-    * Each request's hit is read from the per-pair membership timeline the
-      log defines (the matching at segment start, then the last event of its
-      pair before it), and routing cost is summed by a left-to-right
-      cumulative sum from the carried total, the float order of per-request
-      serving.
-
-    Returns the segment's :class:`~repro.core.base.SegmentLog`: the edges
-    at segment start, each request's hit, routing and reconfiguration cost,
-    and the edge events.  If a special raises, the requests before it are
-    committed, so the algorithm's totals are those per-request serving
-    leaves, and the log covers those requests and carries the error for the
-    caller to re-raise.
+    Returns ``(served, ev_pos, ev_key, ev_added, error)``, the
+    :meth:`~repro.core.base.OnlineBMatchingAlgorithm._serve_segment` result
+    from which the base class prices the segment.  If a special raises, the
+    requests before it are served and the error is returned, unraised.
     """
-    matching = algorithm.matching
     n = algorithm.topology.n_racks
-    alpha = algorithm.config.alpha
-    initial = sorted_edge_keys(matching)  # edges at segment start
     process = matcher.process
-    key_list = keys.tolist()
     ev_pos: list[int] = []
     ev_key: list[int] = []
     ev_added: list[bool] = []
-    reconf = algorithm.total_reconfiguration_cost
-    error = None
     pos = 0
     try:
-        for pos in specials.tolist():
-            key = key_list[pos]
+        for pos, key in zip(specials.tolist(), keys[specials].tolist()):
             pair = (key // n, key % n)
             added, removed = process(pair)
             if added or removed:
                 algorithm._check_degree(pair[0])
-                reconf += (len(added) + len(removed)) * alpha
                 for u, v in removed:
                     ev_pos.append(pos)
                     ev_key.append(u * n + v)
@@ -207,56 +166,9 @@ def serve_specials(
                     ev_pos.append(pos)
                     ev_key.append(key)
                     ev_added.append(True)
-        stop = len(key_list)
     except BaseException as exc:
-        error = exc
-        stop = pos  # the requests before the failing special are served
-        order = order[order < stop]
-    # Hits are looked up in pair order (sorted queries search fastest) and
-    # scattered back to request order.
-    ranked = keys[order]
-    if len(initial):
-        hit = initial.take(initial.searchsorted(ranked), mode="clip") == ranked
-    else:
-        hit = np.zeros(stop, dtype=bool)
-    positions = ev_keys = _NO_KEYS
-    added_mask = _NO_FLAGS
-    reconf_costs = np.zeros(stop)
-    if ev_pos:
-        positions = np.array(ev_pos, dtype=np.int64)
-        ev_keys = np.array(ev_key, dtype=np.int64)
-        added_mask = np.array(ev_added, dtype=bool)
-        reconf_costs = np.bincount(positions, minlength=stop) * alpha
-        # Sort the log by (pair, position); each request then finds its
-        # pair's last event strictly before it.
-        scale = stop + 1
-        composite = ev_keys * scale + positions
-        ev_order = composite.argsort(kind="stable")
-        last = composite[ev_order].searchsorted(ranked * scale + order) - 1
-        found = last >= 0
-        last = ev_order[last]  # last == -1 reads a wrong event, masked below
-        found &= ev_keys[last] == ranked
-        hit = np.where(found, added_mask[last], hit)
-    in_order = np.empty(stop, dtype=bool)
-    in_order[order] = hit
-    routing = np.where(in_order, 1.0, lengths[:stop])
-    if stop:
-        algorithm.total_routing_cost = float(
-            running_total(algorithm.total_routing_cost, routing)[-1]
-        )
-    algorithm.total_reconfiguration_cost = reconf
-    algorithm.requests_served += stop
-    algorithm.matched_requests += int(np.count_nonzero(hit))
-    return SegmentLog(
-        initial=initial,
-        hit=in_order,
-        routing=routing,
-        reconf=reconf_costs,
-        ev_pos=positions,
-        ev_key=ev_keys,
-        ev_added=added_mask,
-        error=error,
-    )
+        return pos, ev_pos, ev_key, ev_added, exc  # the requests before pos are served
+    return len(keys), ev_pos, ev_key, ev_added, None
 
 
 class UniformBMatching(OnlineBMatchingAlgorithm):
@@ -270,7 +182,6 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
 
     name = "uniform"
     uses_rng = True
-    min_segment = _MIN_EVENT_SEGMENT
 
     def __init__(
         self,
@@ -297,17 +208,14 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         return self._matcher.process(pair)
 
-    def _serve_segment(self, lo, hi, keys, lengths) -> SegmentLog:
+    def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
         """Batched replay through :func:`serve_specials`, every request special.
 
         Without a Theorem 1 filter each request reaches the per-node pagers,
         so the saving over :meth:`serve` is skipping the Request/ServeOutcome
-        wrappers and reading hits and routing costs in one vectorised pass.
+        wrappers and pricing the segment in one vectorised pass.
         """
-        order = pair_order(keys, self.topology.n_racks)
-        return serve_specials(
-            self, self._matcher, keys, lengths, order, np.arange(len(keys))
-        )
+        return serve_specials(self, self._matcher, keys, np.arange(len(keys)))
 
     def _reset_policy_state(self) -> None:
         self._matcher = self._make_matcher()

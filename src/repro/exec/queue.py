@@ -23,6 +23,14 @@ sockets — so any process that can see the filesystem can help drain it
     worker) or the terminal error with the failing spec's JSON intact
     (published once: the first participant to retire a claim writes it).
 
+A queue directory holds one sweep at a time.  ``queue.json`` records the
+plan id, a digest of the plan's tasks; every task, result and failure record
+carries it, and the parent folds only records of its own plan.  Creating a
+queue for another plan is refused while that plan still has ready or
+claimed tasks, and otherwise starts a clean generation (no results, no
+failures, no stop request).  Only unfinished tasks are guarded: the records
+of a finished sweep whose parent has not collected them yet are cleared.
+
 Workers execute whole task groups in lockstep (shared trace built once per
 task) and seed their solver memo from the plan's pre-solved SO-BMA rounds,
 so results are bit-identical to serial execution — including after a worker
@@ -49,6 +57,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
+from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -150,8 +159,19 @@ class WorkQueue:
         max_attempts: int = 3,
         on_error: str = "raise",
         store_root: Optional[str] = None,
+        *,
+        plan_id: str,
     ) -> "WorkQueue":
-        """Initialise a queue directory (idempotent on an empty/own dir)."""
+        """Initialise a queue directory for the plan ``plan_id``.
+
+        Refuses (:class:`ConfigurationError`) while the directory holds
+        ready or claimed tasks of another plan.  Otherwise the queue starts
+        a clean generation: earlier results, failure records and a stop
+        request are removed, so nothing of an earlier sweep is read back.
+        Only unfinished tasks are guarded: a sweep whose tasks are all done
+        but whose parent has not yet collected the last records loses them
+        to the new generation.
+        """
         if lease_seconds <= 0:
             raise ConfigurationError(
                 f"lease_seconds must be positive, got {lease_seconds}"
@@ -164,8 +184,23 @@ class WorkQueue:
             "max_attempts": int(max_attempts),
             "on_error": on_error,
             "store": store_root,
+            "plan": plan_id,
         }
         queue = cls(Path(root), meta)
+        if not queue.is_drained():
+            try:
+                previous = cls.open(root).plan_id
+            except ConfigurationError:  # no readable queue.json: an unknown plan
+                previous = None
+            if previous != plan_id:
+                raise ConfigurationError(
+                    f"queue directory {queue.root} still has unfinished tasks of "
+                    f"another sweep (plan {previous}); wait for it to finish "
+                    "or use another directory"
+                )
+        for d in (queue.results_dir, queue.failed_dir):
+            shutil.rmtree(d, ignore_errors=True)
+        (queue.root / _STOP_NAME).unlink(missing_ok=True)
         for d in (*queue.task_dirs, queue.workers_dir, queue.logs_dir):
             d.mkdir(parents=True, exist_ok=True)
         atomic_write_json(queue.root / _META_NAME, meta, site="queue.task_write")
@@ -202,6 +237,11 @@ class WorkQueue:
     def store_root(self) -> Optional[str]:
         return self.meta.get("store")
 
+    @property
+    def plan_id(self) -> Optional[str]:
+        """The id of the plan this queue runs, a digest of its tasks."""
+        return self.meta.get("plan")
+
     # -- naming ----------------------------------------------------------
 
     @staticmethod
@@ -220,9 +260,11 @@ class WorkQueue:
     # -- producer side ---------------------------------------------------
 
     def enqueue(self, payload: Mapping[str, Any]) -> str:
-        """Add a task (attempt 1); returns the task file name."""
+        """Add a task (attempt 1), stamped with the plan id; returns its file name."""
         name = self.task_file_name(str(payload["id"]), 1)
-        atomic_write_json(self.tasks_dir / name, dict(payload), site="queue.task_write")
+        atomic_write_json(
+            self.tasks_dir / name, dict(payload, plan=self.plan_id), site="queue.task_write"
+        )
         return name
 
     def request_stop(self) -> None:
@@ -257,6 +299,14 @@ class WorkQueue:
                 self.counters.claim_failures += 1
                 logger.debug("claim rename failed for %s: %s", name, exc)
                 continue
+            try:
+                # A rename keeps the enqueue mtime; the grace period of a
+                # claim without a lease counts from the claim.
+                os.utime(target)
+            except FileNotFoundError:
+                continue  # reaped before the stamp: the claim is lost
+            except OSError as exc:  # the claim is ours; its lease still comes
+                logger.debug("claim stamp failed for %s: %s", name, exc)
             try:
                 self._write_lease(name, worker_id)
             except OSError as exc:
@@ -363,6 +413,7 @@ class WorkQueue:
                 self.failed_dir / f"{task_id}.json",
                 {
                     "id": task_id,
+                    "plan": (task_payload or {}).get("plan", self.plan_id),
                     "attempts": attempt,
                     "error": describe(attempt, task_payload),
                     "error_type": error_type,
@@ -561,6 +612,7 @@ def _process_claim(
             name,
             {
                 "id": task_id,
+                "plan": payload.get("plan"),
                 "attempt": attempt,
                 "worker": worker_id,
                 "outcomes": entries,
@@ -662,7 +714,8 @@ def _spawn_worker(root: Path, k: int, poll: float):
 def _collect_outcomes(
     queue: WorkQueue, plane, done: Set[str]
 ) -> bool:
-    """Fold new result/failure files into the results plane; True if any."""
+    """Fold new result/failure files of the queue's plan into the results
+    plane; True if any."""
     progressed = False
     for path in sorted(queue.results_dir.glob("*.json")):
         task_id = path.stem
@@ -674,6 +727,8 @@ def _collect_outcomes(
             # Appeared mid-scan; the next poll sees the finished file.
             queue.counters.torn_results += 1
             logger.debug("torn result file %s: %s", path.name, exc)
+            continue
+        if payload.get("plan") != queue.plan_id:
             continue
         for entry in payload.get("outcomes", []):
             index = int(entry["index"])
@@ -703,6 +758,8 @@ def _collect_outcomes(
         except (OSError, json.JSONDecodeError) as exc:
             queue.counters.torn_results += 1
             logger.debug("torn failure file %s: %s", path.name, exc)
+            continue
+        if payload.get("plan") != queue.plan_id:
             continue
         task_payload = payload.get("task") or {}
         indices = [int(i) for i in task_payload.get("indices", [])]
@@ -741,16 +798,21 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
     )
     lease = options.lease_seconds if options.lease_seconds else DEFAULT_LEASE_SECONDS
     poll = options.poll_interval if options.poll_interval else DEFAULT_POLL_INTERVAL
+    payloads = [task.to_payload() for task in plan.tasks]
+    plan_id = blake2b(
+        json.dumps(payloads, sort_keys=True).encode("utf-8"), digest_size=12
+    ).hexdigest()
     queue = WorkQueue.create(
         root,
         lease_seconds=lease,
         max_attempts=options.max_attempts,
         on_error=plan.on_error,
         store_root=str(plan.store.root) if plan.store is not None else None,
+        plan_id=plan_id,
     )
     expected = {task.task_id for task in plan.tasks}
-    for task in plan.tasks:
-        queue.enqueue(task.to_payload())
+    for payload in payloads:
+        queue.enqueue(payload)
     workers = [_spawn_worker(root, k, poll) for k in range(options.workers)]
     done: Set[str] = set()
     deadline = time.time() + options.timeout if options.timeout else None

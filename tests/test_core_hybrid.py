@@ -111,6 +111,7 @@ def _hybrid(switch_factor=1.0, period=50, alpha=6.0, backend="fast"):
     algo = HybridBMA(FatTreeTopology(n_racks=16), MatchingConfig(b=3, alpha=alpha),
                      rng=3, switch_factor=switch_factor, period=period, window=100)
     algo.rebind_matching_backend(backend)
+    algo.min_segment = 1  # every segment, however short, through ``_replay``
     return algo
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import MatchingConfig
 from repro.core import RBMA, ObliviousRouting
-from repro.core.uniform import _MIN_EVENT_SEGMENT, PerNodePagingMatcher
+from repro.core.base import _MIN_EVENT_SEGMENT
+from repro.core.uniform import PerNodePagingMatcher
 from repro.errors import PagingError, TopologyError
 from repro.matching.validation import check_b_matching
 from repro.paging import RandomizedMarking, make_paging_factory

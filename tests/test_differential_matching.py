@@ -380,6 +380,7 @@ def test_serve_batch_random_segments_match_serve(algorithm, seed, backend):
 
     batched = spec.build_algorithm(topo)
     batched.rebind_matching_backend(backend)
+    batched.min_segment = 1  # short segments through the batch loop too
     if batched.requires_full_trace:
         batched.fit(trace)
     rng = np.random.default_rng(seed)

@@ -51,7 +51,7 @@ def _populated_store(tmp_path):
 
 
 def _queue_with_task(tmp_path, **kwargs):
-    queue = WorkQueue.create(tmp_path / "queue", **kwargs)
+    queue = WorkQueue.create(tmp_path / "queue", plan_id="plan-a", **kwargs)
     queue.enqueue(
         {"id": "t0001", "specs": [], "indices": [0], "fingerprints": [None],
          "solver": {}}

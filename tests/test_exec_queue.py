@@ -103,7 +103,7 @@ class TestLeaseProtocol:
             WorkQueue.open(tmp_path)
 
     def test_claim_has_exactly_one_winner(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
+        queue = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         first = queue.claim("worker-a")
         assert first is not None
@@ -115,7 +115,7 @@ class TestLeaseProtocol:
         assert (queue.claimed_dir / f"{name}.lease").exists()
 
     def test_two_tasks_two_claimants_disjoint_work(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
+        queue = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         _enqueue_plan(queue, [_spec(seed=1), _spec(seed=2)])
         a = queue.claim("worker-a")
         b = queue.claim("worker-b")
@@ -124,14 +124,14 @@ class TestLeaseProtocol:
         assert queue.claim("worker-c") is None
 
     def test_live_lease_is_not_reaped(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q", lease_seconds=60.0)
+        queue = WorkQueue.create(tmp_path / "q", lease_seconds=60.0, plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         queue.claim("worker-a")
         assert queue.requeue_expired() == 0
         assert queue.counts()["claimed"] == 1
 
     def test_dead_pid_reaps_without_waiting_for_the_clock(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q", lease_seconds=3600.0)
+        queue = WorkQueue.create(tmp_path / "q", lease_seconds=3600.0, plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         name, _ = queue.claim("worker-a")
         lease = json.loads(
@@ -142,11 +142,88 @@ class TestLeaseProtocol:
         task_id, attempt = queue.parse_name(name)
         assert (queue.tasks_dir / queue.task_file_name(task_id, attempt + 1)).exists()
 
+    def test_a_claim_waited_longer_than_a_lease_gets_its_grace_period(
+        self, tmp_path, monkeypatch
+    ):
+        """The grace period of a claim whose lease write failed counts from
+        the claim, not from the enqueue: a task that waited in ``tasks/``
+        for longer than a lease is not stale the moment it is claimed."""
+        monkeypatch.setenv("REPRO_IO_RETRIES", "1")
+        monkeypatch.setenv("REPRO_IO_BACKOFF", "0")
+        queue = WorkQueue.create(tmp_path / "q", lease_seconds=5.0, plan_id="plan-a")
+        _enqueue_plan(queue, [_spec()])
+        [task_file] = queue.tasks_dir.glob("*.json")
+        old = time.time() - 60.0
+        os.utime(task_file, (old, old))
+        with injected_faults("queue.heartbeat:osfail@1.0"):
+            name, _ = queue.claim("worker-a")
+        assert queue.counters.lease_write_failures == 1
+        assert not (queue.claimed_dir / f"{name}.lease").exists()
+        assert queue.requeue_expired() == 0
+        assert queue.counts()["claimed"] == 1
+
+    def test_a_claim_whose_stamp_fails_is_kept(self, tmp_path, monkeypatch):
+        """The task is already ours once renamed into ``claimed/``: a failed
+        mtime stamp neither drops the claim nor counts as a claim failure."""
+        queue = WorkQueue.create(tmp_path / "q", lease_seconds=60.0, plan_id="plan-a")
+        _enqueue_plan(queue, [_spec()])
+        utime = os.utime
+
+        def refuse_claims(path, *args, **kwargs):
+            if queue.claimed_dir.name in str(path):
+                raise PermissionError(f"cannot stamp {path}")
+            return utime(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "utime", refuse_claims)
+        claimed = queue.claim("worker-a")
+        assert claimed is not None
+        assert queue.counters.claim_failures == 0
+        assert (queue.claimed_dir / f"{claimed[0]}.lease").exists()
+        assert queue.requeue_expired() == 0
+        assert queue.counts()["claimed"] == 1
+
+
+class TestOneSweepPerDirectory:
+    def test_another_plan_with_unfinished_tasks_is_refused(self, tmp_path):
+        queue = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
+        _enqueue_plan(queue, [_spec()])
+        with pytest.raises(ConfigurationError, match="unfinished tasks of another sweep"):
+            WorkQueue.create(tmp_path / "q", plan_id="plan-b")
+        queue.claim("worker-a")  # a claimed task is unfinished too
+        with pytest.raises(ConfigurationError, match="plan plan-a"):
+            WorkQueue.create(tmp_path / "q", plan_id="plan-b")
+        assert WorkQueue.open(tmp_path / "q").plan_id == "plan-a"
+
+    def test_a_new_plan_starts_a_clean_generation(self, tmp_path):
+        first = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
+        _enqueue_plan(first, [_spec(seed=1), _spec(seed=2)])
+        run_worker(first.root, worker_id="w")
+        (first.failed_dir / "t0009.json").write_text("{}", encoding="utf-8")
+        first.request_stop()
+        second = WorkQueue.create(tmp_path / "q", plan_id="plan-b")
+        assert second.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 0}
+        assert not second.stop_requested()
+        plan = _enqueue_plan(second, [_spec("bma")])
+        run_worker(second.root, worker_id="w")
+        plane = _ResultsPlane(plan, "queue")
+        # A record of another plan is never folded, even under a task id of
+        # this one.
+        (second.results_dir / "t0001.json").write_text(
+            json.dumps({"id": "t0001", "plan": "plan-a", "outcomes": [
+                {"index": 1, "error": {"message": "stale"}}]}),
+            encoding="utf-8",
+        )
+        assert _collect_outcomes(second, plane, set())
+        [result] = plane.assemble()
+        [serial] = run_specs_parallel([_spec("bma")], n_workers=1, store=False)
+        assert result.algorithm == "bma"
+        _assert_series_identical(result, serial)
+
 
 class TestCrashRecovery:
     def test_expired_lease_requeues_and_reexecution_is_bit_identical(self, tmp_path):
         spec = _spec()
-        queue = WorkQueue.create(tmp_path / "q")
+        queue = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         plan = _enqueue_plan(queue, [spec])
         # A worker claims the task, then dies without completing it.
         name, _payload = queue.claim("ghost")
@@ -170,7 +247,7 @@ class TestCrashRecovery:
         _assert_series_identical(result, serial)
 
     def test_fail_after_a_reaper_requeued_the_claim_counts_one_requeue(self, tmp_path):
-        worker_side = WorkQueue.create(tmp_path / "q")
+        worker_side = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         _enqueue_plan(worker_side, [_spec()])
         name, _ = worker_side.claim("slow")
         task_id, attempt = worker_side.parse_name(name)
@@ -187,7 +264,7 @@ class TestCrashRecovery:
         assert worker_side.counts() == {"ready": 1, "claimed": 0, "results": 0, "failed": 0}
 
     def test_fail_after_a_reaper_retired_the_claim_keeps_its_record(self, tmp_path):
-        worker_side = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        worker_side = WorkQueue.create(tmp_path / "q", max_attempts=1, plan_id="plan-a")
         _enqueue_plan(worker_side, [_spec()])
         name, _ = worker_side.claim("slow")
         reaper = WorkQueue.open(worker_side.root)
@@ -204,7 +281,7 @@ class TestCrashRecovery:
     def test_two_reapers_racing_to_retire_count_one_terminal_failure(
         self, tmp_path, monkeypatch
     ):
-        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1, plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         name, _ = queue.claim("ghost")
         _backdate_lease(queue, name)
@@ -225,7 +302,7 @@ class TestCrashRecovery:
     def test_worker_fail_racing_a_reaper_keeps_the_first_record(
         self, tmp_path, monkeypatch
     ):
-        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1, plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         name, _ = queue.claim("slow")
         _backdate_lease(queue, name)
@@ -255,7 +332,7 @@ class TestCrashRecovery:
     ):
         monkeypatch.setenv("REPRO_IO_RETRIES", "1")
         monkeypatch.setenv("REPRO_IO_BACKOFF", "0")
-        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1, plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         name, _ = queue.claim("ghost")
         _backdate_lease(queue, name)
@@ -279,7 +356,7 @@ class TestCrashRecovery:
         assert sorted(p.name for p in queue.failed_dir.iterdir()) == [failed_file.name]
 
     def test_exhausted_attempts_surface_the_original_worker_error(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q", max_attempts=2)
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=2, plan_id="plan-a")
         plan = _enqueue_plan(queue, [_failing_spec()])
         stats = run_worker(queue.root, worker_id="doomed")
         assert stats["completed"] == 0
@@ -300,7 +377,7 @@ class TestCrashRecovery:
             _collect_outcomes(queue, plane, set())
 
     def test_expiry_of_the_last_attempt_is_a_terminal_failure(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q", max_attempts=1)
+        queue = WorkQueue.create(tmp_path / "q", max_attempts=1, plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         name, _ = queue.claim("ghost")
         _backdate_lease(queue, name)
@@ -313,7 +390,7 @@ class TestCrashRecovery:
         assert failure["task"]["specs"][0]["seed"] == SEED
 
     def test_late_result_after_expiry_is_cleaned_up_not_requeued(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
+        queue = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         _enqueue_plan(queue, [_spec()])
         name, _ = queue.claim("slow")
         task_id, _attempt = queue.parse_name(name)
@@ -329,7 +406,7 @@ class TestCrashRecovery:
 
 class TestWorkerCLI:
     def test_repro_worker_drains_a_queue(self, tmp_path, capsys):
-        queue = WorkQueue.create(tmp_path / "q")
+        queue = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         plan = _enqueue_plan(queue, [_spec("rbma"), _spec("bma")])
         assert main(["worker", str(queue.root), "--worker-id", "cli-test"]) == 0
         out = capsys.readouterr().out
@@ -416,6 +493,30 @@ def test_queue_backend_survives_a_killed_worker_bit_identically(tmp_path):
     ]
     assert snapshots, "no worker result payloads recorded"
     assert all(snap.get("misses", 0) == 0 for snap in snapshots)
+
+
+@pytest.mark.sched
+@pytest.mark.parametrize("second_sweep", [["bma"], ["bma", "oblivious", "greedy"]])
+def test_a_reused_queue_dir_runs_the_new_sweep(tmp_path, second_sweep):
+    """A second sweep on the queue directory of a finished one returns its
+    own results: never the first sweep's (same task ids), and the first
+    sweep's stop request does not end the second one's workers."""
+    queue_dir = str(tmp_path / "queue")
+
+    def sweep(names):
+        return execute_plan(
+            build_execution_plan([_spec(name) for name in names], store=False),
+            backend="queue", n_workers=1, queue_dir=queue_dir,
+            poll_interval=0.05, timeout=120.0,
+        )
+
+    sweep(["rbma"])
+    results = sweep(second_sweep)
+    serial = run_specs_parallel([_spec(name) for name in second_sweep], n_workers=1,
+                                store=False)
+    assert [r.algorithm for r in results] == second_sweep
+    for seq, q in zip(serial, results):
+        _assert_series_identical(seq, q)
 
 
 @pytest.mark.sched

@@ -4,7 +4,8 @@ Batch loops that stop and resume at arbitrary indices have edge cases —
 zero-length segments, segments of one request, ``b = 1`` (every insertion
 can force an eviction), and runs with a single checkpoint (one segment
 spanning the whole trace) — pinned here for *all* backends before any
-kernel change can regress them.
+kernel change can regress them.  So is a failure in the middle of a
+segment: every algorithm must stop where request-by-request serving stops.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.config import MatchingConfig, SimulationConfig
 from repro.core.registry import ALGORITHMS
+from repro.errors import SimulationError
 from repro.simulation import run_simulation
 from repro.topology import LeafSpineTopology
 from repro.traffic import zipf_pair_trace
@@ -40,6 +42,7 @@ def _build(name: str, topo, b: int = 3, seed: int = 5, backend: str = "fast"):
     params = {"solver": "greedy"} if name == "so-bma" else {}
     algo = ALGORITHMS.build(name, topo, MatchingConfig(b=b, alpha=4.0), seed, **params)
     algo.rebind_matching_backend(backend)
+    algo.min_segment = 1  # the degenerate shapes reach ``_replay`` however short
     return algo
 
 
@@ -147,3 +150,73 @@ def test_one_request_trace_identical_across_backends(algorithm, topo):
         assert len(result.series.requests) == 1
         totals[backend] = (result.total_routing_cost, result.total_reconfiguration_cost)
     assert totals["fast"] == totals["reference"], algorithm
+
+
+#: Parameters that make every reconfiguring algorithm call ``_check_degree``
+#: at least five times in the failure test's trace.
+FAILURE_PARAMS = {
+    "rotor": {"period": 40},
+    "predictive": {"period": 50},
+    "hybrid": {"period": 50},
+    "so-bma": {"solver": "greedy"},
+}
+
+
+def _fail_on_check(algo, k: int):
+    """Make this instance's ``_check_degree`` raise on its ``k``-th call."""
+    calls = [0]
+    check = algo._check_degree
+
+    def check_or_fail(node):
+        calls[0] += 1
+        if calls[0] == k:
+            raise SimulationError(f"{algo.name}: injected failure at node {node}")
+        check(node)
+
+    algo._check_degree = check_or_fail
+    return algo
+
+
+def _error_of(serve_all) -> str | None:
+    try:
+        serve_all()
+    except SimulationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("segment", [7, 150, None])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+def test_failure_mid_segment_matches_sequential_serve(algorithm, k, segment, topo):
+    """A request whose degree check fails is not served, on either path.
+
+    The failure is injected at the ``k``-th ``_check_degree`` call of the
+    algorithm itself (for hybrid, the combiner's, not an expert's);
+    ``segment=None`` serves the whole trace as one segment.
+    """
+    trace = zipf_pair_trace(n_nodes=N_NODES, n_requests=1200, seed=9)
+    params = FAILURE_PARAMS.get(algorithm, {})
+
+    def build():
+        algo = ALGORITHMS.build(algorithm, topo, MatchingConfig(b=3, alpha=4.0), 5, **params)
+        algo.min_segment = 1  # segments of 7 through ``_replay`` too
+        if algo.requires_full_trace:
+            algo.fit(trace)
+        return _fail_on_check(algo, k)
+
+    def policy_state(algo):
+        return [getattr(algo, name, None) for name in ("_counters", "_demand", "_switches")]
+
+    sequential = build()
+    seq_error = _error_of(lambda: [sequential.serve(r) for r in trace.requests()])
+    batched = build()
+    size = segment or len(trace)
+    batch_error = _error_of(
+        lambda: [batched.serve_batch(trace[i:i + size]) for i in range(0, len(trace), size)]
+    )
+    assert batch_error == seq_error
+    if algorithm not in ("oblivious", "so-bma"):  # these never reconfigure
+        assert seq_error is not None and sequential.requests_served < len(trace)
+    assert _state(batched) == _state(sequential)
+    assert policy_state(batched) == policy_state(sequential)
