@@ -153,8 +153,8 @@ def _check_keys(data: Mapping[str, Any], allowed: frozenset, what: str) -> None:
 
 
 #: LRU cache of built topologies keyed by (name, sorted constructor kwargs).
-#: Topologies are immutable by convention and their distance matrices are the
-#: expensive part (a vectorised BFS per construction); sweeps and figure
+#: Topologies hand out their distance matrices read-only, and the matrices
+#: are the expensive part (a vectorised BFS per construction); sweeps and figure
 #: panels re-request the same topology for every algorithm/backend
 #: combination, so the matrix is computed once and shared.  Bounded so that
 #: long-lived processes sweeping many distinct sizes cannot accumulate dense
@@ -182,8 +182,10 @@ class TopologySpec:
         """Construct the topology; rack-sized families default to the trace size.
 
         Built topologies (and thus their cached distance matrices) are shared
-        across calls with identical name and parameters; callers must treat
-        them as read-only, which every algorithm in :mod:`repro.core` does.
+        across calls with identical name and parameters.  Sharing is safe
+        because :attr:`Topology.distance_matrix` hands out a read-only view:
+        a write through it raises ``ValueError`` instead of changing the
+        distances every other holder of the topology reads.
         """
         kwargs = dict(self.params)
         if (

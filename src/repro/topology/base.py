@@ -5,7 +5,8 @@ list and an edge list (an :class:`EdgeList`, or any graph object with
 ``nodes()`` and ``edges()`` such as an ``nx.Graph``).  The network may
 contain auxiliary switch nodes (aggregation, spine, core); only *rack* nodes
 are endpoints of traffic.  Distances between racks are computed once by a
-multi-source BFS in numpy and stored in a dense matrix so that per-request
+bit-parallel multi-source BFS over the edge list (no BLAS, no dense
+adjacency) and stored in a dense, read-only matrix so that per-request
 lookups are O(1).  NetworkX is imported only when :attr:`Topology.graph` is
 read.
 """
@@ -46,12 +47,16 @@ class EdgeList:
 def build_distance_matrix(graph: Any, rack_nodes: Sequence[Hashable]) -> np.ndarray:
     """Compute the all-pairs shortest-path hop counts between rack nodes.
 
-    A breadth-first search runs from every rack at once: one frontier row
-    per rack advances one level per step through a float32 matmul with the
-    dense adjacency matrix, which runs on BLAS (an integer matmul does not).
-    The adjacency matrix takes ``4 * N**2`` bytes for ``N`` graph nodes,
-    switches included; a fat tree has about 2.5 nodes per rack, so this is
-    about 3x the size of the returned matrix.
+    A level-synchronous breadth-first search runs from every rack at once.
+    Each graph node holds a bitset of the racks whose search has reached it,
+    ``n`` bits packed into 64-bit words.  One level ORs, for every node, the
+    frontier bitsets of its neighbours: the arcs (each edge in both
+    directions) are sorted by head node, their tails' bitsets gathered, and
+    ``np.bitwise_or.reduceat`` folds each head's run.  Bits not seen before
+    form the next frontier, and the new bits at rack nodes give the hop
+    counts found at that level.  The gather is the largest working array,
+    about ``arcs * n / 8`` bytes (a fat tree of 1000 racks has about 97,000
+    arcs: 12 MB); no dense node-by-node adjacency is built.
 
     Parameters
     ----------
@@ -74,7 +79,8 @@ def build_distance_matrix(graph: Any, rack_nodes: Sequence[Hashable]) -> np.ndar
     TopologyError
         If some pair of racks is disconnected in the fixed network.
     """
-    if len(rack_nodes) < 2:
+    n = len(rack_nodes)
+    if n < 2:
         raise TopologyError("a topology needs at least two racks")
     index = {node: i for i, node in enumerate(graph.nodes())}
     try:
@@ -82,23 +88,40 @@ def build_distance_matrix(graph: Any, rack_nodes: Sequence[Hashable]) -> np.ndar
     except KeyError as exc:  # pragma: no cover - defensive
         raise TopologyError(f"rack node {exc} not present in graph") from exc
 
-    adjacency = np.zeros((len(index), len(index)), dtype=np.float32)
     ends = np.array([(index[u], index[v]) for u, v in graph.edges()], dtype=np.intp)
-    if ends.size:
-        adjacency[ends[:, 0], ends[:, 1]] = 1.0
-        adjacency[ends[:, 1], ends[:, 0]] = 1.0
+    ends = ends.reshape(-1, 2)  # (0, 2) when there are no edges
+    # Every edge as two arcs, sorted by head node so that each head's
+    # in-arcs form one run for ``reduceat``.
+    heads = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.argsort(heads)
+    tails = np.concatenate([ends[:, 0], ends[:, 1]])[order]
+    heads = heads[order]
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
 
-    seen = np.zeros((len(racks), len(index)), dtype=bool)
-    seen[np.arange(len(racks)), racks] = True
-    frontier = seen
-    dist = np.where(seen[:, racks], 0.0, np.inf)
-    level = 0
-    while frontier.any() and np.isinf(dist).any():
-        level += 1
-        frontier = (frontier.astype(np.float32) @ adjacency > 0) & ~seen
+    # Bit i of a node's row is rack i (little-endian within each byte).
+    rack_ids = np.arange(n)
+    seen = np.zeros((len(index), -(-n // 64)), dtype=np.uint64)
+    bits = np.left_shift(1, rack_ids & 7).astype(np.uint8)
+    np.bitwise_or.at(seen.view(np.uint8), (racks, rack_ids >> 3), bits)
+    frontier = seen.copy()
+    dist = np.full((n, n), np.inf)
+    unfound = n * n
+    for level in range(len(index)):
+        # new[j, i]: the search from rack i first reaches rack j at this
+        # level, so dist[j, i] (which equals dist[i, j]) is the level.
+        new = np.unpackbits(frontier[racks].view(np.uint8), axis=1, count=n, bitorder="little")
+        new = new.view(bool)
+        dist[new] = level
+        unfound -= int(np.count_nonzero(new))
+        if not unfound:
+            break
+        reached = np.zeros_like(seen)
+        reached[heads[starts]] = np.bitwise_or.reduceat(frontier[tails], starts, axis=0)
+        frontier = reached & ~seen
+        if not frontier.any():
+            break
         seen |= frontier
-        dist[frontier[:, racks]] = level
-    if np.isinf(dist).any():
+    if unfound:
         raise TopologyError("fixed network does not connect all racks")
     return dist
 
@@ -162,8 +185,17 @@ class Topology:
 
     @property
     def distance_matrix(self) -> np.ndarray:
-        """Dense ``(n, n)`` matrix of rack-to-rack hop counts."""
-        return self._distances
+        """Dense ``(n, n)`` matrix of rack-to-rack hop counts, read-only.
+
+        Every algorithm built on this topology indexes the same matrix, and
+        built topologies are shared between experiment specs, so the matrix
+        is handed out as a read-only view: writing to it raises
+        ``ValueError``.  The view is made on every access, so this holds on
+        an unpickled copy too.
+        """
+        view = self._distances.view()
+        view.flags.writeable = False
+        return view
 
     # ------------------------------------------------------------------ #
     # Distance queries
@@ -180,10 +212,18 @@ class Topology:
         return self.distance(pair[0], pair[1])
 
     def distances_for(self, pairs: Iterable[NodePair]) -> np.ndarray:
-        """Vectorised lookup of lengths for many pairs at once."""
+        """Vectorised lookup of lengths for many pairs at once.
+
+        Raises :class:`TopologyError` as :meth:`distance` does if a rack id
+        lies outside ``[0, n)``; a negative id is not read from the end.
+        """
         arr = np.asarray(list(pairs), dtype=np.intp)
         if arr.size == 0:
             return np.zeros(0, dtype=np.float64)
+        n = self.n_racks
+        outside = ((arr < 0) | (arr >= n)).any(axis=1)
+        if outside.any():
+            self.distance(*arr[outside.argmax()])  # raises distance()'s TopologyError
         return self._distances[arr[:, 0], arr[:, 1]]
 
     def max_distance(self) -> float:

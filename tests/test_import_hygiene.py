@@ -137,3 +137,71 @@ def test_the_unused_import_check_sees_what_it_must(tmp_path):
         """
     ))
     assert _unused_imports(module) == [(3, "os"), (4, "Dict"), (5, "loads")]
+
+
+#: numpy entry points that hand their work to BLAS or LAPACK.
+_BLAS_CALLS = frozenset({"dot", "matmul", "linalg", "einsum", "tensordot", "inner", "vdot"})
+
+
+def _blas_calls(path: Path):
+    """``(line, what)`` for every matrix product or numpy BLAS call in ``path``.
+
+    No code under ``src/`` may call BLAS.  OpenBLAS runs a product on every
+    CPU and its helper threads keep spinning after the call returns.  On a
+    2-CPU host, the distance matrix of a 100-rack fat tree (320 nodes),
+    built as a float32 matmul BFS, took 60-76 ms per build in some fresh
+    processes (3 ms in others) and 64 ms in each of two processes building
+    at once; the BFS on arc lists takes 2-3 ms either way
+    (``benchmarks/bench_topology.py``).  A pure-Python loop
+    in a second process ran 1.1-2.4x slower while the matmul build ran
+    every 20 ms, and at idle speed next to the BLAS-free build.  Queue
+    workers are separate processes on one host, so one worker's topology
+    build slowed its sibling's replay.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr in _BLAS_CALLS
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {alias.name for alias in node.names} | set(node.module.split(".")[1:])
+            found += [(node.lineno, f"from {node.module} import {name}")
+                      for name in sorted(names & _BLAS_CALLS)]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name.startswith("numpy.linalg")]
+    return sorted(found)
+
+
+def test_no_blas_calls_in_src():
+    calls = {
+        str(path.relative_to(SRC)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := _blas_calls(path))
+    }
+    assert calls == {}
+
+
+def test_the_blas_check_sees_what_it_must(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(textwrap.dedent(
+        """
+        import numpy as np
+        import numpy.linalg
+        from numpy import einsum, asarray
+        from numpy.linalg import norm
+        a = np.ones((2, 2)) @ np.ones(2)
+        a @= a
+        b = np.dot(a, a) + np.linalg.norm(a) + numpy.vdot(a, a)
+        c = np.matmul(a, a), np.tensordot(a, a), np.inner(a, a), np.einsum("i,i", a, a)
+        d = a * a + np.outer(a, a).sum() + np.bitwise_or.reduceat(a, [0])
+        """
+    ))
+    assert [line for line, _ in _blas_calls(module)] == [3, 4, 5, 6, 7, 8, 8, 8, 9, 9, 9, 9]
