@@ -3,8 +3,10 @@
 Serves the first 17,500 requests of the fig4 trace through ``serve_batch``
 in segments of a fixed size, for every online algorithm of the fig4 panel
 (``_harness.figure_specs("fig4")``: microsoft workload, 50 racks; rbma and
-bma at b = 3, 6 and 9, and oblivious).  Each segment size is timed on both
-replay paths, forced by the instance's ``min_segment``:
+bma at b = 3, 6 and 9, and oblivious) and for uniform at rbma's b values
+(uniform forwards every request to the marking pagers, so it is the heaviest
+user of their special step).  Each segment size is timed on both replay
+paths, forced by the instance's ``min_segment``:
 
 * ``serve``: every segment request by request through ``serve``;
 * ``replay``: every segment through the base class's ``_replay`` (the
@@ -39,7 +41,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 N_REQUESTS = 17_500
 SIZES = (1, 4, 8, 16, 32, 64, 256, 1024, 8750)
-ALGORITHMS = ("rbma", "bma", "oblivious")
+ALGORITHMS = ("rbma", "uniform", "bma", "oblivious")
 PATHS = ("serve", "replay")
 
 
@@ -80,7 +82,10 @@ def segment_table(sizes, repeats: int) -> dict:
     """``{algorithm: {(size, path): best seconds summed over b}}`` for the fig4 specs."""
     import _harness as harness
 
-    specs = [spec for spec in harness.figure_specs("fig4") if spec.algorithm.name in ALGORITHMS]
+    fig4 = harness.figure_specs("fig4")
+    specs = [spec for spec in fig4 if spec.algorithm.name in ALGORITHMS]
+    specs += [uniform for spec in fig4 if spec.algorithm.name == "rbma"
+              for uniform in spec.expand({"algorithm.name": ["uniform"]})]
     trace = specs[0].build_trace()[:N_REQUESTS]
     topology = specs[0].build_topology(trace)
     cells = [(size, path) for size in sizes for path in PATHS]

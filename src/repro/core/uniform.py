@@ -25,7 +25,10 @@ Both algorithms replay a trace segment with :func:`serve_specials`: Python
 runs only at the special requests, and logs every matching edge they add or
 remove.  That log is all a batched replay returns; the base class's one
 ledger (:meth:`~repro.core.base.OnlineBMatchingAlgorithm._replay`) reads
-every request's hit and cost off it and commits the totals.
+every request's hit and cost off it and commits the totals.  For marking
+pagers it inlines :meth:`PerNodePagingMatcher.process`, its reference, with
+the same adds and removes on each cache set in the same order: the marking
+victim is an index into the set's iteration order.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 from ..config import MatchingConfig
 from ..matching import BMatching
 from ..paging.base import PagingAlgorithm
+from ..paging.marking import RandomizedMarking
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
 from ..types import NodePair, Request
@@ -141,6 +145,13 @@ def serve_specials(
     per-request serving, and every edge it adds or removes is logged with
     the special's position.  The other requests change nothing.
 
+    If the matcher's factory is the class :class:`RandomizedMarking` itself,
+    every pager is exactly one, and one flat loop inlines ``process``: the
+    pagers' ``hit`` and ``miss`` and the fast kernel's ``mark_for_removal``,
+    ``unmark``, ``prune_to_capacity`` and ``add``, statement by statement.
+    Only the draw and ``algorithm._check_degree`` are called per special.
+    Any other factory (a policy, a subclass, a wrapper) calls ``process``.
+
     Returns ``(served, ev_pos, ev_key, ev_added, error)``, the
     :meth:`~repro.core.base.OnlineBMatchingAlgorithm._serve_segment` result
     from which the base class prices the segment.  If a special raises, the
@@ -148,24 +159,98 @@ def serve_specials(
     """
     n = algorithm.topology.n_racks
     process = matcher.process
+    check_degree = algorithm._check_degree
     ev_pos: list[int] = []
     ev_key: list[int] = []
     ev_added: list[bool] = []
     pos = 0
     try:
-        for pos, key in zip(specials.tolist(), keys[specials].tolist()):
-            pair = (key // n, key % n)
-            added, removed = process(pair)
-            if added or removed:
-                algorithm._check_degree(pair[0])
-                for u, v in removed:
-                    ev_pos.append(pos)
-                    ev_key.append(u * n + v)
-                    ev_added.append(False)
-                if added:
+        if matcher._factory is not RandomizedMarking:
+            for pos, key in zip(specials.tolist(), keys[specials].tolist()):
+                pair = (key // n, key % n)
+                added, removed = process(pair)
+                if added:  # process removes edges only to add the pair
+                    check_degree(pair[0])
+                    for u, v in removed:
+                        ev_pos.append(pos)
+                        ev_key.append(u * n + v)
+                        ev_added.append(False)
                     ev_pos.append(pos)
                     ev_key.append(key)
                     ev_added.append(True)
+            return len(keys), ev_pos, ev_key, ev_added, None
+        matching = matcher.matching
+        b = matching._b
+        degree = matching._degree
+        edge_keys = matching._edge_keys
+        incident = matching._incident
+        marked_keys = matching._marked_keys
+        marked_at = matching._marked_at
+        slots = {}  # node -> (cache set, marked set, stats, pager) of its pager
+        for pos, key in zip(specials.tolist(), keys[specials].tolist()):
+            u, v = pair = (key // n, key % n)
+            for node in pair:
+                slot = slots.get(node)
+                if slot is None:
+                    pager = matcher.pager(node)
+                    slot = slots[node] = (pager._cache, pager._marked, pager.stats, pager)
+                cache, marked, stats, pager = slot
+                stats.requests += 1
+                if pair in cache:
+                    stats.hits += 1
+                    marked.add(pair)
+                    continue
+                stats.misses += 1
+                while len(cache) >= pager._capacity:
+                    unmarked = [page for page in cache if page not in marked]
+                    if not unmarked:  # a new phase: every cached page was marked
+                        marked.clear()
+                        pager._phase_count += 1
+                        unmarked = list(cache)
+                    victim = unmarked[pager._rng.integers(len(unmarked), pager._draw_index)]
+                    pager._draw_index += 1
+                    cache.remove(victim)
+                    marked.discard(victim)
+                    stats.evictions += 1
+                    # The evicted page's matching edge, if any, is marked for removal.
+                    gone = victim[0] * n + victim[1]
+                    if gone in edge_keys and gone not in marked_keys:
+                        marked_keys.add(gone)
+                        marked_at[victim[0]].add(gone)
+                        marked_at[victim[1]].add(gone)
+                cache.add(pair)
+                marked.add(pair)
+            if key in edge_keys:
+                if key in marked_keys:
+                    marked_keys.discard(key)
+                    marked_at[u].discard(key)
+                    marked_at[v].discard(key)
+                continue
+            for node in pair:
+                while degree[node] >= b:
+                    here = marked_at[node]
+                    if not here:  # the kernel raises its DegreeConstraintError
+                        matching.prune_to_capacity(node)
+                    gone = min(here)
+                    edge_keys.discard(gone)
+                    marked_keys.discard(gone)
+                    for end in (gone // n, gone % n):
+                        incident[end].discard(gone)
+                        degree[end] -= 1
+                        marked_at[end].discard(gone)
+                    matching._removals += 1
+                    ev_pos.append(pos)
+                    ev_key.append(gone)
+                    ev_added.append(False)
+            edge_keys.add(key)
+            for end in pair:
+                incident[end].add(key)
+                degree[end] += 1
+            matching._additions += 1
+            check_degree(u)
+            ev_pos.append(pos)
+            ev_key.append(key)
+            ev_added.append(True)
     except BaseException as exc:
         return pos, ev_pos, ev_key, ev_added, exc  # the requests before pos are served
     return len(keys), ev_pos, ev_key, ev_added, None

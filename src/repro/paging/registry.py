@@ -38,10 +38,6 @@ PagingFactory = Callable[[int, Optional["CounterRNG"]], PagingAlgorithm]
 PAGING_POLICIES: Registry[PagingAlgorithm] = Registry("paging policy")
 
 
-def _marking(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
-    return RandomizedMarking(capacity, rng=rng)
-
-
 def _random(capacity: int, rng: Optional[CounterRNG]) -> PagingAlgorithm:
     return RandomEvictionPaging(capacity, rng=rng)
 
@@ -73,7 +69,9 @@ def make_paging_factory(name: str) -> PagingFactory:
     return PAGING_POLICIES.resolve(name)
 
 
-PAGING_POLICIES.register("marking", _marking)
+# The class itself is the factory: a matcher that holds it knows every pager
+# is exactly a RandomizedMarking (see repro.core.uniform.serve_specials).
+PAGING_POLICIES.register("marking", RandomizedMarking)
 PAGING_POLICIES.register("random", _random)
 PAGING_POLICIES.register("lru", _lru)
 PAGING_POLICIES.register("fifo", _fifo)

@@ -77,7 +77,9 @@ def build_distance_matrix(graph: Any, rack_nodes: Sequence[Hashable]) -> np.ndar
     Raises
     ------
     TopologyError
-        If some pair of racks is disconnected in the fixed network.
+        If some pair of racks is disconnected in the fixed network, a rack
+        node is listed twice, or an edge names a node missing from
+        ``nodes()``.
     """
     n = len(rack_nodes)
     if n < 2:
@@ -87,8 +89,13 @@ def build_distance_matrix(graph: Any, rack_nodes: Sequence[Hashable]) -> np.ndar
         racks = np.array([index[r] for r in rack_nodes], dtype=np.intp)
     except KeyError as exc:  # pragma: no cover - defensive
         raise TopologyError(f"rack node {exc} not present in graph") from exc
-
-    ends = np.array([(index[u], index[v]) for u, v in graph.edges()], dtype=np.intp)
+    repeated = np.flatnonzero(np.bincount(racks) > 1)
+    if len(repeated):  # two rack ids on one node would be at distance 0
+        raise TopologyError(f"rack node {list(index)[repeated[0]]!r} is listed more than once")
+    try:
+        ends = np.array([(index[u], index[v]) for u, v in graph.edges()], dtype=np.intp)
+    except KeyError as exc:
+        raise TopologyError(f"an edge names node {exc.args[0]!r}, which is not in the graph") from exc
     ends = ends.reshape(-1, 2)  # (0, 2) when there are no edges
     # Every edge as two arcs, sorted by head node so that each head's
     # in-arcs form one run for ``reduceat``.

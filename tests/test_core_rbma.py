@@ -8,7 +8,6 @@ import pytest
 from repro.config import MatchingConfig
 from repro.core import RBMA, ObliviousRouting
 from repro.core.base import _MIN_EVENT_SEGMENT
-from repro.core.uniform import PerNodePagingMatcher
 from repro.errors import PagingError, TopologyError
 from repro.matching.validation import check_b_matching
 from repro.paging import RandomizedMarking, make_paging_factory
@@ -279,15 +278,7 @@ class TestEventSkippingReplay:
         pairs = set(trace.pairs())
         assert _full_state(batched, pairs) == _full_state(sequential, pairs)
 
-    def test_only_theorem1_specials_reach_the_pagers(self, small_fattree, monkeypatch):
-        calls = []
-        process = PerNodePagingMatcher.process
-
-        def counting_process(self, pair):
-            calls.append(pair)
-            return process(self, pair)
-
-        monkeypatch.setattr(PerNodePagingMatcher, "process", counting_process)
+    def test_only_theorem1_specials_reach_the_pagers(self, small_fattree):
         trace = zipf_pair_trace(n_nodes=16, n_requests=5000, exponent=1.2, seed=3)
         algo = RBMA(small_fattree, MatchingConfig(b=3, alpha=9.0), rng=0)
         expected = 0
@@ -300,5 +291,8 @@ class TestEventSkippingReplay:
                 k_e = algo.threshold(float(small_fattree.pair_length(pair)))
                 expected += (algo.pending_count(pair) + n_e) // k_e
             algo.serve_batch(segment)
-        assert len(calls) == expected
+        # Each special is one request at each endpoint's pager.
+        matcher = algo.matcher
+        requests = sum(matcher.pager(node).stats.requests for node in matcher.active_nodes)
+        assert requests == 2 * expected
         assert 0 < expected < len(trace)

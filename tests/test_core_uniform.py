@@ -1,14 +1,21 @@
 """Tests for the uniform-case machinery (Theorem 2 reduction)."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from repro.config import MatchingConfig
-from repro.core import UniformBMatching
+from repro.core import HybridBMA, UniformBMatching
+from repro.core.registry import ALGORITHMS
 from repro.core.uniform import PerNodePagingMatcher
 from repro.matching import BMatching
 from repro.matching.validation import check_b_matching
+from repro.paging import RandomizedMarking
 from repro.paging.registry import make_paging_factory
+from repro.topology import FatTreeTopology
+from repro.traffic import zipf_pair_trace
 from repro.types import Request
 
 
@@ -100,3 +107,116 @@ class TestUniformBMatching:
         )
         algo.serve_all(list(uniform_trace.requests()))
         check_b_matching(algo.matching.edges, small_leafspine.n_racks, 2)
+
+
+# --------------------------------------------------------------------------- #
+# The flat marking loop of serve_specials against per-request serving
+# --------------------------------------------------------------------------- #
+#: 4160 requests: every segment of 16, 57 or 4096 requests, the last one
+#: included, is long enough for the batched replay (``min_segment`` 16).
+FLAT_REQUESTS = 4160
+FLAT_SIZES = (16, 57, 4096, FLAT_REQUESTS)
+
+
+class _SubclassMarking(RandomizedMarking):
+    """A marking subclass: its matcher must take the generic ``process`` path."""
+
+
+@lru_cache(maxsize=None)
+def _flat_trace():
+    return zipf_pair_trace(n_nodes=16, n_requests=FLAT_REQUESTS, exponent=1.1, seed=13)
+
+
+def _flat_algorithm(name, b, **params):
+    return ALGORITHMS.build(
+        name, FatTreeTopology(n_racks=16), MatchingConfig(b=b, alpha=3.0), 11, **params
+    )
+
+
+def _paging_state(algo):
+    """Every pager's cache in iteration order, marks, phases, draws and stats,
+    and the paging matcher's matching, after the last committed request."""
+    matcher = (algo._robust if isinstance(algo, HybridBMA) else algo)._matcher
+    pagers = {
+        node: (
+            list(pager._cache),
+            getattr(pager, "marked_pages", None),
+            getattr(pager, "phase_count", None),
+            getattr(pager, "_draw_index", None),
+            replace(pager.stats),  # a copy: the live stats keep counting
+        )
+        for node, pager in sorted(matcher._pagers.items())
+    }
+    matching = matcher.matching
+    return (
+        pagers,
+        set(matching.edge_keys),
+        matching.marked_edges,
+        matching.additions,
+        matching.removals,
+        algo.requests_served,
+        algo.total_routing_cost,
+        algo.total_reconfiguration_cost,
+        set(algo.matching.edge_keys),
+    )
+
+
+@lru_cache(maxsize=None)
+def _served_states(name, b, params=()):
+    """The state at every segment end of :data:`FLAT_SIZES`, served request by request."""
+    trace = _flat_trace()
+    algo = _flat_algorithm(name, b, **dict(params))
+    algo.min_segment = len(trace) + 1  # every segment through ``serve``
+    ends = sorted({stop for size in FLAT_SIZES for stop in range(size, len(trace) + 1, size)})
+    states, start = {}, 0
+    for stop in ends:
+        algo.serve_batch(trace[start:stop])
+        states[stop], start = _paging_state(algo), stop
+    return states
+
+
+def _replay_and_compare(name, b, size, params, monkeypatch):
+    """Replay in ``size``-request segments; return the ``process`` calls made."""
+    expected = _served_states(name, b, tuple(params.items()))
+    calls = [0]
+    process = PerNodePagingMatcher.process
+
+    def counting_process(self, pair):
+        calls[0] += 1
+        return process(self, pair)
+
+    monkeypatch.setattr(PerNodePagingMatcher, "process", counting_process)
+    trace = _flat_trace()
+    algo = _flat_algorithm(name, b, **params)
+    for start in range(0, len(trace), size):
+        stop = min(start + size, len(trace))
+        algo.serve_batch(trace[start:stop])
+        assert _paging_state(algo) == expected[stop], (name, b, size, stop)
+    return calls[0]
+
+
+class TestFlatMarkingLoop:
+    """``serve_specials`` runs marking pagers in one flat loop; ``process`` is
+    its reference.  At every segment end the pagers (cache iteration order
+    included: it picks the eviction victim) and the matching equal those of
+    per-request serving."""
+
+    @pytest.mark.parametrize("size", FLAT_SIZES)
+    @pytest.mark.parametrize("b", [1, 2, 3, 12])
+    @pytest.mark.parametrize("name", ["rbma", "uniform", "hybrid"])
+    def test_flat_loop_equals_per_request_serve(self, name, b, size, monkeypatch):
+        assert _replay_and_compare(name, b, size, {}, monkeypatch) == 0
+        pagers = _served_states(name, b)[FLAT_REQUESTS][0].values()
+        assert sum(draws for _, _, _, draws, _ in pagers) > 0
+
+    @pytest.mark.parametrize("size", [57, FLAT_REQUESTS])
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("rbma", {"paging_policy": "lru"}),
+            ("uniform", {"paging_policy": "lru"}),
+            ("rbma", {"paging_factory": _SubclassMarking}),
+        ],
+    )
+    def test_other_pagers_take_the_process_path(self, name, params, size, monkeypatch):
+        assert _replay_and_compare(name, 3, size, params, monkeypatch) > 0

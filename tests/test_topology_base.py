@@ -212,6 +212,18 @@ class TestAgainstReferenceBFS:
         with pytest.raises(TopologyError, match="^fixed network does not connect all racks$"):
             build_distance_matrix(EdgeList(range(3), []), [0, 1])
 
+    def test_edge_to_a_node_missing_from_the_graph_is_rejected(self):
+        with pytest.raises(TopologyError, match="names node 2, which is not in the graph"):
+            build_distance_matrix(EdgeList([0, 1], [(0, 2)]), [0, 1])
+        with pytest.raises(TopologyError, match="names node 'z'"):
+            build_distance_matrix(EdgeList(["a", "b"], [("a", "b"), ("z", "a")]), ["a", "b"])
+
+    def test_duplicate_rack_nodes_are_rejected(self):
+        with pytest.raises(TopologyError, match="rack node 0 is listed more than once"):
+            Topology(EdgeList([0, 1], [(0, 1)]), [0, 0])
+        with pytest.raises(TopologyError, match="rack node 'b' is listed more than once"):
+            build_distance_matrix(EdgeList("abc", [("a", "b"), ("b", "c")]), ["a", "b", "c", "b"])
+
     @pytest.mark.parametrize("racks", [[], [0]])
     def test_fewer_than_two_racks_keep_their_message(self, racks):
         with pytest.raises(TopologyError, match="^a topology needs at least two racks$"):
