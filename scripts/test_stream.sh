@@ -2,7 +2,8 @@
 # stream CI tier: certify the streaming trace protocol end to end.
 #   * tests/test_traffic_stream.py — TraceStream protocol, chunked
 #     generators (fork_generator counter/buffer semantics, every workload's
-#     stream concatenating to its materialized trace at any chunk size), tee
+#     stream concatenating to its materialized trace at any chunk size,
+#     TemporalModel's vectorised repeats against the per-request loop), tee
 #     fan-out, the incremental statistics accumulator, and chunked CSV/JSONL
 #     readers;
 #   * tests/test_traffic_golden.py — every workload's requests and the

@@ -30,6 +30,21 @@ from .base import OnlineBMatchingAlgorithm
 __all__ = ["SlidingWindowPredictor", "PredictiveBMA"]
 
 
+def pair_sums(lo: np.ndarray, hi: np.ndarray, savings: np.ndarray) -> Dict[NodePair, float]:
+    """Per-pair sums of ``savings`` over the pairs ``(lo[i], hi[i])``, in pair order.
+
+    Each pair's savings are added left to right.  Integral savings (the
+    batched path's ``max(ℓ - 1, 0)`` of hop counts) sum exactly, so a window
+    gives the same floats however it was assembled.
+    """
+    if not len(lo):
+        return {}
+    n = int(max(lo.max(), hi.max())) + 1
+    pairs, inverse = np.unique(lo * n + hi, return_inverse=True)
+    sums = np.bincount(inverse, weights=savings, minlength=len(pairs))
+    return dict(zip(zip((pairs // n).tolist(), (pairs % n).tolist()), sums.tolist()))
+
+
 class SlidingWindowPredictor:
     """Predicts per-pair demand as the (length-weighted) frequency in a sliding window."""
 
@@ -37,56 +52,42 @@ class SlidingWindowPredictor:
         if window < 1:
             raise ConfigurationError(f"predictor window must be >= 1, got {window}")
         self.window = int(window)
-        self._recent: Deque[tuple[NodePair, float]] = deque()
-        self._weights: Dict[NodePair, float] = {}
+        # The last ``window`` observations, oldest first, one deque per field.
+        self._lo: Deque[int] = deque(maxlen=self.window)
+        self._hi: Deque[int] = deque(maxlen=self.window)
+        self._savings: Deque[float] = deque(maxlen=self.window)
 
     def observe(self, pair: NodePair, saving: float) -> None:
         """Record one request with its potential routing-cost saving."""
-        self._recent.append((pair, saving))
-        self._weights[pair] = self._weights.get(pair, 0.0) + saving
-        while len(self._recent) > self.window:
-            old_pair, old_saving = self._recent.popleft()
-            remaining = self._weights.get(old_pair, 0.0) - old_saving
-            if remaining <= 1e-12:
-                self._weights.pop(old_pair, None)
-            else:
-                self._weights[old_pair] = remaining
+        self._lo.append(pair[0])
+        self._hi.append(pair[1])
+        self._savings.append(saving)
 
-    def observe_batch(self, pairs, savings) -> None:
-        """Record many requests at once (hoisted-lookup form of :meth:`observe`).
+    def extend(self, lo: np.ndarray, hi: np.ndarray, savings: np.ndarray) -> None:
+        """Record many requests at once, as :meth:`observe` would in order."""
+        tail = slice(-self.window, None)
+        self._lo.extend(lo[tail].tolist())
+        self._hi.extend(hi[tail].tolist())
+        self._savings.extend(savings[tail].tolist())
 
-        State after the call — window contents, per-pair weights, and the
-        weight dict's insertion order (which the downstream greedy matching's
-        tie-breaking can see) — is exactly what repeated :meth:`observe`
-        calls would leave behind; only the attribute lookups are hoisted out
-        of the loop.
-        """
-        recent = self._recent
-        weights = self._weights
-        window = self.window
-        append = recent.append
-        popleft = recent.popleft
-        get = weights.get
-        pop = weights.pop
-        for pair, saving in zip(pairs, savings):
-            append((pair, saving))
-            weights[pair] = get(pair, 0.0) + saving
-            while len(recent) > window:
-                old_pair, old_saving = popleft()
-                remaining = get(old_pair, 0.0) - old_saving
-                if remaining <= 1e-12:
-                    pop(old_pair, None)
-                else:
-                    weights[old_pair] = remaining
+    def window_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The window's ``(lo, hi, savings)`` arrays, oldest observation first."""
+        size = len(self._lo)
+        return (
+            np.fromiter(self._lo, np.int64, size),
+            np.fromiter(self._hi, np.int64, size),
+            np.fromiter(self._savings, np.float64, size),
+        )
 
     def predicted_weights(self) -> Dict[NodePair, float]:
-        """Current window demand estimate, per pair."""
-        return dict(self._weights)
+        """Current window demand estimate: the window's per-pair saving sums."""
+        return pair_sums(*self.window_arrays())
 
     def reset(self) -> None:
         """Clear the window."""
-        self._recent.clear()
-        self._weights.clear()
+        self._lo.clear()
+        self._hi.clear()
+        self._savings.clear()
 
 
 class PredictiveBMA(OnlineBMatchingAlgorithm):
@@ -130,20 +131,20 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
             return (), ()
         self._since_reconfig = 0
         n = self.topology.n_racks
-        added, removed = self._install_predicted_matching()
+        added, removed = self._install_predicted_matching(self.predictor.predicted_weights())
         return tuple((k // n, k % n) for k in added), tuple((k // n, k % n) for k in removed)
 
-    def _install_predicted_matching(self) -> tuple[list[int], list[int]]:
-        """Install the predicted-best matching; the sorted int keys added and removed.
+    def _install_predicted_matching(
+        self, weights: Dict[NodePair, float]
+    ) -> tuple[list[int], list[int]]:
+        """Install the greedy matching of ``weights``; the sorted int keys added and removed.
 
-        Sorted int keys ``u * n + v`` order exactly like sorted canonical
+        ``weights`` is the predictor's window demand at the trigger.  Sorted
+        int keys ``u * n + v`` order exactly like sorted canonical
         pairs: the removals, then the additions, are applied in pair order.
         """
         n = self.topology.n_racks
-        target = {
-            u * n + v
-            for u, v in greedy_b_matching(self.predictor.predicted_weights(), n, self.config.b)
-        }
+        target = {u * n + v for u, v in greedy_b_matching(weights, n, self.config.b)}
         current = getattr(self.matching, "edge_keys", None)
         if current is None:
             current = {u * n + v for u, v in self.matching.edges}
@@ -156,14 +157,16 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
         return added, removed
 
     def _serve_segment(self, lo, hi, keys, lengths) -> tuple:
-        """Run the predictor and the installs over one decoded segment.
+        """Run the installs over one decoded segment, then feed the predictor.
 
-        Savings for the predictor are vectorised (``max(ℓ - 1, 0)``), then
-        fed one period chunk at a time through
-        :meth:`SlidingWindowPredictor.observe_batch`, which preserves the
-        sequential window/weight semantics bit for bit.  An install logs its
-        sorted removals, then its sorted additions, at the request that
-        triggered it.
+        The savings are vectorised (``max(ℓ - 1, 0)``).  At each install
+        point the predictor's window is the carried window plus the segment
+        up to the trigger, cut to the last ``window`` requests; its per-pair
+        sums (:func:`pair_sums`) are what per-request serving's window
+        would give.  The request on which ``_since_reconfig`` reaches
+        ``period`` is still routed over the old matching; the install
+        follows it, and logs its sorted removals, then its sorted additions,
+        at that request.
 
         If an install raises (only the degree-bound check can, which a valid
         :func:`~repro.matching.greedy_b_matching` never trips), the state is
@@ -171,33 +174,34 @@ class PredictiveBMA(OnlineBMatchingAlgorithm):
         served, the predictor has seen the trigger, and the matching holds
         whatever the install changed.
         """
-        total = len(keys)
-        savings = np.maximum(lengths - 1.0, 0.0).tolist()
+        predictor = self.predictor
+        savings = np.maximum(lengths - 1.0, 0.0)
+        carried_lo, carried_hi, carried_savings = predictor.window_arrays()
+        carried = len(carried_lo)
+        window_lo = np.concatenate([carried_lo, lo])
+        window_hi = np.concatenate([carried_hi, hi])
+        window_savings = np.concatenate([carried_savings, savings])
         ev_pos: list[int] = []
         ev_key: list[int] = []
         ev_added: list[bool] = []
-        start = stop = 0
-        try:
-            while start < total:
-                # The request on which ``_since_reconfig`` reaches ``period``
-                # is still routed over the old matching; the reconfiguration
-                # follows it, exactly as in :meth:`serve`.
-                stop = min(total, start + self.period - self._since_reconfig)
-                pairs = list(zip(lo[start:stop].tolist(), hi[start:stop].tolist()))
-                self.predictor.observe_batch(pairs, savings[start:stop])
-                self._since_reconfig += stop - start
-                start = stop
-                if self._since_reconfig >= self.period:
-                    self._since_reconfig = 0
-                    added, removed = self._install_predicted_matching()
-                    ev_pos += [stop - 1] * (len(removed) + len(added))
-                    ev_key += removed + added
-                    ev_added += [False] * len(removed) + [True] * len(added)
-                    if added or removed:
-                        self._check_degree(pairs[-1][0])
-        except BaseException as exc:
-            return stop - 1, ev_pos, ev_key, ev_added, exc  # the trigger is not served
-        return total, ev_pos, ev_key, ev_added, None
+        seen, error = len(keys), None
+        for trigger in range(self.period - self._since_reconfig - 1, len(keys), self.period):
+            stop = carried + trigger + 1
+            window = slice(max(0, stop - predictor.window), stop)
+            weights = pair_sums(window_lo[window], window_hi[window], window_savings[window])
+            try:
+                added, removed = self._install_predicted_matching(weights)
+                ev_pos += [trigger] * (len(removed) + len(added))
+                ev_key += removed + added
+                ev_added += [False] * len(removed) + [True] * len(added)
+                if added or removed:
+                    self._check_degree(int(lo[trigger]))
+            except BaseException as exc:
+                seen, error = trigger + 1, exc  # the trigger is not served
+                break
+        predictor.extend(lo[:seen], hi[:seen], savings[:seen])
+        self._since_reconfig = (self._since_reconfig + seen) % self.period
+        return (seen if error is None else seen - 1), ev_pos, ev_key, ev_added, error
 
     def _reset_policy_state(self) -> None:
         self.predictor.reset()

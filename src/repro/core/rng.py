@@ -21,12 +21,12 @@ generator state at all.
 
 :meth:`CounterRNG.integers` drives NumPy's own C Philox implementation by
 resetting the bit generator's state to the draw coordinates before each
-draw.  For a bound ``1 <= n < 2**32`` it then reads one raw 64-bit Philox
-word and applies Lemire's bounded reduction
-(https://arxiv.org/abs/1805.10941) in Python, exactly as NumPy's
-``Generator.integers`` does for such bounds: the low 32 bits first, the high
-32 bits on a rejection.  Two rejections in a row (probability below
-``n / 2**32`` each) and every other bound fall back to
+draw.  A bound of 1 is answered with 0 and no draw.  For a bound
+``2 <= n < 2**32`` it then reads one raw 64-bit Philox word and applies
+Lemire's bounded reduction (https://arxiv.org/abs/1805.10941) in Python,
+exactly as NumPy's ``Generator.integers`` does for such bounds: the low 32
+bits first, the high 32 bits on a rejection.  Two rejections in a row
+(probability below ``n / 2**32`` each) and every other bound fall back to
 ``Generator.integers`` at the same coordinates, so every draw equals NumPy's
 answer.  Every randomized algorithm draws from one (see
 :attr:`repro.core.base.OnlineBMatchingAlgorithm.counter_rng`).
@@ -135,13 +135,17 @@ class CounterRNG:
         at the same index.
 
         The result always equals ``Generator.integers(n)`` at the same
-        Philox state.  For a Python ``int`` bound ``1 <= n < 2**32`` it is
+        Philox state.  A Python ``int`` bound of 1 gives 0 without touching
+        the bit generator (Lemire's reduction with ``n = 1`` always accepts
+        and yields 0).  For a Python ``int`` bound ``2 <= n < 2**32`` it is
         computed here from one raw Philox word with NumPy's 32-bit Lemire
         reduction: the low half first, then the high half if the low half
         is rejected.  If both are rejected, and for any other bound (numpy
         integers, bools, ``n >= 2**32``, ``n <= 0``), the state is reset
         and ``Generator.integers`` draws (or raises).
         """
+        if type(n) is int and n == 1:
+            return 0
         state = self._state
         ctr = state["state"]["counter"]
         ctr[1] = counter & _MASK64

@@ -115,6 +115,11 @@ def greedy_b_matching(
 
     This is a 1/2-approximation of the maximum-weight b-matching and runs in
     ``O(m log m)`` for ``m`` weighted pairs.
+
+    Pairs are scanned in ``(-weight, pair)`` order, a total order, and
+    non-positive weights are dropped, so when each pair appears in one
+    orientation the result does not depend on the mapping's order.  (A pair
+    given in both orientations is summed in mapping order first.)
     """
     if b < 1:
         raise SolverError(f"b must be >= 1, got {b}")

@@ -17,8 +17,7 @@ recent-history window, otherwise it is a fresh i.i.d. sample from the matrix.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -77,8 +76,13 @@ class TemporalModel:
         read from its own counter-advanced fork of ``rng``
         (:func:`~repro.traffic.stream.fork_generator` at offsets 0, ``n``,
         ``2n``), so every chunk draws the same values for any chunk size.
-        ``rng`` itself is left untouched; only the history deque and the
-        global request index carry state across chunks.
+        ``rng`` itself is left untouched; only the recent-history window
+        and the global request index carry state across chunks.
+
+        Each chunk is resolved without a per-request loop: a repeat points
+        at the request it copies, and pointer jumping follows every chain
+        of repeats back to the fresh sample (or carried pair) it started
+        from.
         """
         if n_requests < 0:
             raise TrafficError(f"n_requests must be non-negative, got {n_requests}")
@@ -89,26 +93,37 @@ class TemporalModel:
         fresh_rng = fork_generator(rng, 0)
         flags_rng = fork_generator(rng, n_requests)
         picks_rng = fork_generator(rng, 2 * n_requests)
-        history: Deque[tuple[int, int]] = deque(maxlen=self.memory)
+        # The recent-history window since the last drift clear, oldest first.
+        history = np.zeros((0, 2), dtype=np.int32)
         for start in range(0, n_requests, chunk_size):
             stop = min(start + chunk_size, n_requests)
             k = stop - start
             fresh = matrix.sample_pairs(k, fresh_rng)
             repeat_flags = flags_rng.random(k) < self.repeat_probability
             repeat_picks = picks_rng.integers(0, self.memory, size=k)
-            out = np.empty((k, 2), dtype=np.int32)
-            for j in range(k):
-                i = start + j
-                if self.drift_interval and i > 0 and i % self.drift_interval == 0:
-                    history.clear()
-                if repeat_flags[j] and history:
-                    pick = repeat_picks[j] % len(history)
-                    pair = history[pick]
-                else:
-                    pair = (int(fresh[j, 0]), int(fresh[j, 1]))
-                out[j, 0], out[j, 1] = pair
-                history.append(pair)
-            yield out
+            # Virtual index x covers the carried history then the chunk:
+            # request i = start + j sits at x = h + j.  Request i sees the
+            # last ``window = min(memory, i - cleared)`` requests, so a
+            # repeat copies request ``i - window + pick % window``.
+            h = len(history)
+            i = np.arange(start, stop)
+            cleared = i - i % self.drift_interval if self.drift_interval else 0
+            window = np.minimum(self.memory, i - cleared)
+            repeat = repeat_flags & (window > 0)
+            parent = np.arange(h + k)
+            source = i - window + repeat_picks % np.maximum(window, 1)
+            parent[h:][repeat] = (source - (start - h))[repeat]
+            # A repeat may copy a repeat: jump pointers to the first request
+            # of each chain, which is a fresh sample or a carried pair.
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+            virtual = np.concatenate([history, fresh])[parent]
+            # The last request joins its own window for the next chunk.
+            history = virtual[len(virtual) - min(self.memory, int(window[-1]) + 1):].copy()
+            yield virtual[h:]
 
 
 def interleave_bursts(

@@ -1,5 +1,6 @@
 """Tests for the prediction-augmented extension (PredictiveBMA)."""
 
+import numpy as np
 import pytest
 
 from repro.config import MatchingConfig
@@ -32,6 +33,23 @@ class TestSlidingWindowPredictor:
         assert (0, 1) not in weights
         assert set(weights) == {(2, 3), (4, 5)}
 
+    def test_extend_equals_observing_in_order(self):
+        rng = np.random.default_rng(8)
+        lo = rng.integers(0, 5, size=40)
+        hi = lo + rng.integers(1, 4, size=40)
+        savings = rng.integers(0, 4, size=40) * 0.5
+        for window in (1, 7, 40, 100):
+            one_by_one = SlidingWindowPredictor(window)
+            batched = SlidingWindowPredictor(window)
+            for pair, saving in zip(zip(lo.tolist(), hi.tolist()), savings.tolist()):
+                one_by_one.observe(pair, saving)
+            batched.extend(lo[:13], hi[:13], savings[:13])
+            batched.extend(lo[13:], hi[13:], savings[13:])
+            assert batched.predicted_weights() == one_by_one.predicted_weights()
+            for got, want in zip(batched.window_arrays(), one_by_one.window_arrays()):
+                np.testing.assert_array_equal(got, want)
+            assert len(batched.window_arrays()[0]) == min(window, 40)
+
     def test_reset(self):
         p = SlidingWindowPredictor(window=4)
         p.observe((0, 1), 1.0)
@@ -41,6 +59,48 @@ class TestSlidingWindowPredictor:
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigurationError):
             SlidingWindowPredictor(window=0)
+
+
+def _state(algo):
+    """Everything per-request serving determines, the predictor's window included."""
+    return (algo.total_routing_cost, algo.total_reconfiguration_cost,
+            algo.requests_served, algo.matched_requests,
+            sorted(algo.matching.edges), algo.matching.additions,
+            algo.matching.removals, algo.predictor.predicted_weights(),
+            algo._since_reconfig)
+
+
+class TestBatchedInstalls:
+    """``serve_batch`` equals per-request ``serve`` at every segment end."""
+
+    @pytest.mark.parametrize("period, window, chunk", [
+        (50, 400, 30),    # every segment is shorter than the window
+        (40, 100, 40),    # every install falls on a segment's last request
+        (37, 90, 64),     # the period does not divide the chunk
+        (200, 60, 17),    # a window shorter than the period
+        (1, 5, 16),       # an install after every request
+        (25, 2000, 900),  # one segment, the window never full
+    ])
+    def test_segments_match_per_request_serving(self, small_fattree, monkeypatch,
+                                                 period, window, chunk):
+        trace = zipf_pair_trace(n_nodes=16, n_requests=900, exponent=1.3,
+                                repeat_probability=0.5, seed=4)
+        config = MatchingConfig(b=2, alpha=4)
+        sequential = PredictiveBMA(small_fattree, config, period=period, window=window)
+        batched = PredictiveBMA(small_fattree, config, period=period, window=window)
+        batched.min_segment = 1  # every segment takes the batched path
+
+        def no_per_request_serving(request):
+            raise AssertionError("serve_batch fell back to serve")
+
+        monkeypatch.setattr(batched, "serve", no_per_request_serving)
+        for start in range(0, len(trace), chunk):
+            segment = trace[start:start + chunk]
+            for request in segment.requests():
+                sequential.serve(request)
+            batched.serve_batch(segment)
+            assert _state(batched) == _state(sequential), start
+        assert sequential.matching.additions > 0
 
 
 class TestPredictiveBMA:

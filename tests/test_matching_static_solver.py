@@ -50,6 +50,24 @@ class TestGreedy:
             greedy = greedy_b_matching(weights, 6, b=2)
             assert matching_weight(greedy, weights) >= 0.5 * matching_weight(exact, weights)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_insertion_order_does_not_matter(self, seed):
+        """Ties, zero weights and reversed pairs included, as long as each
+        pair appears in one orientation."""
+        rng = np.random.default_rng(seed)
+        weights = {}
+        for u in range(12):
+            for v in range(u + 1, 12):
+                if rng.random() < 0.6:
+                    pair = (u, v) if rng.random() < 0.5 else (v, u)
+                    weights[pair] = float(rng.integers(0, 4))  # many ties, some zeros
+        expected = greedy_b_matching(weights, 12, b=2)
+        items = list(weights.items())
+        for _ in range(20):
+            order = rng.permutation(len(items))
+            shuffled = dict(items[i] for i in order)
+            assert greedy_b_matching(shuffled, 12, b=2) == expected
+
     def test_rejects_bad_b(self):
         with pytest.raises(SolverError):
             greedy_b_matching({(0, 1): 1.0}, 2, b=0)

@@ -96,6 +96,28 @@ class _CountingGenerator:
         return self.gen.integers(n)
 
 
+class _CountingBitGenerator:
+    """Stands in for ``CounterRNG._bitgen``: counts state sets and raw words."""
+
+    def __init__(self, bitgen):
+        self.bitgen = bitgen
+        self.state_sets = 0
+        self.words = 0
+
+    @property
+    def state(self):
+        return self.bitgen.state
+
+    @state.setter
+    def state(self, value):
+        self.state_sets += 1
+        self.bitgen.state = value
+
+    def random_raw(self):
+        self.words += 1
+        return self.bitgen.random_raw()
+
+
 def _lemire_branch(k0: int, k1: int, index: int, counter: int, n: int) -> str:
     """Which half of the raw Philox word NumPy's 32-bit Lemire accepts."""
     bitgen = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
@@ -148,6 +170,17 @@ class TestDrawBranches:
         for _, _, numpy_calls in self._draws(crng, (1,), range(16)):
             assert numpy_calls == 0
         assert crng.integers(1, 3) == 0
+
+    def test_bound_one_sets_no_state_and_draws_no_word(self):
+        crng = CounterRNG(2024, 9)
+        counting = _CountingBitGenerator(crng._bitgen)
+        crng._bitgen = counting
+        for index, counter in [(0, 0), (1, 0), (7, 3), (2**40 + 5, 1), (2**64 - 1, 2**32)]:
+            got = crng.integers(1, index, counter)
+            assert got == _numpy_reference_draw(*crng.key, index, counter, 1) == 0
+        assert (counting.state_sets, counting.words) == (0, 0)
+        assert crng.integers(2, 0) == _numpy_reference_draw(*crng.key, 0, 0, 2)
+        assert (counting.state_sets, counting.words) == (1, 1)
 
     @pytest.mark.parametrize(
         "n",

@@ -9,15 +9,19 @@ from independent bulk generators; the engine-level counterpart lives in
 ``tests/test_streaming_engine.py``.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.errors import TrafficError
 from repro.traffic import (
     DEFAULT_CHUNK_SIZE,
+    TemporalModel,
     Trace,
     TraceStream,
     TraceStatisticsAccumulator,
+    TrafficMatrix,
     available_workloads,
     compute_trace_statistics,
     fork_generator,
@@ -74,6 +78,60 @@ class TestFortGenerator:
         rng = np.random.Generator(np.random.MT19937(1))
         with pytest.raises(TrafficError, match="PCG64"):
             fork_generator(rng, 3)
+
+
+def _reference_temporal_stream(model, matrix, n_requests, rng, chunk_size):
+    """The per-request history loop ``TemporalModel.stream`` replaced."""
+    if n_requests == 0:
+        return
+    fresh_rng = fork_generator(rng, 0)
+    flags_rng = fork_generator(rng, n_requests)
+    picks_rng = fork_generator(rng, 2 * n_requests)
+    history = deque(maxlen=model.memory)
+    for start in range(0, n_requests, chunk_size):
+        stop = min(start + chunk_size, n_requests)
+        k = stop - start
+        fresh = matrix.sample_pairs(k, fresh_rng)
+        repeat_flags = flags_rng.random(k) < model.repeat_probability
+        repeat_picks = picks_rng.integers(0, model.memory, size=k)
+        out = np.empty((k, 2), dtype=np.int32)
+        for j in range(k):
+            i = start + j
+            if model.drift_interval and i > 0 and i % model.drift_interval == 0:
+                history.clear()
+            if repeat_flags[j] and history:
+                pair = history[repeat_picks[j] % len(history)]
+            else:
+                pair = (int(fresh[j, 0]), int(fresh[j, 1]))
+            out[j, 0], out[j, 1] = pair
+            history.append(pair)
+        yield out
+
+
+@pytest.mark.stream
+class TestTemporalStreamAgainstLoop:
+    """The vectorised repeat resolution equals the per-request loop, chunk by chunk."""
+
+    MATRIX = TrafficMatrix.from_node_popularity(np.linspace(1.0, 6.0, 9))
+
+    @pytest.mark.parametrize("n_requests", [0, 1, 50, 3001])
+    @pytest.mark.parametrize("drift_interval", [0, 7, 500])
+    @pytest.mark.parametrize("memory", [1, 3, 96])
+    @pytest.mark.parametrize("repeat_probability", [0.0, 0.55, 0.97])
+    def test_chunks_equal_the_reference(self, repeat_probability, memory,
+                                        drift_interval, n_requests):
+        model = TemporalModel(repeat_probability, memory, drift_interval)
+        seed = 1000 * memory + drift_interval
+        for chunk_size in (1, 7, 64, 4096):
+            got = list(model.stream(self.MATRIX, n_requests,
+                                    np.random.default_rng(seed), chunk_size))
+            want = list(_reference_temporal_stream(
+                model, self.MATRIX, n_requests, np.random.default_rng(seed), chunk_size))
+            assert len(got) == len(want), chunk_size
+            for chunk, expected in zip(got, want):
+                assert chunk.dtype == np.int32
+                assert chunk.shape == expected.shape
+                np.testing.assert_array_equal(chunk, expected)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
