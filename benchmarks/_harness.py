@@ -5,7 +5,7 @@ section (routing-cost panel, execution-time panel, best-of panel) as
 plain-text tables printed to stdout and written under ``benchmarks/output/``.
 
 Because the original traces are proprietary, the workloads are the synthetic
-equivalents from :mod:`repro.traffic` (see ``DESIGN.md`` §2), and the request
+equivalents from :mod:`repro.traffic` (its docstring says why), and the request
 counts are scaled down by ``REPRO_BENCH_SCALE`` (default 0.05 of the paper's
 x-axes) so the whole suite runs in minutes on a laptop.  Set
 ``REPRO_BENCH_SCALE=1.0`` to run at the paper's full scale.
@@ -26,7 +26,8 @@ from repro.analysis import format_comparison_table, format_series_table
 from repro.experiments import ExperimentSpec
 from repro.simulation import AggregateResult, ExperimentRunner
 from repro.exec import default_worker_count
-from repro.store import default_store, store_counters
+from repro.obs import snapshot
+from repro.store import default_store
 
 __all__ = [
     "bench_scale",
@@ -113,17 +114,16 @@ def _store_provenance() -> Dict[str, object]:
 
     ``store_active`` says whether a default store was configured while the
     benchmark process ran; ``store_hits``/``store_misses``/``store_writes``
-    are the process-wide tallies, so a reader can tell how much of the
-    surrounding pipeline (figure panels, preflight) was served from cache.
+    are the process totals of the ``store.`` counts on :mod:`repro.obs`,
+    so a reader can tell how much of the surrounding pipeline (figure
+    panels, preflight) was served from cache.
     The timing arms themselves always run with ``store=False``, so hits
     never contaminate the recorded wall-clock numbers.
     """
-    counters = store_counters()
+    counts = snapshot("store.")
     return {
         "store_active": default_store() is not None,
-        "store_hits": counters["hits"],
-        "store_misses": counters["misses"],
-        "store_writes": counters["writes"],
+        **{f"store_{k}": counts.get(f"store.{k}", 0) for k in ("hits", "misses", "writes")},
     }
 
 

@@ -8,7 +8,9 @@
 #     on a torn, bit-rotted or misnamed member or a conflicting result;
 #   * tests/test_doctor.py — `repro doctor` reports what the store's
 #     reader rejects and exactly the claims the queue's requeue_expired
-#     acts on, and --fix repairs through those owners.
+#     acts on, and --fix repairs through those owners;
+#   * tests/test_obs.py — the counter registry (repro.obs) that holds the
+#     store's, the queue's, the solver memo's and the fault plan's counts.
 # Extra pytest arguments are passed through.
 set -eu
 cd "$(dirname "$0")/.."
@@ -17,4 +19,5 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     tests/test_run_store.py \
     tests/test_store_transfer.py \
     tests/test_doctor.py \
+    tests/test_obs.py \
     "$@"

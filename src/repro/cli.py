@@ -39,6 +39,7 @@ from .config import SweepConfig
 from .core import available_algorithms
 from .errors import ConfigurationError, ReproError
 from .experiments import ExperimentSpec, ProgressObserver
+from .obs import snapshot
 from .paging import available_paging_policies
 from .simulation import (
     ExperimentRunner,
@@ -314,9 +315,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if streaming:
         spec = spec.with_streaming(chunk_size=chunk_size)
     observers = (ProgressObserver(),) if args.progress else ()
-    # Resolve the store once so the hit/miss summary reads one instance's
-    # counters; None (resolved from a disabled/absent env default) must stay
-    # disabled downstream, hence the False fallback.
+    # None (resolved from a disabled/absent env default) must stay disabled
+    # downstream, hence the False fallback.
     run_store = resolve_store(_store_arg(args))
     from .exec import resolve_backend_name, resolve_worker_count
 
@@ -324,6 +324,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.progress and resolve_backend_name(args.backend, workers) != "serial":
         print("note: --progress is unavailable off the serial backend "
               "(observers do not cross process boundaries)", file=sys.stderr)
+    before = snapshot("store.")
     runs = run_specs_parallel(
         [spec.with_seed(seed) for seed in spec.repetition_seeds()],
         n_workers=workers,
@@ -333,9 +334,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         observers=observers,
     )
     if run_store is not None:
-        counters = run_store.counters
-        print(f"store: {counters.hits} hit(s), {counters.misses} miss(es) "
-              f"at {run_store.root}")
+        after = snapshot("store.")
+        hits, misses = (after.get(k, 0) - before.get(k, 0) for k in ("store.hits", "store.misses"))
+        print(f"store: {hits} hit(s), {misses} miss(es) at {run_store.root}")
     agg = aggregate_runs(runs)
     results = {spec.label: agg}
     print(format_series_table(results, metric="routing_cost", title=f"{spec.label}"))

@@ -12,7 +12,9 @@ The invariant maintained is exactly the paper's:
     an *unmarked* matching edge is cached at both of its endpoints,
 
 which guarantees that pruning always finds a marked edge to evict when a node
-is full (see the proof sketch in ``DESIGN.md``).
+is full: once ``e`` is requested at ``u``, the cache of ``u`` (at most ``b``
+pages) holds ``e`` and every unmarked matching edge at ``u``, so at most
+``b - 1`` of the ``b`` matching edges at ``u`` are unmarked.
 
 :class:`PerNodePagingMatcher` is the reusable machinery; it operates on a
 :class:`~repro.matching.bmatching.BMatching` owned by the caller so that

@@ -19,8 +19,9 @@ orphaned leases and expired claims that
 (:meth:`~repro.exec.queue.WorkQueue.stale_claims`).  With ``fix=True`` the
 repairs are the owners' own: the store's quarantine and legacy-index
 removal, the queue's maintenance pass (which also reaps stale tmp files);
-each finding records whether its file is gone afterwards.  The CLI
-front-end is ``repro doctor [--store DIR] [--queue DIR] [--fix]``.
+each finding records whether its file is gone afterwards; ``counters``
+holds the ``store.``/``queue.`` counts (:mod:`repro.obs`) the audit added.
+The CLI front-end is ``repro doctor [--store DIR] [--queue DIR] [--fix]``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from .ioutil import reap_stale_tmp, stale_tmp_files
+from .obs import snapshot
 from .store.run_store import RunStore
 
 __all__ = ["Finding", "DoctorReport", "audit_store", "audit_queue"]
@@ -130,6 +132,7 @@ def audit_store(
     max_age = (
         store.TMP_MAX_AGE_SECONDS if tmp_max_age_seconds is None else tmp_max_age_seconds
     )
+    before = snapshot("store.")
     report = DoctorReport(root=str(store.root), area="store")
     _audit_tmp(report, [store.root], store.root, max_age, fix)
 
@@ -171,7 +174,7 @@ def audit_store(
     report.info = {
         "entries": entries_on_disk,
         "quarantined": quarantined,
-        "counters": store.counters.to_dict(),
+        "counters": {k: n - before.get(k, 0) for k, n in snapshot("store.").items()},
     }
     return report
 
@@ -202,6 +205,7 @@ def audit_queue(queue, fix: bool = False) -> DoctorReport:
     afterwards.  Half-written task files are *reported* but never deleted
     (they may carry the only copy of a task).
     """
+    before = snapshot("queue.")
     report = DoctorReport(root=str(queue.root), area="queue")
     _audit_tmp(
         report,
@@ -250,6 +254,6 @@ def audit_queue(queue, fix: bool = False) -> DoctorReport:
 
     report.info = {
         "counts": queue.counts(),
-        "counters": queue.counters.to_dict(),
+        "counters": {k: n - before.get(k, 0) for k, n in snapshot("queue.").items()},
     }
     return report

@@ -25,11 +25,13 @@ sockets — so any process that can see the filesystem can help drain it
 
 A queue directory holds one sweep at a time.  ``queue.json`` records the
 plan id, a digest of the plan's tasks; every task, result and failure record
-carries it, and the parent folds only records of its own plan.  Creating a
-queue for another plan is refused while that plan still has ready or
-claimed tasks, and otherwise starts a clean generation (no results, no
-failures, no stop request).  Only unfinished tasks are guarded: the records
-of a finished sweep whose parent has not collected them yet are cleared.
+carries it, and the parent folds only records of its own plan.  When the
+parent leaves, returning or raising, it marks its generation collected in
+``queue.json``.  Creating a queue for another plan is refused while that
+plan still has ready or claimed tasks, or while its generation is
+uncollected and still holds result or failure records; otherwise it starts a
+clean generation (no results, no failures, no stop request).  A
+``queue.json`` without the mark counts as collected.
 
 Workers execute whole task groups in lockstep (shared trace built once per
 task) and seed their solver memo from the plan's pre-solved SO-BMA rounds,
@@ -39,9 +41,10 @@ is killed mid-task and its lease requeues.
 Failure semantics: queue IO goes through :mod:`repro.ioutil` (bounded
 retry with backoff for transient ``OSError``, fault-injection hooks from
 :mod:`repro.faults` at the ``queue.*``/``worker.crash`` sites), every
-swallowed anomaly is counted on :class:`QueueCounters` and logged at debug
-level (``repro.exec.queue``), and :meth:`WorkQueue.requeue_expired` also
-reaps stale ``.*.tmp-*`` files left by writers killed mid-rename.
+swallowed anomaly is counted as ``queue.<name>`` on :mod:`repro.obs`
+(:data:`ANOMALIES`) and logged at debug level (``repro.exec.queue``), and
+:meth:`WorkQueue.requeue_expired` also reaps stale ``.*.tmp-*`` files left
+by writers killed mid-rename.
 ``repro doctor --queue DIR`` audits all of it.
 """
 
@@ -56,7 +59,6 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
@@ -64,12 +66,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 from ..errors import ConfigurationError, SimulationError, WorkerExecutionError
 from ..faults import fault_point
 from ..ioutil import atomic_write_json, publish_json, read_json, reap_stale_tmp
+from ..obs import count, snapshot
 from ..simulation.results import RunResult
 from ..store.run_store import resolve_store
 from .plan import ExecutionPlan, PlanTask
 
 __all__ = [
-    "QueueCounters",
+    "ANOMALIES",
     "WorkQueue",
     "run_worker",
     "run_queue_backend",
@@ -90,30 +93,20 @@ _STOP_NAME = "stop"
 _STOP_GRACE_SECONDS = 5.0
 
 
-@dataclass
-class QueueCounters:
-    """Per-queue-instance tallies of every anomaly the queue absorbs.
-
-    The queue's failure handling is deliberately non-fatal (a lost race is
-    normal, a torn read is retried next poll), but *silent* absorption
-    made the paths untestable and invisible.  Every absorbed event now
-    counts here and logs at debug level; ``repro doctor`` and worker exit
-    summaries report the totals.
-    """
-
-    claim_failures: int = 0  #: OSError renaming a task into claimed/
-    unreadable_tasks: int = 0  #: claimed task payloads that failed to parse
-    lease_read_failures: int = 0  #: torn/unreadable lease files
-    lease_write_failures: int = 0  #: lease writes that failed past retries
-    heartbeat_failures: int = 0  #: heartbeat renewals absorbed by the thread
-    torn_results: int = 0  #: result/failure files unreadable mid-scan
-    late_results: int = 0  #: expired claims whose result had already landed
-    requeued: int = 0  #: tasks requeued with a bumped attempt counter
-    terminal_failures: int = 0  #: tasks failed past max_attempts
-    tmp_reaped: int = 0  #: stale tmp files removed by requeue_expired
-
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
+#: Every anomaly the queue absorbs (a lost race, a torn read retried next
+#: poll), counted as ``queue.<name>`` on :mod:`repro.obs`; zero on a clean run.
+ANOMALIES = (
+    "claim_failures",  # OSError renaming a task into claimed/
+    "unreadable_tasks",  # claimed task payloads that failed to parse
+    "lease_read_failures",  # torn/unreadable lease files
+    "lease_write_failures",  # lease writes that failed past retries
+    "heartbeat_failures",  # heartbeat renewals absorbed by the thread
+    "torn_results",  # result/failure files unreadable mid-scan
+    "late_results",  # expired claims whose result had already landed
+    "requeued",  # tasks requeued with a bumped attempt counter
+    "terminal_failures",  # tasks failed past max_attempts
+    "tmp_reaped",  # stale tmp files removed by requeue_expired
+)
 
 
 def _lease_expired_error(attempt: int, task_payload: Optional[Dict[str, Any]]) -> str:
@@ -147,7 +140,6 @@ class WorkQueue:
         #: The directories a task file moves through; requeue_expired reaps
         #: stale tmp files in them.
         self.task_dirs = (self.tasks_dir, self.claimed_dir, self.results_dir, self.failed_dir)
-        self.counters = QueueCounters()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -165,12 +157,11 @@ class WorkQueue:
         """Initialise a queue directory for the plan ``plan_id``.
 
         Refuses (:class:`ConfigurationError`) while the directory holds
-        ready or claimed tasks of another plan.  Otherwise the queue starts
-        a clean generation: earlier results, failure records and a stop
+        ready or claimed tasks of another plan, or result and failure
+        records of another plan whose parent has not yet marked them
+        collected (:meth:`mark_collected`).  Otherwise the queue starts a
+        clean generation: earlier results, failure records and a stop
         request are removed, so nothing of an earlier sweep is read back.
-        Only unfinished tasks are guarded: a sweep whose tasks are all done
-        but whose parent has not yet collected the last records loses them
-        to the new generation.
         """
         if lease_seconds <= 0:
             raise ConfigurationError(
@@ -185,19 +176,23 @@ class WorkQueue:
             "on_error": on_error,
             "store": store_root,
             "plan": plan_id,
+            "collected": False,
         }
         queue = cls(Path(root), meta)
-        if not queue.is_drained():
-            try:
-                previous = cls.open(root).plan_id
-            except ConfigurationError:  # no readable queue.json: an unknown plan
-                previous = None
-            if previous != plan_id:
-                raise ConfigurationError(
-                    f"queue directory {queue.root} still has unfinished tasks of "
-                    f"another sweep (plan {previous}); wait for it to finish "
-                    "or use another directory"
-                )
+        try:
+            previous = cls.open(root).meta
+        except ConfigurationError:  # no readable queue.json: an unknown plan
+            previous = {}
+        uncollected = not previous.get("collected", True) and (
+            queue._count(queue.results_dir) or queue._count(queue.failed_dir)
+        )
+        if previous.get("plan") != plan_id and (uncollected or not queue.is_drained()):
+            holds = "unfinished tasks" if not queue.is_drained() else "uncollected records"
+            raise ConfigurationError(
+                f"queue directory {queue.root} still has {holds} of another "
+                f"sweep (plan {previous.get('plan')}); wait for it to finish "
+                "or use another directory"
+            )
         for d in (queue.results_dir, queue.failed_dir):
             shutil.rmtree(d, ignore_errors=True)
         (queue.root / _STOP_NAME).unlink(missing_ok=True)
@@ -220,6 +215,12 @@ class WorkQueue:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"unreadable queue metadata in {root}: {exc}") from exc
         return cls(root, meta)
+
+    def mark_collected(self) -> None:
+        """Record in ``queue.json`` that this generation's parent has left,
+        so a queue for another plan may clear its records."""
+        self.meta["collected"] = True
+        atomic_write_json(self.root / _META_NAME, self.meta, site="queue.task_write")
 
     @property
     def lease_seconds(self) -> float:
@@ -296,7 +297,7 @@ class WorkQueue:
             except FileNotFoundError:
                 continue  # lost the race for this one; try the next
             except OSError as exc:
-                self.counters.claim_failures += 1
+                count("queue.claim_failures")
                 logger.debug("claim rename failed for %s: %s", name, exc)
                 continue
             try:
@@ -313,12 +314,12 @@ class WorkQueue:
                 # We still hold the claim; the heartbeat thread will keep
                 # retrying the lease, and a missing lease gets one grace
                 # period in requeue_expired before the claim is reaped.
-                self.counters.lease_write_failures += 1
+                count("queue.lease_write_failures")
                 logger.debug("initial lease write failed for %s: %s", name, exc)
             try:
                 payload = read_json(target, site="queue.task_read")
             except (OSError, json.JSONDecodeError) as exc:
-                self.counters.unreadable_tasks += 1
+                count("queue.unreadable_tasks")
                 logger.debug("unreadable task payload %s: %s", name, exc)
                 self.fail(
                     name,
@@ -399,14 +400,14 @@ class WorkQueue:
                     )
                 except FileNotFoundError:
                     return self._lost_race(name)
-                self.counters.requeued += 1
+                count("queue.requeued")
                 return True
             try:
                 task_payload = read_json(claim_path, site="queue.task_read")
             except FileNotFoundError:
                 return self._lost_race(name)
             except (OSError, json.JSONDecodeError) as exc:
-                self.counters.unreadable_tasks += 1
+                count("queue.unreadable_tasks")
                 logger.debug("claim payload for %s unreadable: %s", name, exc)
                 task_payload = None
             published = publish_json(
@@ -424,7 +425,7 @@ class WorkQueue:
             claim_path.unlink(missing_ok=True)
             if not published:
                 return self._lost_race(name)
-            self.counters.terminal_failures += 1
+            count("queue.terminal_failures")
             return False
         finally:
             self._lease_path(name).unlink(missing_ok=True)
@@ -474,7 +475,7 @@ class WorkQueue:
         except FileNotFoundError:
             missing = "no lease file"
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            self.counters.lease_read_failures += 1
+            count("queue.lease_read_failures")
             logger.debug("unreadable lease for %s: %s", name, exc)
             missing = f"an unreadable lease file ({exc})"
         else:
@@ -502,7 +503,7 @@ class WorkQueue:
         """
         reaped = reap_stale_tmp(self.task_dirs, self.TMP_MAX_AGE_SECONDS)
         if reaped:
-            self.counters.tmp_reaped += len(reaped)
+            count("queue.tmp_reaped", len(reaped))
             logger.debug("reaped %d stale tmp file(s): %s", len(reaped), reaped)
         touched = 0
         for name, _reason in self.stale_claims(dead_pids):
@@ -512,7 +513,7 @@ class WorkQueue:
             task_id = self.parse_name(name)[0]
             if (self.results_dir / f"{task_id}.json").exists():
                 self._clear_claim(name)
-                self.counters.late_results += 1
+                count("queue.late_results")
                 logger.debug("late result for %s: claim cleaned up", name)
                 touched += 1
                 continue
@@ -566,7 +567,7 @@ class _Heartbeat(threading.Thread):
                 if not self.queue.renew(self.name, self.worker_id):
                     return  # claim was reaped; the result write will be a late no-op
             except OSError as exc:  # transient FS hiccup: retry next beat
-                self.queue.counters.heartbeat_failures += 1
+                count("queue.heartbeat_failures")
                 logger.debug("heartbeat renewal failed for %s: %s", self.name, exc)
                 continue
 
@@ -641,8 +642,10 @@ def run_worker(
     all died).  Exits when the queue is drained unless ``keep_alive`` is
     set, in which case it keeps polling until a stop is requested — the
     mode for long-lived workers on other hosts sharing the directory.
-    Returns a stats dict (also written to ``workers/<id>.json``).
+    Returns a stats dict (also written to ``workers/<id>.json``); its
+    ``"queue"`` block counts each of :data:`ANOMALIES` over this call alone.
     """
+    before = snapshot("queue.")
     queue = WorkQueue.open(queue_dir)
     worker = worker_id or f"worker-{os.getpid()}"
     poll = DEFAULT_POLL_INTERVAL if poll_interval is None else max(0.01, poll_interval)
@@ -670,7 +673,11 @@ def run_worker(
     from ..matching.static_solver import solver_cache_info
 
     stats["solver_cache"] = solver_cache_info()
-    stats["queue"] = queue.counters.to_dict()
+    after = snapshot("queue.")
+    stats["queue"] = {
+        name: after.get(f"queue.{name}", 0) - before.get(f"queue.{name}", 0)
+        for name in ANOMALIES
+    }
     try:
         atomic_write_json(queue.workers_dir / f"{worker}.json", stats)
     except OSError as exc:  # pragma: no cover - stats are best-effort
@@ -725,7 +732,7 @@ def _collect_outcomes(
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             # Appeared mid-scan; the next poll sees the finished file.
-            queue.counters.torn_results += 1
+            count("queue.torn_results")
             logger.debug("torn result file %s: %s", path.name, exc)
             continue
         if payload.get("plan") != queue.plan_id:
@@ -756,7 +763,7 @@ def _collect_outcomes(
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            queue.counters.torn_results += 1
+            count("queue.torn_results")
             logger.debug("torn failure file %s: %s", path.name, exc)
             continue
         if payload.get("plan") != queue.plan_id:
@@ -786,7 +793,8 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
     the sweep always terminates.  With ``options.queue_dir`` unset a
     temporary directory is used and removed afterwards; pointing it at a
     shared path lets independently launched ``repro worker`` processes (or
-    other hosts) help drain the same sweep.
+    other hosts) help drain the same sweep; whether it returns or raises,
+    it then marks the generation collected (:meth:`WorkQueue.mark_collected`).
     """
     if not plan.tasks:
         return
@@ -811,12 +819,14 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
         plan_id=plan_id,
     )
     expected = {task.task_id for task in plan.tasks}
-    for payload in payloads:
-        queue.enqueue(payload)
-    workers = [_spawn_worker(root, k, poll) for k in range(options.workers)]
+    workers: List[Tuple[subprocess.Popen, Any]] = []
     done: Set[str] = set()
     deadline = time.time() + options.timeout if options.timeout else None
     try:
+        for payload in payloads:
+            queue.enqueue(payload)
+        for k in range(options.workers):
+            workers.append(_spawn_worker(root, k, poll))
         while done != expected:
             if deadline is not None and time.time() > deadline:
                 raise SimulationError(
@@ -864,3 +874,8 @@ def run_queue_backend(plan: ExecutionPlan, options, plane) -> None:
             log.close()
         if own_dir:
             shutil.rmtree(root, ignore_errors=True)
+        else:
+            try:
+                queue.mark_collected()
+            except OSError as exc:  # the sweep stands; another plan's create refuses
+                logger.warning("could not mark queue %s collected: %s", root, exc)

@@ -16,7 +16,6 @@ from .injector import (
     clear_faults,
     current_plan,
     fault_point,
-    fault_stats,
     faults_active,
     injected_faults,
     install_faults,
@@ -35,7 +34,6 @@ __all__ = [
     "clear_faults",
     "current_plan",
     "fault_point",
-    "fault_stats",
     "faults_active",
     "injected_faults",
     "install_faults",

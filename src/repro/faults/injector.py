@@ -57,6 +57,7 @@ from hashlib import blake2b
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
+from ..obs import count, reset
 
 __all__ = [
     "ENV_FAULTS",
@@ -69,7 +70,6 @@ __all__ = [
     "clear_faults",
     "current_plan",
     "fault_point",
-    "fault_stats",
     "faults_active",
     "injected_faults",
     "install_faults",
@@ -243,7 +243,8 @@ class FaultPlan:
     (``corrupt``), so the decision stream of one cannot shift the other.
     All state is process-local: every process participating in a chaos run
     parses the same environment and replays the same decision stream over
-    its own call sequence.
+    its own call sequence.  Each injection counts ``faults.<site>`` on
+    :mod:`repro.obs` (all modes pooled).
     """
 
     def __init__(self, rules: Sequence[FaultRule], seed: int = 0):
@@ -251,7 +252,6 @@ class FaultPlan:
         self.seed = int(seed)
         self._calls: Dict[tuple, int] = {}
         self._fired: Dict[FaultRule, int] = {}
-        self.injected: Dict[str, int] = {}
 
     def _select(self, site: str, channel: str, modes: Sequence[str]) -> Optional[FaultRule]:
         """The first rule firing at this visit of ``site``, if any."""
@@ -271,7 +271,7 @@ class FaultPlan:
                 hit = _uniform(self.seed, site, rule.mode, call) < rule.rate
             if hit:
                 self._fired[rule] = fired + 1
-                self.injected[site] = self.injected.get(site, 0) + 1
+                count(f"faults.{site}")
                 return rule
         return None
 
@@ -297,10 +297,6 @@ class FaultPlan:
         if rule is None:
             return text
         return text[: max(1, len(text) // 2)] + _CORRUPT_MARKER
-
-    def stats(self) -> Dict[str, int]:
-        """Site -> number of injections so far (all modes pooled)."""
-        return dict(self.injected)
 
 
 #: The installed plan; ``None`` (the default) short-circuits every hook.
@@ -343,7 +339,8 @@ def install_faults(
 
     ``spec`` is a ``REPRO_FAULTS`` string or a pre-built rule sequence;
     ``seed`` defaults to ``REPRO_FAULTS_SEED`` (then 0).  Replaces any
-    previously installed plan.
+    previously installed plan and resets the ``faults.<site>`` injection
+    counts on :mod:`repro.obs`, so they count this plan's injections.
     """
     global _PLAN
     rules = parse_faults(spec) if isinstance(spec, str) else list(spec)
@@ -356,6 +353,7 @@ def install_faults(
                 f"{ENV_FAULTS_SEED} must be an integer, got {raw!r}"
             ) from None
     _PLAN = FaultPlan(rules, seed=seed)
+    reset("faults.")
     return _PLAN
 
 
@@ -363,11 +361,6 @@ def clear_faults() -> None:
     """Remove the installed fault plan (back to the zero-overhead path)."""
     global _PLAN
     _PLAN = None
-
-
-def fault_stats() -> Dict[str, int]:
-    """Injection counts of the installed plan (empty when no plan)."""
-    return _PLAN.stats() if _PLAN is not None else {}
 
 
 @contextmanager

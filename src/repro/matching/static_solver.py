@@ -58,6 +58,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..experiments.registry import Registry
+from ..obs import count, reset, snapshot
 from ..types import NodePair, canonical_pair
 from .blossom import max_weight_matching_arrays
 from .validation import check_b_matching
@@ -221,7 +222,6 @@ class _SweepState:
 _CACHE_SIZE = 16
 
 _SOLVE_CACHE: "OrderedDict[Tuple[str, int, str], _SweepState]" = OrderedDict()
-_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _demand_fingerprint(canon: Mapping[NodePair, float], n_nodes: int) -> str:
@@ -263,15 +263,15 @@ def _sweep_state(
     key = (backend, n_nodes, fingerprint)
     state = _SOLVE_CACHE.get(key)
     if state is None:
-        _CACHE_STATS["misses"] += 1
+        count("solver.memo_misses")
         state = _SweepState(remaining=canon)
         _SOLVE_CACHE[key] = state
     else:
-        _CACHE_STATS["hits"] += 1
+        count("solver.memo_hits")
         _SOLVE_CACHE.move_to_end(key)
     while len(_SOLVE_CACHE) > _CACHE_SIZE:
         _SOLVE_CACHE.popitem(last=False)
-        _CACHE_STATS["evictions"] += 1
+        count("solver.memo_evictions")
     return fingerprint, state
 
 
@@ -300,19 +300,17 @@ def _prefix_result(state: _SweepState, b: int) -> Set[NodePair]:
 
 
 def solver_cache_info() -> Dict[str, int]:
-    """Hit/miss/eviction counters and current size of the solver memo."""
-    return {
-        **_CACHE_STATS,
-        "currsize": len(_SOLVE_CACHE),
-        "maxsize": _CACHE_SIZE,
-    }
+    """Hits, misses and evictions of the solver memo (the ``solver.memo_*``
+    names on :mod:`repro.obs`), and its current and maximum size."""
+    counts = snapshot("solver.memo_")
+    info = {k: counts.get(f"solver.memo_{k}", 0) for k in ("hits", "misses", "evictions")}
+    return {**info, "currsize": len(_SOLVE_CACHE), "maxsize": _CACHE_SIZE}
 
 
 def solver_cache_clear() -> None:
-    """Drop all memoised sweep states and zero the counters."""
+    """Drop all memoised sweep states and reset the ``solver.`` counts."""
     _SOLVE_CACHE.clear()
-    for k in _CACHE_STATS:
-        _CACHE_STATS[k] = 0
+    reset("solver.")
 
 
 def iterated_max_weight_b_matching(
@@ -442,7 +440,7 @@ def import_solver_rounds(payload: Mapping[str, object]) -> bool:
     _SOLVE_CACHE.move_to_end(key)
     while len(_SOLVE_CACHE) > _CACHE_SIZE:
         _SOLVE_CACHE.popitem(last=False)
-        _CACHE_STATS["evictions"] += 1
+        count("solver.memo_evictions")
     return True
 
 

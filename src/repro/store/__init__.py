@@ -45,11 +45,8 @@ from .run_store import (
     RunEntry,
     RunStore,
     StoreConfig,
-    StoreCounters,
     default_store,
-    reset_store_counters,
     resolve_store,
-    store_counters,
 )
 from .transfer import export_store, import_store
 from .statistics import (
@@ -72,13 +69,10 @@ __all__ = [
     # store
     "ENV_RUN_STORE",
     "StoreConfig",
-    "StoreCounters",
     "RunEntry",
     "RunStore",
     "default_store",
     "resolve_store",
-    "store_counters",
-    "reset_store_counters",
     # transfer
     "export_store",
     "import_store",

@@ -41,12 +41,13 @@ Failure semantics (all exercisable via :mod:`repro.faults`):
   it and ``put`` write through :meth:`RunStore.write_payload`.
 * **Corrupt entries quarantine, never abort.**  ``get`` moves an entry the
   reader rejects (torn, bit-rotted or misnamed) to ``<root>/quarantine/``
-  with a :class:`RuntimeWarning` and a counter bump, and the access
-  behaves as a miss — a torn write on a non-atomic filesystem costs one
-  recomputation, not the whole run.  Listings and exports skip it.
+  with a :class:`RuntimeWarning` and a ``store.quarantined`` count
+  (:mod:`repro.obs`), and the access behaves as a miss — a torn write on a
+  non-atomic filesystem costs one recomputation, not the whole run.
+  Listings and exports skip it.
 * **A persistently unwritable store degrades gracefully.**  ``put``
-  failures past the retry budget warn once, count, and return — the run
-  continues cold and results are still produced.
+  failures past the retry budget warn once, count ``store.write_failures``
+  and return — the run continues cold and results are still produced.
 * **Stale tmp files are reaped.**  :meth:`RunStore.gc` removes orphaned
   ``.*.tmp-*`` siblings left by writers killed between the tmp write and
   the rename.  ``repro doctor`` audits (and ``--fix`` repairs) all of the
@@ -64,7 +65,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -73,21 +74,19 @@ from .._version import __version__
 from ..errors import ConfigurationError
 from ..experiments.specs import ExperimentSpec
 from ..ioutil import atomic_write_json, read_text, reap_stale_tmp
+from ..obs import count
 from ..simulation.results import RunResult
 from .fingerprint import SCHEMA_VERSION, fingerprint_spec
 
 __all__ = [
     "ENV_RUN_STORE",
     "StoreConfig",
-    "StoreCounters",
     "RunEntry",
     "RunStore",
     "default_store",
     "entry_checksum",
     "parse_entry",
     "resolve_store",
-    "store_counters",
-    "reset_store_counters",
 ]
 
 #: Environment variable naming the default store directory.
@@ -125,45 +124,6 @@ class StoreConfig:
             raise ConfigurationError(
                 f"shard_width must be in [1, 8], got {self.shard_width}"
             )
-
-
-@dataclass
-class StoreCounters:
-    """Hit/miss/write tallies of one store instance (process-local).
-
-    The failure-path counters make degradation observable without making
-    it fatal: ``quarantined`` counts corrupt entries sidelined to
-    ``quarantine/``, ``read_failures``/``write_failures`` count IO errors
-    that survived the retry budget (each then handled as a miss / a cold
-    continuation rather than an abort).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    quarantined: int = 0
-    read_failures: int = 0
-    write_failures: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-
-#: Process-wide tallies across every store instance, for benchmark
-#: provenance (``BENCH_*.json`` records how much of a pipeline was served
-#: from cache).
-_GLOBAL_COUNTERS = StoreCounters()
-
-
-def store_counters() -> Dict[str, int]:
-    """Process-wide store hit/miss/write counts (across all instances)."""
-    return _GLOBAL_COUNTERS.to_dict()
-
-
-def reset_store_counters() -> None:
-    """Zero the process-wide counters (benchmark harness bookkeeping)."""
-    for name in _GLOBAL_COUNTERS.to_dict():
-        setattr(_GLOBAL_COUNTERS, name, 0)
 
 
 @dataclass(frozen=True)
@@ -262,7 +222,6 @@ class RunStore:
         if not isinstance(config, StoreConfig):
             config = StoreConfig(root=Path(config))
         self.config = config
-        self.counters = StoreCounters()
         self._warned_unwritable = False
 
     # -- layout ----------------------------------------------------------
@@ -368,8 +327,7 @@ class RunStore:
 
     def _note_write_failure(self, what: str, exc: OSError) -> None:
         """Count a persistent write failure and warn once per store."""
-        self.counters.write_failures += 1
-        _GLOBAL_COUNTERS.write_failures += 1
+        count("store.write_failures")
         if not self._warned_unwritable:
             self._warned_unwritable = True
             warnings.warn(
@@ -389,8 +347,7 @@ class RunStore:
         the move itself failed (the file then stays where it is until the
         next access or a ``repro doctor --fix`` run).
         """
-        self.counters.quarantined += 1
-        _GLOBAL_COUNTERS.quarantined += 1
+        count("store.quarantined")
         destination = self.quarantine_dir / path.name
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -447,10 +404,10 @@ class RunStore:
 
         An entry the reader rejects (torn, checksum-failing, or naming
         another fingerprint) is **quarantined** — moved to ``quarantine/``
-        with a :class:`RuntimeWarning` and a counter bump — and the access
-        returns ``None`` so the caller recomputes; it never aborts the run.
-        A transient read error that survives the retry budget likewise
-        degrades to a miss (counted in ``read_failures``).
+        with a :class:`RuntimeWarning` and a ``store.quarantined`` count —
+        and the access returns ``None`` so the caller recomputes; it never
+        aborts the run.  A transient read error that survives the retry
+        budget likewise degrades to a miss (counted as ``store.read_failures``).
         """
         path = self.entry_path(self._key(ref))
         try:
@@ -461,8 +418,7 @@ class RunStore:
             self.quarantine(path, str(exc))
             return None
         except OSError as exc:
-            self.counters.read_failures += 1
-            _GLOBAL_COUNTERS.read_failures += 1
+            count("store.read_failures")
             warnings.warn(
                 f"run-store entry {path.name} unreadable after retries "
                 f"({exc}); treating the access as a miss",
@@ -476,17 +432,15 @@ class RunStore:
     ) -> Optional[RunResult]:
         """The stored :class:`RunResult`, or ``None`` on a miss.
 
-        Counts a hit or a miss on the store's (and the process-wide)
-        counters — the number the benchmark harness reports as
+        Counts ``store.hits`` or ``store.misses`` on :mod:`repro.obs` —
+        the numbers the benchmark harness reports as
         ``store_hits``/``store_misses``.
         """
         payload = self.get_payload(ref)
         if payload is None:
-            self.counters.misses += 1
-            _GLOBAL_COUNTERS.misses += 1
+            count("store.misses")
             return None
-        self.counters.hits += 1
-        _GLOBAL_COUNTERS.hits += 1
+        count("store.hits")
         return RunResult.from_dict(payload["result"])
 
     def put(
@@ -539,8 +493,7 @@ class RunStore:
             # it, only the cache is lost.
             self._note_write_failure(f"entry {fingerprint[:12]} write", exc)
             return fingerprint
-        self.counters.writes += 1
-        _GLOBAL_COUNTERS.writes += 1
+        count("store.writes")
         return fingerprint
 
     def write_payload(self, payload: Mapping[str, Any]) -> str:
@@ -645,8 +598,8 @@ class RunStore:
 
 
 #: Per-process cache of env-configured default stores, keyed by the env
-#: value, so repeated execution calls share one instance (its counters and
-#: its warn-once state).
+#: value, so repeated execution calls share one instance (and its warn-once
+#: state).
 _DEFAULT_STORES: Dict[str, RunStore] = {}
 
 

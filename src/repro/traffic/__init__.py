@@ -5,8 +5,9 @@ web service, Hadoop) and on a Microsoft (ProjecToR) rack-to-rack probability
 matrix.  Those artifacts are not redistributable, so this subpackage provides
 *synthetic equivalents* that reproduce the structural properties the paper
 itself highlights — spatial skew and (for the Facebook traces) temporal
-burstiness — with explicit, documented parameters.  See ``DESIGN.md`` §2 for
-the substitution rationale.
+burstiness — with explicit, documented parameters.  The module docstrings of
+:mod:`~repro.traffic.facebook` and :mod:`~repro.traffic.microsoft` give the
+substitution rationale.
 """
 
 from .base import Trace, TraceMetadata

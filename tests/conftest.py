@@ -72,6 +72,15 @@ def _no_ambient_faults(monkeypatch):
     clear_faults()
 
 
+@pytest.fixture(autouse=True)
+def _fresh_counters():
+    """Every test starts with an empty :mod:`repro.obs` registry, so a
+    process total counts that test's own work."""
+    from repro.obs import reset
+
+    reset()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests."""

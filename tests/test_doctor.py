@@ -23,6 +23,7 @@ from repro.cli import main
 from repro.doctor import audit_queue, audit_store
 from repro.exec.queue import WorkQueue
 from repro.experiments import ExperimentSpec
+from repro.obs import snapshot
 from repro.store.run_store import RunStore
 
 pytestmark = pytest.mark.chaos
@@ -228,7 +229,7 @@ class TestQueueAudit:
         _backdate(tmp, 2 * queue.TMP_MAX_AGE_SECONDS)
         queue.requeue_expired()
         assert not tmp.exists()
-        assert queue.counters.to_dict()["tmp_reaped"] == 1
+        assert snapshot("queue.") == {"queue.tmp_reaped": 1}
 
 
 class TestDoctorCLI:

@@ -44,6 +44,7 @@ from repro.exec.queue import _collect_outcomes
 from repro.exec.scheduler import _ResultsPlane
 from repro.experiments import ExperimentSpec
 from repro.faults import injected_faults
+from repro.obs import snapshot
 from repro.simulation import runner as runner_mod
 from repro.store import RunStore, fingerprint_spec
 
@@ -67,6 +68,11 @@ def _failing_spec():
         simulation={"checkpoint_positions": [999]},
         seed=5,
     )
+
+
+def _counted(name):
+    """This process's total of the queue anomaly ``name`` in this test."""
+    return snapshot("queue.").get(f"queue.{name}", 0)
 
 
 def _enqueue_plan(queue, specs):
@@ -157,7 +163,7 @@ class TestLeaseProtocol:
         os.utime(task_file, (old, old))
         with injected_faults("queue.heartbeat:osfail@1.0"):
             name, _ = queue.claim("worker-a")
-        assert queue.counters.lease_write_failures == 1
+        assert _counted("lease_write_failures") == 1
         assert not (queue.claimed_dir / f"{name}.lease").exists()
         assert queue.requeue_expired() == 0
         assert queue.counts()["claimed"] == 1
@@ -177,7 +183,7 @@ class TestLeaseProtocol:
         monkeypatch.setattr(os, "utime", refuse_claims)
         claimed = queue.claim("worker-a")
         assert claimed is not None
-        assert queue.counters.claim_failures == 0
+        assert _counted("claim_failures") == 0
         assert (queue.claimed_dir / f"{claimed[0]}.lease").exists()
         assert queue.requeue_expired() == 0
         assert queue.counts()["claimed"] == 1
@@ -194,12 +200,60 @@ class TestOneSweepPerDirectory:
             WorkQueue.create(tmp_path / "q", plan_id="plan-b")
         assert WorkQueue.open(tmp_path / "q").plan_id == "plan-a"
 
+    def test_another_plan_waits_for_the_records_to_be_collected(self, tmp_path):
+        """A finished sweep whose parent has not yet folded its last records
+        keeps them: another plan's queue is refused until the generation is
+        marked collected, and only then starts clean."""
+        first = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
+        _enqueue_plan(first, [_spec(seed=1), _spec(seed=2)])
+        run_worker(first.root, worker_id="w")
+        (first.failed_dir / "t0009.json").write_text("{}", encoding="utf-8")
+        records = first.counts()
+        assert records["ready"] == records["claimed"] == 0 and records["results"] == 2
+        with pytest.raises(ConfigurationError, match="uncollected records of another sweep"):
+            WorkQueue.create(tmp_path / "q", plan_id="plan-b")
+        assert first.counts() == records
+        assert WorkQueue.open(tmp_path / "q").plan_id == "plan-a"
+        # The same plan may start over: the guard is against another sweep.
+        WorkQueue.create(tmp_path / "q", plan_id="plan-a")
+        _enqueue_plan(first, [_spec(seed=1)])
+        run_worker(first.root, worker_id="w")
+        WorkQueue.open(tmp_path / "q").mark_collected()
+        second = WorkQueue.create(tmp_path / "q", plan_id="plan-b")
+        assert second.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 0}
+        assert WorkQueue.open(tmp_path / "q").meta["collected"] is False
+
+    def test_a_queue_json_without_the_mark_counts_as_collected(self, tmp_path):
+        first = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
+        _enqueue_plan(first, [_spec()])
+        run_worker(first.root, worker_id="w")
+        meta = json.loads((first.root / "queue.json").read_text(encoding="utf-8"))
+        del meta["collected"]
+        (first.root / "queue.json").write_text(json.dumps(meta), encoding="utf-8")
+        second = WorkQueue.create(tmp_path / "q", plan_id="plan-b")
+        assert second.counts()["results"] == 0
+
+    def test_the_parent_marks_its_generation_collected_when_it_raises(
+        self, tmp_path, monkeypatch
+    ):
+        def _no_workers(root, k, poll):
+            raise OSError("cannot spawn a worker")
+
+        monkeypatch.setattr(queue_module, "_spawn_worker", _no_workers)
+        with pytest.raises(OSError, match="cannot spawn"):
+            execute_plan(
+                build_execution_plan([_spec()], store=False),
+                backend="queue", n_workers=1, queue_dir=str(tmp_path / "q"),
+            )
+        assert WorkQueue.open(tmp_path / "q").meta["collected"] is True
+
     def test_a_new_plan_starts_a_clean_generation(self, tmp_path):
         first = WorkQueue.create(tmp_path / "q", plan_id="plan-a")
         _enqueue_plan(first, [_spec(seed=1), _spec(seed=2)])
         run_worker(first.root, worker_id="w")
         (first.failed_dir / "t0009.json").write_text("{}", encoding="utf-8")
         first.request_stop()
+        first.mark_collected()
         second = WorkQueue.create(tmp_path / "q", plan_id="plan-b")
         assert second.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 0}
         assert not second.stop_requested()
@@ -257,7 +311,7 @@ class TestCrashRecovery:
         assert reaper.requeue_expired() == 1
         # The slow worker's own failure then loses the rename race.
         assert worker_side.fail(name, "boom", "RuntimeError") is False
-        assert (reaper.counters.requeued, worker_side.counters.requeued) == (1, 0)
+        assert _counted("requeued") == 1
         assert sorted(p.name for p in worker_side.tasks_dir.glob("*.json")) == [
             worker_side.task_file_name(task_id, attempt + 1)
         ]
@@ -271,8 +325,7 @@ class TestCrashRecovery:
         _backdate_lease(reaper, name)
         assert reaper.requeue_expired() == 1
         assert worker_side.fail(name, "boom", "RuntimeError") is False
-        assert reaper.counters.terminal_failures == 1
-        assert worker_side.counters.terminal_failures == 0
+        assert _counted("terminal_failures") == 1
         [failed_file] = sorted(worker_side.failed_dir.glob("*.json"))
         failure = json.loads(failed_file.read_text(encoding="utf-8"))
         assert "lease expired" in failure["error"]
@@ -296,7 +349,7 @@ class TestCrashRecovery:
 
         monkeypatch.setattr(queue_module, "read_json", read_then_race)
         assert first.requeue_expired() == 0
-        assert (first.counters.terminal_failures, second.counters.terminal_failures) == (0, 1)
+        assert _counted("terminal_failures") == 1
         assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
 
     def test_worker_fail_racing_a_reaper_keeps_the_first_record(
@@ -323,7 +376,7 @@ class TestCrashRecovery:
         [failed_file] = sorted(queue.failed_dir.glob("*.json"))
         failure = json.loads(failed_file.read_text(encoding="utf-8"))
         assert (failure["error"], failure["error_type"]) == ("boom", "RuntimeError")
-        assert (worker_side.counters.terminal_failures, reaper.counters.terminal_failures) == (1, 0)
+        assert _counted("terminal_failures") == 1
         assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
         assert sorted(p.name for p in queue.failed_dir.iterdir()) == [failed_file.name]
 
@@ -342,12 +395,12 @@ class TestCrashRecovery:
         # Nothing was published, and the task is not lost: the claim stays
         # (its lease is gone), so the next pass retires it.
         assert queue.counts() == {"ready": 0, "claimed": 1, "results": 0, "failed": 0}
-        assert queue.counters.terminal_failures == 0
+        assert _counted("terminal_failures") == 0
         old = time.time() - 2 * queue.lease_seconds
         os.utime(queue.claimed_dir / name, (old, old))
         assert queue.requeue_expired() == 1
         assert queue.counts() == {"ready": 0, "claimed": 0, "results": 0, "failed": 1}
-        assert queue.counters.terminal_failures == 1
+        assert _counted("terminal_failures") == 1
         [failed_file] = sorted(queue.failed_dir.glob("*.json"))
         failure = json.loads(failed_file.read_text(encoding="utf-8"))
         assert "lease expired" in failure["error"]
@@ -523,11 +576,15 @@ def test_a_reused_queue_dir_runs_the_new_sweep(tmp_path, second_sweep):
 def test_queue_workers_write_their_stats_before_exiting(tmp_path):
     """The parent lets its workers exit on their own once the sweep is done:
     each spawned worker leaves its ``workers/<id>.json`` stats file, and no
-    half-written tmp file is left behind by a worker killed mid-write."""
+    half-written tmp file is left behind by a worker killed mid-write.  The
+    workers also write the run store (counting ``store.writes``), yet a
+    stats file's ``"queue"`` block holds exactly the queue's anomaly names,
+    all zero on a clean run: readers sum that block into an anomaly count."""
     queue_dir = tmp_path / "queue"
+    store = RunStore(tmp_path / "store")
     specs = [_spec(name, seed=seed) for seed in (1, 2) for name in ("rbma", "bma")]
     results = execute_plan(
-        build_execution_plan(specs, store=False),
+        build_execution_plan(specs, store=store),
         backend="queue",
         n_workers=2,
         queue_dir=str(queue_dir),
@@ -535,9 +592,17 @@ def test_queue_workers_write_their_stats_before_exiting(tmp_path):
         timeout=120.0,
     )
     assert len(results) == len(specs)
+    assert len(store) == len(specs)  # written by the workers
     stats = sorted(p.name for p in (queue_dir / "workers").iterdir())
     assert stats == ["local-0.json", "local-1.json"]
     assert not list(queue_dir.rglob(".*.tmp-*"))
+    for name in stats:
+        worker = json.loads((queue_dir / "workers" / name).read_text(encoding="utf-8"))
+        assert worker["queue"] == dict.fromkeys(queue_module.ANOMALIES, 0)
+        assert set(worker["solver_cache"]) == {
+            "hits", "misses", "evictions", "currsize", "maxsize"
+        }
+    assert WorkQueue.open(queue_dir).meta["collected"] is True
 
 
 @pytest.mark.sched
@@ -570,5 +635,5 @@ def test_queue_backend_with_a_run_store(tmp_path, monkeypatch):
     monkeypatch.setattr(ExperimentSpec, "build_trace", _boom)
     warm = run_specs_parallel(specs, n_workers=1, store=store, backend="serial")
     assert [w.to_dict() for w in warm] == [q.to_dict() for q in results]
-    assert store.counters.hits == len(specs)
+    assert snapshot("store.")["store.hits"] == len(specs)
     assert audit_store(store).clean()

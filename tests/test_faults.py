@@ -35,7 +35,6 @@ from repro.faults import (
     FaultPlan,
     InjectedFault,
     fault_point,
-    fault_stats,
     faults_active,
     injected_faults,
     install_faults,
@@ -43,6 +42,7 @@ from repro.faults import (
     parse_faults,
 )
 from repro.ioutil import atomic_write_json, read_json, with_io_retries
+from repro.obs import snapshot
 from repro.store.run_store import RunStore
 
 pytestmark = pytest.mark.chaos
@@ -144,23 +144,23 @@ class TestDeterminism:
         assert _osfail_trace(seed=7) != _osfail_trace(seed=8)
 
     def test_at_call_fires_exactly_once_at_the_nth_visit(self):
-        with injected_faults("store.write:osfail#3") as plan:
+        with injected_faults("store.write:osfail#3"):
             for call in range(1, 7):
                 if call == 3:
                     with pytest.raises(InjectedFault):
                         fault_point("store.write")
                 else:
                     fault_point("store.write")
-            assert plan.stats() == {"store.write": 1}
+            assert snapshot("faults.") == {"faults.store.write": 1}
 
     def test_limit_caps_total_injections(self):
-        with injected_faults("store.write:osfail@1.0x2") as plan:
+        with injected_faults("store.write:osfail@1.0x2"):
             for _ in range(2):
                 with pytest.raises(InjectedFault):
                     fault_point("store.write")
             for _ in range(10):
                 fault_point("store.write")
-            assert plan.stats() == {"store.write": 2}
+            assert snapshot("faults.") == {"faults.store.write": 2}
 
     def test_corrupt_mangles_writes_on_its_own_counter(self):
         with injected_faults("store.write:corrupt@1.0x1"):
@@ -170,7 +170,7 @@ class TestDeterminism:
 
     def test_off_by_default_all_hooks_are_noops(self):
         assert not faults_active()
-        assert fault_stats() == {}
+        assert snapshot("faults.") == {}
         fault_point("store.write")  # must not raise
         assert maybe_corrupt("store.write", "text") == "text"
 
@@ -236,9 +236,9 @@ class TestIoRetries:
         monkeypatch.setenv("REPRO_IO_RETRIES", "2")
         monkeypatch.setenv("REPRO_IO_BACKOFF", "0")
         target = tmp_path / "out.json"
-        with injected_faults("store.write:osfail@1.0x2") as plan:
+        with injected_faults("store.write:osfail@1.0x2"):
             atomic_write_json(target, {"ok": True})
-            assert plan.stats() == {"store.write": 2}
+            assert snapshot("faults.") == {"faults.store.write": 2}
         assert json.loads(target.read_text()) == {"ok": True}
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -278,7 +278,7 @@ class TestStoreHardening:
         with pytest.warns(RuntimeWarning, match="checksum"):
             assert store.get_payload(fp) is None
         assert (tmp_path / "quarantine" / f"{fp}.json").exists()
-        assert store.counters.to_dict()["quarantined"] == 1
+        assert snapshot("store.")["store.quarantined"] == 1
 
     def test_legacy_entry_without_checksum_still_reads(self, tmp_path):
         store = RunStore(tmp_path)
@@ -303,7 +303,7 @@ class TestStoreHardening:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 store.put(result)
-        assert store.counters.to_dict()["write_failures"] >= 1
+        assert snapshot("store.")["store.write_failures"] >= 1
         # With the faults gone the same store persists again.
         assert store.put(result) == fp
         assert store.get_payload(fp) is not None
@@ -361,12 +361,12 @@ class TestChaosDifferential:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with injected_faults(_TRANSIENT_PLAN, seed=5) as plan:
+            with injected_faults(_TRANSIENT_PLAN, seed=5):
                 chaotic = execute_plan(
                     build_execution_plan(specs, store=str(tmp_path / "store")),
                     backend="serial",
                 )
-                injected = plan.stats()
+                injected = snapshot("faults.")
         assert sum(injected.values()) > 0, "chaos run injected nothing"
         assert len(chaotic) == len(baseline)
         for clean, dirty in zip(baseline, chaotic):
@@ -382,12 +382,12 @@ class TestChaosDifferential:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with injected_faults("store.read:osfail@0.25", seed=11) as plan:
+            with injected_faults("store.read:osfail@0.25", seed=11):
                 warm = execute_plan(
                     build_execution_plan(specs, store=store_path), backend="serial"
                 )
-                injected = plan.stats()
-        assert injected.get("store.read", 0) > 0
+                injected = snapshot("faults.")
+        assert injected.get("faults.store.read", 0) > 0
         for a, b in zip(cold, warm):
             _assert_identical(a, b)
 

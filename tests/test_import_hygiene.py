@@ -205,3 +205,50 @@ def test_the_blas_check_sees_what_it_must(tmp_path):
         """
     ))
     assert [line for line, _ in _blas_calls(module)] == [3, 4, 5, 6, 7, 8, 8, 8, 9, 9, 9, 9]
+
+
+def _tallies(path: Path):
+    """``(line, name)`` for every tally kept outside :mod:`repro.obs`.
+
+    Every count the library keeps is a name in the one registry,
+    :mod:`repro.obs`.  A ``*Counters`` class or a module-level
+    ``*_STATS``/``*_COUNTERS`` variable is a second tally mechanism.
+    """
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Counters"):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)
+                      and t.id.endswith(("_STATS", "_COUNTERS"))]
+    return found
+
+
+def test_the_registry_is_the_only_tally_in_src():
+    tallies = {
+        str(path.relative_to(SRC)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "repro" / "obs.py" and (found := _tallies(path))
+    }
+    assert tallies == {}
+
+
+def test_the_tally_check_sees_what_it_must(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(textwrap.dedent(
+        """
+        class StoreCounters:
+            hits = 0
+        _CACHE_STATS = {"hits": 0}
+        _GLOBAL_COUNTERS: dict = {}
+        def f():
+            LOCAL_STATS = {}
+        class Holder:
+            CLASS_STATS = {}
+        counters = {}
+        """
+    ))
+    assert _tallies(module) == [
+        (2, "StoreCounters"), (4, "_CACHE_STATS"), (5, "_GLOBAL_COUNTERS")
+    ]

@@ -43,15 +43,20 @@ from repro.store import (
     resolve_store,
     sample_statistics,
     spec_statistics,
-    store_counters,
     store_statistics,
 )
+from repro.obs import reset, snapshot
 from repro.store.run_store import entry_checksum
 from repro.store.transfer import export_store, import_store
 
 pytestmark = pytest.mark.store
 
 SEED = 20230
+
+
+def _store_count(name):
+    """This process's total of ``store.<name>`` in this test."""
+    return snapshot("store.").get(f"store.{name}", 0)
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -229,7 +234,7 @@ class TestFingerprint:
         store.put(replace(cold, total_routing_cost=-1.0), fingerprint=legacy_fp)
         served = execute_experiment_spec(spec, store=store)
         assert served.total_routing_cost == cold.total_routing_cost
-        assert store.counters.hits == 0
+        assert _store_count("hits") == 0
 
     def test_solver_kernel_only_covers_static_algorithms(self, monkeypatch):
         """Flipping the effective solver kernel re-keys SO-BMA runs but
@@ -266,10 +271,7 @@ class TestRunStore:
     def test_get_miss_returns_none_and_counts(self, tmp_path):
         store = RunStore(tmp_path)
         assert store.get("ab" * 20) is None
-        counts = store.counters.to_dict()
-        assert counts["misses"] == 1
-        assert counts["hits"] == 0 and counts["writes"] == 0
-        assert counts["quarantined"] == 0
+        assert snapshot("store.") == {"store.misses": 1}
 
     def test_put_without_provenance_rejected(self, tmp_path):
         store = RunStore(tmp_path)
@@ -350,12 +352,13 @@ class TestRunStore:
                 text = json.dumps(payload)
             store.entry_path(fp).write_text(text)
             assert store.list_runs() == [] and len(store) == 0
+            quarantined = _store_count("quarantined")
             with pytest.warns(RuntimeWarning, match=f"corrupt \\({reason}"):
                 assert store.get_payload(fp) is None
             # The file moved aside rather than poisoning every later read.
             assert not store.entry_path(fp).exists()
             assert (store.quarantine_dir / f"{fp}.json").exists()
-            assert store.counters.to_dict()["quarantined"] == 1
+            assert _store_count("quarantined") == quarantined + 1
             # The entry can be recomputed and stored again afterwards.
             assert store.put(result) == fp
             assert store.get_payload(fp) is not None
@@ -547,7 +550,7 @@ class TestBitIdentity:
         _forbid_simulation(monkeypatch, f"{algorithm}: simulated despite warm store")
         warm = execute_experiment_spec(spec, store=store)
         _assert_identical(cold, warm)
-        assert store.counters.hits == 1
+        assert _store_count("hits") == 1
 
     def test_hit_restamps_requesting_specs_provenance(self, tmp_path):
         store = RunStore(tmp_path)
@@ -560,7 +563,7 @@ class TestExecutionPaths:
     def test_unseeded_spec_never_stored(self, tmp_path):
         store = RunStore(tmp_path)
         execute_experiment_spec(_spec(seed=None), store=store)
-        assert len(store) == 0 and store.counters.writes == 0
+        assert len(store) == 0 and _store_count("writes") == 0
 
     def test_matching_history_collection_ineligible(self, tmp_path):
         store = RunStore(tmp_path)
@@ -573,7 +576,7 @@ class TestExecutionPaths:
         spec = _spec()
         trace = spec.build_trace(spec.run_seeds()[0])
         execute_experiment_spec(spec, trace=trace, store=store)
-        assert len(store) == 0 and store.counters.to_dict()["hits"] == 0
+        assert len(store) == 0 and _store_count("hits") == 0
 
     def test_observers_bypass_reads_but_still_write(self, tmp_path):
         from repro.experiments import CostTraceObserver
@@ -606,7 +609,7 @@ class TestExecutionPaths:
         warm = ExperimentRunner(repetitions=3, base_seed=11, store=store).run(
             _spec(seed=None))
         assert cold.to_dict() == warm.to_dict()
-        assert store.counters.hits == 3
+        assert _store_count("hits") == 3
 
     def test_run_experiments_incremental(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
@@ -633,11 +636,11 @@ class TestExecutionPaths:
         store = RunStore(tmp_path)
         warm_specs = [_spec(seed=None)]
         ExperimentRunner(base_seed=5, store=store).compare_on_shared_trace(warm_specs)
-        writes_before = store.counters.writes
+        writes_before = _store_count("writes")
         both = warm_specs + [_spec(seed=None,
                                    algorithm={"name": "greedy", "b": 2, "alpha": 4})]
         ExperimentRunner(base_seed=5, store=store).compare_on_shared_trace(both)
-        assert store.counters.writes == writes_before + 1  # only the new cell
+        assert _store_count("writes") == writes_before + 1  # only the new cell
 
     def test_run_many_uses_store(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
@@ -689,7 +692,7 @@ class TestRunSpecsParallelStore:
         warm = run_specs_parallel(grid, n_workers=2, store=store)
         for c, w in zip(cold, warm):
             _assert_identical(c, w)
-        assert store.counters.hits == len(grid)
+        assert _store_count("hits") == len(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -906,16 +909,13 @@ class TestResultRoundTrip:
 
 class TestCounters:
     def test_global_counters_accumulate_and_reset(self, tmp_path):
-        from repro.store import reset_store_counters
-
-        reset_store_counters()
-        store = RunStore(tmp_path)
-        execute_experiment_spec(_spec(), store=store)
-        execute_experiment_spec(_spec(), store=store)
-        counts = store_counters()
-        assert counts["writes"] >= 1 and counts["hits"] >= 1
-        reset_store_counters()
-        assert not any(store_counters().values())
+        """Store counts are process totals across store instances."""
+        execute_experiment_spec(_spec(), store=RunStore(tmp_path))
+        execute_experiment_spec(_spec(), store=RunStore(tmp_path))
+        counts = snapshot("store.")
+        assert counts["store.writes"] == 1 and counts["store.hits"] == 1
+        reset("store.")
+        assert snapshot("store.") == {}
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "payload.json"
