@@ -75,8 +75,8 @@ ALGORITHM_BENCH_SETTINGS: Dict[str, Dict[str, object]] = {
 #: Reconfiguration cost used throughout the benchmarks.  The paper does not
 #: fix a value but requires α ≥ ℓ_max (= 4 on a fat tree); 15 keeps that
 #: property while still letting the online algorithms amortise
-#: reconfigurations within the scaled-down trace lengths (see EXPERIMENTS.md
-#: for the effect of larger α, and the α-sweep ablation).
+#: reconfigurations within the scaled-down trace lengths (the α-sweep
+#: ablation, ``bench_ablation_alpha.py``, shows the effect of larger α).
 DEFAULT_ALPHA = 15.0
 
 

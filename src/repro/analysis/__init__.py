@@ -4,7 +4,7 @@ These modules connect the empirical side of the reproduction to the paper's
 theory: a dynamic-programming offline optimum for tiny instances, an
 empirical competitive-ratio harness, adversarial (lower-bound style) request
 sequences, and plain-text rendering of the figure series for the benchmark
-reports and ``EXPERIMENTS.md``.
+reports.
 """
 
 from .offline_opt import optimal_dynamic_matching_cost

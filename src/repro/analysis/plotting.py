@@ -2,7 +2,7 @@
 
 The original figures are matplotlib plots; in a headless / dependency-free
 setting we render the same series as Unicode line charts so that the
-benchmark output and EXPERIMENTS.md can show the *shape* of each curve
+benchmark output can show the *shape* of each curve
 (crossovers, saturation, gaps between algorithms) without any plotting
 dependency.
 """

@@ -3,7 +3,7 @@
 Turns a collection of aggregated results into a self-contained Markdown
 section — summary table, per-checkpoint series, ASCII chart, and the headline
 routing-cost reductions — so the benchmark harness (or a user script) can
-regenerate an EXPERIMENTS.md-style record directly from measured data.
+regenerate a figure panel's record directly from measured data.
 """
 
 from __future__ import annotations

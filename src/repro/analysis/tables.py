@@ -2,7 +2,7 @@
 
 The original paper presents its evaluation as matplotlib figures; this
 reproduction renders the same series as aligned text tables and CSV-style
-rows, which the benchmark harness prints and ``EXPERIMENTS.md`` embeds.  Each
+rows, which the benchmark harness prints.  Each
 table has one row per checkpoint (number of requests) and one column per
 algorithm/parameter combination — exactly the data behind the corresponding
 figure panel.

@@ -11,11 +11,12 @@ ships as ``max_weight_matching`` — onto flat, int-indexed lists:
   no AtlasView, no per-edge attribute dicts on the hot slack path;
 * vertices are ``0..n-1`` and non-trivial blossoms get ids ``n, n+1, ...``
   in creation order.  Every per-vertex-or-blossom field (``label``,
-  ``labeledge``, ``bestedge``, ``blossomparent``, ``blossombase``,
-  ``childs``, ``bedges``, ``mybestedges``) is one list indexed by that id,
-  with ``None`` where NetworkX has no key; ``add_blossom`` appends a slot
-  to each and expanding a blossom clears its slots.  ``mate``/``matek``
-  are per-vertex lists with ``-1`` for "single".  Ids are never reused.
+  ``labeledge``, ``bestedge``, ``bestslack``, ``blossomparent``,
+  ``blossombase``, ``childs``, ``bedges``, ``mybestedges``) is one list
+  indexed by that id, with ``None`` where NetworkX has no key;
+  ``add_blossom`` appends a slot to each and expanding a blossom clears
+  its slots.  ``mate``/``matek`` are per-vertex lists with ``-1`` for
+  "single".  Ids are never reused.
 * the per-stage ``allowedge`` set is a flat per-edge flag list, and the
   per-stage resets of ``label``, ``labeledge``, ``bestedge`` and
   ``allowedge`` are one slice assignment each.
@@ -42,6 +43,19 @@ solver backends.
 Like the NetworkX implementation, integer edge weights are processed in
 exact integer arithmetic and float weights in IEEE double arithmetic, so
 ties resolve identically.
+
+One value is cached where NetworkX recomputes it: ``bestslack[x]`` holds
+the slack of the least-slack candidate ``bestedge[x]``, which NetworkX
+rebuilds from the two vertex duals at every comparison.  Its invariant:
+while ``bestedge[x]`` is set, ``bestslack[x]`` is ``None`` or the slack of
+that edge at the current duals.  The neighbour scan stores the slack it has
+just computed wherever it sets ``bestedge`` (summed from the scanning
+vertex's side, which is bit-identical because addition is commutative), a
+new blossom stores the least slack it found among its candidates, a
+``None`` slot is computed when first read, and the dual update, the only
+code that changes a vertex dual, clears every slot, blossom slots included.
+The scan's comparisons and the delta2/delta3 minima read the cache, so they
+compare the very values NetworkX computes.
 
 Why not numpy
 -------------
@@ -147,6 +161,9 @@ def max_weight_matching_arrays(
     label: List[Optional[int]] = [None] * n
     labeledge: List[Optional[Tuple[int, int, int]]] = [None] * n
     bestedge: List[Optional[Tuple[int, int, int]]] = [None] * n
+    # bestslack[x] is None or the slack of bestedge[x] at the current duals
+    # (see "Output fidelity"); the dual update clears every slot.
+    bestslack: List[Optional[float]] = [None] * n
     blossomparent: List[Optional[int]] = [None] * n
     blossombase: List[int] = list(range(n))
     childs: List[Optional[List[int]]] = [None] * n
@@ -239,6 +256,7 @@ def max_weight_matching_arrays(
         label.append(None)
         labeledge.append(None)
         bestedge.append(None)
+        bestslack.append(None)
         blossomparent[bb] = b
         # Trace back from v to base.
         while bv != bb:
@@ -308,6 +326,7 @@ def max_weight_matching_arrays(
                 mybestedge = edge
                 mybestslack = kslack
         bestedge[b] = mybestedge
+        bestslack[b] = mybestslack
 
     def expand_blossom(b: int, endstage: bool) -> None:
         """Expand the given top-level blossom (trampolined recursion)."""
@@ -375,7 +394,7 @@ def max_weight_matching_arrays(
                     j += jstep
             # Retire the expanded blossom: clear its slots (ids are never
             # reused, and nothing points at b any more).
-            label[b] = labeledge[b] = bestedge[b] = None
+            label[b] = labeledge[b] = bestedge[b] = bestslack[b] = None
             blossomparent[b] = childs[b] = bedges[b] = mybestedges[b] = None
             blossombase[b] = _NO_NODE
             del blossomdual[b]
@@ -508,10 +527,18 @@ def max_weight_matching_arrays(
         allowedge[:] = [False] * nedge
         queue[:] = []
 
-        # Label single blossoms/vertices with S and put them in the queue.
+        # Label single blossoms/vertices with S and put them in the queue:
+        # assign_label(v, 1, _NO_NODE, -1) inlined, as labeledge and
+        # bestedge were just cleared.
         for v in range(n):
-            if mate[v] == _NO_NODE and label[inblossom[v]] is None:
-                assign_label(v, 1, _NO_NODE, -1)
+            if mate[v] == _NO_NODE:
+                b = inblossom[v]
+                if label[b] is None:
+                    label[v] = label[b] = 1
+                    if b >= n:
+                        queue.extend(leaves(b))
+                    else:
+                        queue.append(b)
 
         augmented = 0
         while 1:
@@ -537,23 +564,21 @@ def max_weight_matching_arrays(
                             if label[bw] == 1:
                                 # Track the least-slack edge to a different
                                 # S-blossom.
-                                best = bestedge[bv]
-                                if best is None or kslack < (
-                                    dualvar[endpoint_u[best[2]]]
-                                    + dualvar[endpoint_v[best[2]]]
-                                    - weight2[best[2]]
-                                ):
-                                    bestedge[bv] = (v, w, k)
+                                x = bv
                             elif label[w] is None:
                                 # Track the least-slack edge reaching the
                                 # free vertex w.
-                                best = bestedge[w]
-                                if best is None or kslack < (
-                                    dualvar[endpoint_u[best[2]]]
-                                    + dualvar[endpoint_v[best[2]]]
-                                    - weight2[best[2]]
-                                ):
-                                    bestedge[w] = (v, w, k)
+                                x = w
+                            else:
+                                continue
+                            if bestedge[x] is not None:
+                                best = bestslack[x]
+                                if best is None:
+                                    best = bestslack[x] = slack(bestedge[x][2])
+                                if not kslack < best:
+                                    continue
+                            bestedge[x] = (v, w, k)
+                            bestslack[x] = kslack
                             continue
                         allowedge[k] = True
                     lbw = label[bw]
@@ -591,8 +616,9 @@ def max_weight_matching_arrays(
             # free one.
             for v in range(n):
                 if label[inblossom[v]] is None and bestedge[v] is not None:
-                    kk = bestedge[v][2]
-                    d = dualvar[endpoint_u[kk]] + dualvar[endpoint_v[kk]] - weight2[kk]
+                    d = bestslack[v]
+                    if d is None:
+                        d = slack(bestedge[v][2])
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 2
@@ -605,7 +631,9 @@ def max_weight_matching_arrays(
                     and label[b] == 1
                     and bestedge[b] is not None
                 ):
-                    kslack = slack(bestedge[b][2])
+                    kslack = bestslack[b]
+                    if kslack is None:
+                        kslack = slack(bestedge[b][2])
                     if allinteger:
                         assert (kslack % 2) == 0
                         d = kslack // 2
@@ -640,6 +668,7 @@ def max_weight_matching_arrays(
                     dualvar[v] -= delta
                 elif vlabel == 2:
                     dualvar[v] += delta
+            bestslack[:] = [None] * len(bestslack)
             for b in blossomdual:
                 if blossomparent[b] is None:
                     if label[b] == 1:

@@ -22,7 +22,9 @@ paper's own discussion) attribute to each cluster:
 
 All generators take an explicit request count and seed so experiments are
 reproducible; the default parameters are chosen so the relative behaviour of
-the algorithms matches the paper's figures (see ``EXPERIMENTS.md``).
+the algorithms matches the paper's figures (the figure benchmarks
+``benchmarks/bench_fig1_facebook_database.py`` to
+``bench_fig3_facebook_hadoop.py`` run them).
 """
 
 from __future__ import annotations

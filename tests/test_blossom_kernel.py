@@ -12,6 +12,9 @@ functions directly and compares the matchings on:
 * seeded random graphs up to n = 60 with heavily tied weights, in integer,
   integral-float and mixed int/float form, in shuffled edge order and with
   random endpoint orientation;
+* 1,500 small dense graphs (n = 4..14, density 0.3..1.0, integer 1..6,
+  integral-float 1..20 or real U(0, 10) weights, shuffled edge order),
+  which catch a least-slack cache left stale across a dual update;
 * the kernel's own input checks (invalid and duplicate edges).
 """
 
@@ -182,6 +185,36 @@ def test_random_tie_heavy_graphs(seed, form):
     n = rng.choice((2, 3, 5, 8, 13, 21, 34, 60)) if seed % 3 else rng.randint(2, 60)
     edges = _random_edges(rng, n, form)
     _assert_same(n, edges, maxcardinality=seed % 5 == 0)
+
+
+def _small_dense_edges(rng, form):
+    n = rng.randint(4, 14)
+    density = rng.uniform(0.3, 1.0)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < density]
+    rng.shuffle(pairs)
+    return n, [(u, v, _small_weight(rng, form)) for u, v in pairs]
+
+
+def _small_weight(rng, form):
+    if form == "int":
+        return rng.randint(1, 6)
+    if form == "integral-float":
+        return float(rng.randint(1, 20))
+    return rng.uniform(0.0, 10.0)
+
+
+@pytest.mark.parametrize("form", ["int", "integral-float", "real"])
+def test_small_dense_graphs(form):
+    """Many small, dense graphs: each runs many stages with several dual
+    updates and blossoms, so a least-slack value kept past a dual update
+    (for a vertex or a blossom) shows up as a different matching or a
+    failed optimality check."""
+    rng = random.Random(f"small-dense-{form}")
+    for index in range(500):
+        n, edges = _small_dense_edges(rng, form)
+        ours = max_weight_matching_arrays(n, edges)
+        assert ours == _nx_matching(n, edges), (form, index, n, edges)
 
 
 def test_fractional_float_ties():

@@ -1,5 +1,6 @@
 """Tests for the static maximum-weight b-matching solvers."""
 
+import itertools
 import time
 
 import numpy as np
@@ -85,6 +86,19 @@ class TestGreedy:
         with pytest.raises(SolverError, match="out of range"):
             iterated_max_weight_b_matching(weights, 3, b=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "solve", [greedy_b_matching, iterated_max_weight_b_matching]
+    )
+    def test_rejects_non_finite_weights(self, solve, bad):
+        # NaN is not <= 0, so dropping non-positive weights kept it: greedy
+        # matched the pair in an order-dependent way and the blossom rounds
+        # fed it into their duals.
+        items = [((0, 1), bad), ((1, 2), 3.0), ((2, 3), 2.0), ((0, 3), 1.0)]
+        for order in itertools.permutations(items):
+            with pytest.raises(SolverError, match="non-finite weight"):
+                solve(dict(order), 4, b=1)
+
 
 class TestIteratedBlossom:
     def test_b_one_is_max_weight_matching(self):
@@ -113,6 +127,10 @@ class TestIteratedBlossom:
 
     def test_empty_weights(self):
         assert iterated_max_weight_b_matching({}, 4, b=2) == set()
+
+    def test_pairs_that_sum_past_the_float_range_are_rejected(self):
+        with pytest.raises(SolverError, match="non-finite weight"):
+            iterated_max_weight_b_matching({(0, 1): 1e308, (1, 0): 1e308}, 2, b=1)
 
 
 def _brute_force_exact(weights, n_nodes, b):
